@@ -52,6 +52,7 @@ def _signed_partition_sum(terms):
 
 def cmd_compute(args):
     kind = args.kind
+    _require(args.vars is None or args.vars >= 0, "--vars must be >= 0, got %s" % args.vars)
     if kind == "schur":
         _require(args.partition is not None and args.vars, "schur needs --partition and --vars")
         alpha = combinat.parse_partition(args.partition)

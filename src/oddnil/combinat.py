@@ -99,9 +99,6 @@ def hat_partition(alpha, a, b):
     return conjugate(complement(alpha, a, b))
 
 
-hat = hat_partition
-
-
 def partition_tail_weight(alpha, m):
     """|alpha| after removing rows 1..m (the Pieri sign ingredient)."""
     alpha = normalize_partition(alpha)

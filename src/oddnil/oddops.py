@@ -13,15 +13,20 @@ last.  D_a is the fixed word [1, 2,1, 3,2,1, ..., a-1,...,1]; every sign
 downstream depends on this exact word, so it is a stored constant and is
 never re-derived from the permutation.
 
-Evaluation is memoized per (operator, monomial); caches are built once and
-only read afterwards, so concurrent readers are safe.
+Evaluation is memoized per (operator, monomial).  The memo grows during
+evaluation, one entry per miss, until clear_caches empties it; a stored
+image is shared by every later caller, so callers copy its terms and never
+mutate it.
 """
 
 from .skewpoly import (
     SkewPolynomial,
+    _add_scaled,
+    _from_normal,
     apply_permutation,
     apply_simple_transposition,
     apply_w0,
+    left_dot,
     staircase,
 )
 from . import combinat
@@ -96,10 +101,10 @@ def divided_difference(i, p):
     """The odd divided difference d_i applied to p."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
-    out = SkewPolynomial.zero(p.nvars)
+    d = {}
     for mono, c in p.terms.items():
-        out = out + _dd_mono(i, p.nvars, mono).scale(c)
-    return out
+        _add_scaled(d, _dd_mono(i, p.nvars, mono).terms, c)
+    return _from_normal(p.nvars, d)
 
 
 def _ddnj_mono(i, j, nvars, mono):
@@ -130,7 +135,7 @@ def _ddnj_mono(i, j, nvars, mono):
         tail = _ddnj_mono(i, j, nvars, rest)
         if tail:
             svar = j if var == i else (i if var == j else var)
-            out = out + (-SkewPolynomial.variable(nvars, svar)) * tail
+            out = out - left_dot(svar, tail)
     _ddnj_cache[key] = out
     return out
 
@@ -143,10 +148,10 @@ def dd_nonadjacent(i, j, p):
         i, j = j, i
     if not (1 <= i < j <= p.nvars):
         raise ValueError("indices (%d, %d) out of range" % (i, j))
-    out = SkewPolynomial.zero(p.nvars)
+    d = {}
     for mono, c in p.terms.items():
-        out = out + _ddnj_mono(i, j, p.nvars, mono).scale(c)
-    return out
+        _add_scaled(d, _ddnj_mono(i, j, p.nvars, mono).terms, c)
+    return _from_normal(p.nvars, d)
 
 
 def apply_transposition(i, j, p):

@@ -17,8 +17,9 @@ Thick calculus conventions (all signs downstream depend on these):
 
 * e_a is the 0-Hecke product (x_r d_r) along the canonical reduced word
   of w_0.
-* crossing_word(a, b): the t-th of the b right strands crosses leftward
-  over all a left strands, for t = 1..b in order; ab crossings.
+* crossing_element(a, b, offset, n): the t-th of the b right strands
+  crosses leftward over all a left strands, for t = 1..b in order; ab
+  crossings.
 * up_splitter(a, b) = (e_a (x) e_b) over the mirror crossing with bottom
   bundles (b, a) and top legs (a, b); the bottom e_{a+b} is absorbed.
   The two crossing orientations coincide whenever a bundle is thin.
@@ -32,9 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from . import combinat, oddops, oddsym
-from .skewpoly import SkewPolynomial
-
-NORMALIZE_THRESHOLD = 10_000
+from .skewpoly import SkewPolynomial, _add_scaled, _from_normal, left_dot
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def apply_word(word, p):
         if not out.terms:
             return out
         if l > 0:
-            out = SkewPolynomial.variable(out.nvars, l) * out
+            out = left_dot(l, out)
         else:
             out = oddops.divided_difference(-l, out)
     return out
@@ -168,7 +167,7 @@ class OnhElement:
         return NotImplemented
 
     def __mul__(self, other):
-        """Lazy concatenation; normalizes when the word count explodes."""
+        """Lazy concatenation of words."""
         if isinstance(other, int):
             return self.scale(other)
         if self.strands != other.strands:
@@ -185,17 +184,15 @@ class OnhElement:
         out = OnhElement.__new__(OnhElement)
         out.strands = self.strands
         out.combo = d
-        if len(d) > NORMALIZE_THRESHOLD:
-            out = out.normalize()
         return out
 
     def evaluate(self, p):
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
-        out = SkewPolynomial.zero(self.strands)
+        d = {}
         for w, c in self.combo.items():
-            out = out + apply_word(w, p).scale(c)
-        return out
+            _add_scaled(d, apply_word(w, p).terms, c)
+        return _from_normal(self.strands, d)
 
     def is_zero(self):
         basis = schubert_basis_list(self.strands)
@@ -355,9 +352,6 @@ def crossing_element(a, b, offset, n):
     if offset < 0 or offset + a + b > n:
         raise ValueError("crossing of (%d, %d) at offset %d does not fit in %d strands" % (a, b, offset, n))
     return OnhElement.from_word(n, crossing_word_letters(a, b, offset))
-
-
-crossing_word = crossing_element
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,6 @@ quotient [n]!/([k]![n-k]!).  Coefficients are arbitrary-precision ints and
 exponents are stored sparsely; nothing is ever truncated.
 """
 
-from math import comb
-
 
 class QLaurent:
     """A Laurent polynomial in q with integer coefficients.
@@ -252,8 +250,3 @@ def q_cardinality_box(a, b):
     for alpha in combinat.partitions_in_box(a, b):
         out = out + QLaurent.q_power(2 * sum(alpha) - a * b)
     return out
-
-
-def gaussian_binomial_check(n, k):
-    """Cross-check value: q_binomial at q=1 is the ordinary binomial."""
-    return q_binomial(n, k).at_one() == comb(n, k)

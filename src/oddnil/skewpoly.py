@@ -6,18 +6,28 @@ stored in normal order, as a map from exponent vectors (A_1, ..., A_a),
 meaning x_1^{A_1} ... x_a^{A_a}, to nonzero integer coefficients; all
 reordering signs are absorbed into the coefficients at construction time.
 
-Signs in closed form (both validated against letter-by-letter oracles in
-the test suite):
+Signs in closed form (validated against letter-by-letter oracles in the
+test suite):
 
   x^A * x^B           = (-1)^{sum_{i>j} A_i B_j} x^{A+B}
+  x_r * x^A           = (-1)^{A_1 + ... + A_{r-1}} x^{A+e_r}
   s_i (x^A)           = (-1)^{|A| + A_i A_{i+1}} x^{s_i(A)}
 
 where |A| = sum(A) and s_i swaps the i-th and (i+1)-st entries.  The
 transposition s_i is the ring endomorphism sending x_i -> -x_{i+1},
 x_{i+1} -> -x_i and x_j -> -x_j for j != i, i+1.
 
+The product sign is computed from parity masks.  Mod 2 the exponent is
+sum_j B_j (A_{j+1} + ... + A_a), and a term contributes only when B_j and
+the suffix sum are both odd, so it is the parity of
+popcount(S(A) & P(B)), where bit j of P(B) is B_j mod 2 and bit j of S(A)
+is (A_{j+1} + ... + A_a) mod 2.  The left-dot sign is the product sign
+with A = e_r: only the x_r letter moves, past the x_j^{A_j} with j < r.
+
 x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 """
+
+from operator import add
 
 
 class SkewPolynomial:
@@ -115,10 +125,7 @@ class SkewPolynomial:
                 d[m] = v
             else:
                 d.pop(m, None)
-        out = SkewPolynomial.__new__(SkewPolynomial)
-        out.nvars = self.nvars
-        out.terms = d
-        return out
+        return _from_normal(self.nvars, d)
 
     __radd__ = __add__
 
@@ -133,10 +140,7 @@ class SkewPolynomial:
     def scale(self, c):
         if c == 0:
             return SkewPolynomial.zero(self.nvars)
-        out = SkewPolynomial.__new__(SkewPolynomial)
-        out.nvars = self.nvars
-        out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
+        return _from_normal(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -148,25 +152,19 @@ class SkewPolynomial:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
+        right = [(mb, cb, _parity_mask(mb)) for mb, cb in other.terms.items()]
         d = {}
         for ma, ca in self.terms.items():
-            # suffix[j] = sum_{i > j} A_i, 0-based j
-            suffix = [0] * (self.nvars + 1)
-            for j in range(self.nvars - 1, -1, -1):
-                suffix[j] = suffix[j + 1] + ma[j]
-            for mb, cb in other.terms.items():
-                sign_exp = sum(mb[j] * suffix[j + 1] for j in range(self.nvars) if mb[j])
-                m = tuple(ma[j] + mb[j] for j in range(self.nvars))
-                c = ca * cb if sign_exp % 2 == 0 else -ca * cb
+            sa = _suffix_parity_mask(ma)
+            for mb, cb, pb in right:
+                m = tuple(map(add, ma, mb))
+                c = -ca * cb if (sa & pb).bit_count() & 1 else ca * cb
                 v = d.get(m, 0) + c
                 if v:
                     d[m] = v
                 else:
-                    d.pop(m, None)
-        out = SkewPolynomial.__new__(SkewPolynomial)
-        out.nvars = self.nvars
-        out.terms = d
-        return out
+                    del d[m]
+        return _from_normal(self.nvars, d)
 
     def __pow__(self, n):
         if n < 0:
@@ -181,6 +179,57 @@ class SkewPolynomial:
 
     def __repr__(self):
         return "SkewPolynomial(%d, %s)" % (self.nvars, format_skew(self))
+
+
+def _from_normal(nvars, terms):
+    """Wrap a dict that is already normal (keys are exponent tuples of
+    length nvars, values nonzero ints) without copying or checking it."""
+    out = SkewPolynomial.__new__(SkewPolynomial)
+    out.nvars = nvars
+    out.terms = terms
+    return out
+
+
+def _add_scaled(d, terms, c):
+    """d += c * terms in place, for a nonzero int c; a key whose sum reaches
+    zero is deleted."""
+    for m, v in terms.items():
+        s = d.get(m, 0) + c * v
+        if s:
+            d[m] = s
+        else:
+            del d[m]
+
+
+def _parity_mask(m):
+    """Bit j is m[j] mod 2."""
+    mask = 0
+    for j, e in enumerate(m):
+        if e & 1:
+            mask |= 1 << j
+    return mask
+
+
+def _suffix_parity_mask(m):
+    """Bit j is (m[j+1] + ... + m[-1]) mod 2."""
+    mask = 0
+    parity = 0
+    for j in range(len(m) - 1, -1, -1):
+        if parity:
+            mask |= 1 << j
+        parity ^= m[j] & 1
+    return mask
+
+
+def left_dot(r, p):
+    """x_r * p (1-based r), term by term: x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
+    if not 1 <= r <= p.nvars:
+        raise ValueError("variable index %d out of range" % r)
+    k = r - 1
+    d = {}
+    for m, c in p.terms.items():
+        d[m[:k] + (m[k] + 1,) + m[r:]] = -c if sum(m[:k]) & 1 else c
+    return _from_normal(p.nvars, d)
 
 
 def multiply_monomials(nvars, ma, mb):
@@ -212,7 +261,7 @@ def apply_simple_transposition(i, p):
             d[sm] = v
         else:
             d.pop(sm, None)
-    return SkewPolynomial(p.nvars, d)
+    return _from_normal(p.nvars, d)
 
 
 def apply_permutation(w, p):

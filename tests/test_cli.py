@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oddnil.cli import main
+from oddnil.cli import COMPUTE_KINDS, main
 
 
 def run_cli(capsys, *argv):
@@ -118,3 +118,38 @@ def test_verify_sentinels_counted_as_expected(capsys):
 def test_verify_max_rank_smoke(capsys):
     code, out, _ = run_cli(capsys, "verify", "nil_orth", "identity_decomposition", "--max-rank", "2")
     assert code == 0
+
+
+def test_verify_empty_sweep_is_not_a_pass(capsys):
+    code, out, _ = run_cli(capsys, "verify", "center", "--a", "0")
+    assert code == 1
+    assert "skipped" in out and "instances=0" in out and "empty sweep" in out
+
+
+def test_jacobi_trudi_failure_below_degree_four_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "jacobi_trudi_failure", "--a", "3")
+    assert code == 2
+    assert out == ""
+    assert "a >= 4" in err and "eps_4" in err
+
+
+# one valid call per compute kind, apart from --vars
+_KIND_ARGS = {
+    "schur": ["--partition", "1"],
+    "dual-schur": ["--partition", "1"],
+    "elementary": ["--k", "2"],
+    "complete": ["--k", "2"],
+    "schubert": ["--perm", "2 1"],
+    "product": ["--left", "1", "--right", "1"],
+    "pieri": ["--partition", "1", "--k", "1"],
+    "grassmann-matrix": ["--a", "2"],
+    "oh-rank": ["--a", "2", "--N", "4"],
+}
+
+
+@pytest.mark.parametrize("kind", COMPUTE_KINDS)
+def test_compute_negative_vars_is_usage_error(capsys, kind):
+    code, out, err = run_cli(capsys, "compute", kind, *_KIND_ARGS[kind], "--vars", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--vars" in err

@@ -1,0 +1,122 @@
+"""Differential tests: the fast skew-polynomial kernel against the
+straightforward implementation it replaced (tests/reference_kernel.py).
+
+Terms dicts are compared exactly, so a stored zero coefficient or a
+wrong-length key fails as surely as a wrong sign.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_kernel as ref
+from oddnil import oddops, onh
+from oddnil.skewpoly import SkewPolynomial, left_dot
+
+# small exponents make products collide and cancel; large ones reach the
+# high bits of both parity masks and long d_i power formulas
+exponent = st.one_of(st.integers(0, 2), st.integers(0, 3), st.integers(10, 40))
+coefficient = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def polys(draw, nvars):
+    keys = st.tuples(*[exponent] * nvars)
+    terms = draw(st.dictionaries(keys, coefficient, max_size=8))
+    return SkewPolynomial(nvars, terms)
+
+
+@st.composite
+def poly_pairs(draw, min_vars=1):
+    n = draw(st.integers(min_vars, 6))
+    f, g = draw(polys(n)), draw(polys(n))
+    # g = f + h shares terms with f, so f - g and (f - g)(f + g) cancel
+    if draw(st.booleans()):
+        g = f + g
+    return f, g
+
+
+def normal(p):
+    assert all(len(m) == p.nvars for m in p.terms)
+    assert all(type(c) is int and c for c in p.terms.values())
+    return p.nvars, p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_product_matches_reference(pair):
+    f, g = pair
+    assert normal(f * g) == normal(ref.mul(f, g))
+    assert normal(g * f) == normal(ref.mul(g, f))
+    assert normal((f - g) * (f + g)) == normal(ref.mul(f - g, f + g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(1, n), polys(n))))
+def test_left_dot_matches_variable_product(case):
+    r, p = case
+    x = SkewPolynomial.variable(p.nvars, r)
+    out = normal(left_dot(r, p))
+    assert out == normal(x * p)
+    assert out == normal(ref.mul(x, p))
+
+
+def test_left_dot_rejects_bad_index():
+    with pytest.raises(ValueError):
+        left_dot(3, SkewPolynomial.one(2))
+    with pytest.raises(ValueError):
+        left_dot(0, SkewPolynomial.one(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(min_vars=2), st.data())
+def test_divided_difference_matches_reference(pair, data):
+    f, g = pair
+    n = f.nvars
+    i = data.draw(st.integers(1, n - 1))
+    for p in (f, g, f - g):
+        assert normal(oddops.divided_difference(i, p)) == normal(ref.divided_difference(i, p))
+    j = data.draw(st.integers(1, n).filter(lambda j: j != i))
+    assert normal(oddops.dd_nonadjacent(i, j, f)) == normal(ref.dd_nonadjacent(i, j, f))
+
+
+def test_zero_polynomial_through_every_kernel():
+    for n in range(1, 7):
+        z = SkewPolynomial.zero(n)
+        p = SkewPolynomial(n, {(1,) * n: 3})
+        assert normal(z * p) == normal(p * z) == normal(ref.mul(z, p)) == (n, {})
+        assert normal(left_dot(n, z)) == (n, {})
+        assert normal(onh.apply_word((n,), z)) == normal(ref.apply_word((n,), z))
+        if n > 1:
+            assert normal(oddops.divided_difference(1, z)) == (n, {})
+        el = onh.OnhElement(n, {(1,): 1, (1, 1): -2})
+        assert normal(el.evaluate(z)) == normal(ref.evaluate(el, z)) == (n, {})
+
+
+def test_cancelling_terms_leave_no_zero_coefficient():
+    x1, x2 = SkewPolynomial.variable(2, 1), SkewPolynomial.variable(2, 2)
+    # the two x1 x2 terms of (x1 + x2)^2 cancel
+    assert normal((x1 + x2) * (x1 + x2)) == (2, {(2, 0): 1, (0, 2): 1})
+    # d_1 kills the odd symmetric x1 - x2: the images 1 and -1 cancel
+    assert normal(oddops.divided_difference(1, x1 - x2)) == (2, {})
+    # d_1 x_1 - d_1 x_2 evaluates to 1 - 1 on the constant 1
+    el = onh.OnhElement(2, {(-1, 1): 1, (-1, 2): -1})
+    one = SkewPolynomial.one(2)
+    assert normal(el.evaluate(one)) == normal(ref.evaluate(el, one)) == (2, {})
+
+
+@st.composite
+def words_and_polys(draw):
+    n = draw(st.integers(1, 4))
+    letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
+    words = st.lists(st.sampled_from(letters), max_size=6).map(tuple)
+    combo = draw(st.dictionaries(words, coefficient, max_size=5))
+    return onh.OnhElement(n, combo), draw(polys(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(words_and_polys())
+def test_apply_word_and_evaluate_match_reference(case):
+    el, p = case
+    for w in el.combo:
+        assert normal(onh.apply_word(w, p)) == normal(ref.apply_word(w, p))
+    assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))

@@ -108,3 +108,17 @@ def test_params_for_max_rank():
 def test_all_match_expected_logic():
     reports = [V.run_check("da_values"), V.run_check("sentinel_x1sq_central")]
     assert V.all_match_expected(reports)
+
+
+def test_zero_instance_sweep_reports_skipped():
+    r = V.run_check("center", {"a_list": [0]})
+    assert r.instances == 0
+    assert r.status == "skipped"
+    assert r.details == [("sweep", "at least 1 instance", "empty sweep: 0 instances")]
+    assert not V.all_match_expected([r])
+
+
+def test_jacobi_trudi_failure_needs_degree_four():
+    with pytest.raises(ValueError, match="a >= 4"):
+        V.run_check("jacobi_trudi_failure", {"a": 3})
+    assert V.run_check("jacobi_trudi_failure", {"a": 4}).status == "pass"
