@@ -17,17 +17,19 @@ from . import combinat, cyclotomic, oddsym, verify
 from .qgrade import format_qlaurent
 from .skewpoly import format_skew, parse_skew
 
-COMPUTE_KINDS = (
-    "schur",
-    "dual-schur",
-    "elementary",
-    "complete",
-    "schubert",
-    "product",
-    "pieri",
-    "grassmann-matrix",
-    "oh-rank",
-)
+# each compute kind's required and optional flags; any other is a usage error
+COMPUTE_KINDS = {
+    "schur": (("partition", "vars"), ()),
+    "dual-schur": (("partition", "vars"), ()),
+    "elementary": (("k", "vars"), ()),
+    "complete": (("k", "vars"), ()),
+    "schubert": (("perm",), ("vars",)),
+    "product": (("left", "right", "vars"), ()),
+    "pieri": (("partition", "k", "vars"), ()),
+    "grassmann-matrix": (("a",), ()),
+    "oh-rank": (("a", "N"), ("dmax",)),
+}
+_COMPUTE_FLAGS = ("a", "N", "vars", "partition", "perm", "k", "left", "right", "dmax")
 
 
 class UsageError(ValueError):
@@ -50,46 +52,48 @@ def _signed_partition_sum(terms):
     return " ".join(parts) if parts else "0"
 
 
+def _check_compute_flags(args):
+    required, optional = COMPUTE_KINDS[args.kind]
+    given = [f for f in _COMPUTE_FLAGS if getattr(args, f) is not None]
+    unread = ["--" + f for f in given if f not in required + optional]
+    _require(not unread, "compute %s does not read %s; it takes %s"
+             % (args.kind, ", ".join(unread), ", ".join("--" + f for f in required + optional)))
+    _require(all(f in given for f in required), "%s needs %s" % (args.kind, " and ".join("--" + f for f in required)))
+    # --vars 0 names no variables: a kind that needs --vars rejects it, and
+    # schubert then takes the permutation's size
+    least = 1 if "vars" in required else 0
+    _require(args.vars is None or args.vars >= least, "--vars must be >= %d, got %s" % (least, args.vars))
+
+
 def cmd_compute(args):
+    _check_compute_flags(args)
     kind = args.kind
-    _require(args.vars is None or args.vars >= 0, "--vars must be >= 0, got %s" % args.vars)
     if kind == "schur":
-        _require(args.partition is not None and args.vars, "schur needs --partition and --vars")
         alpha = combinat.parse_partition(args.partition)
         result = format_skew(oddsym.schur(alpha, args.vars))
     elif kind == "dual-schur":
-        _require(args.partition is not None and args.vars, "dual-schur needs --partition and --vars")
         alpha = combinat.parse_partition(args.partition)
         result = format_skew(oddsym.dual_schur(alpha, args.vars))
     elif kind == "elementary":
-        _require(args.k is not None and args.vars, "elementary needs --k and --vars")
         result = format_skew(oddsym.elementary(args.k, args.vars))
     elif kind == "complete":
-        _require(args.k is not None and args.vars, "complete needs --k and --vars")
         result = format_skew(oddsym.complete(args.k, args.vars))
     elif kind == "schubert":
-        _require(args.perm is not None, "schubert needs --perm")
         w = combinat.parse_permutation(args.perm)
         nvars = args.vars or len(w)
         _require(nvars == len(w), "--vars must match the permutation size")
         result = format_skew(oddsym.schubert(w, nvars))
     elif kind == "product":
-        _require(args.left is not None and args.right is not None and args.vars,
-                 "product needs --left, --right and --vars")
         f = parse_skew(args.left, args.vars)
         g = parse_skew(args.right, args.vars)
         result = format_skew(f * g)
     elif kind == "pieri":
-        _require(args.partition is not None and args.k is not None and args.vars,
-                 "pieri needs --partition, --k and --vars")
         alpha = combinat.parse_partition(args.partition)
         result = _signed_partition_sum(oddsym.pieri_expected(alpha, args.k, args.vars))
     elif kind == "grassmann-matrix":
-        _require(args.a is not None, "grassmann-matrix needs --a")
         mat = cyclotomic.grassmann_matrix(args.a)
         result = "\n".join("[ " + " | ".join(format_skew(e) for e in row) + " ]" for row in mat)
     elif kind == "oh-rank":
-        _require(args.a is not None and args.N is not None, "oh-rank needs --a and --N")
         result = format_qlaurent(cyclotomic.quotient_graded_rank(args.a, args.N, args.dmax))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError("unknown compute kind %r" % kind)
@@ -110,17 +114,15 @@ def cmd_verify(args):
         for cid in ids:
             if cid not in verify.REGISTRY:
                 raise verify.UnknownCheckError("unknown check id %r" % cid)
-    params = None
+    params = {}
     if any(v is not None for v in (args.a, args.b, args.N, args.dmax)):
         _require(len(ids) == 1, "--a/--b/--N/--dmax need a single named check")
-        params = verify.params_from_flags(ids[0], a=args.a, b=args.b, n_param=args.N, dmax=args.dmax)
-    reports = []
-    if params is None and args.max_rank is not None:
-        for cid in ids:
-            p = verify.params_for_max_rank(cid, args.max_rank)
-            reports.extend(verify.run_many([cid], p, seed=args.seed, parallel=1))
-    else:
-        reports = verify.run_many(ids, params, seed=args.seed, parallel=args.parallel)
+        _require(args.max_rank is None, "--max-rank cannot be combined with --a/--b/--N/--dmax")
+        params[ids[0]] = verify.params_from_flags(ids[0], a=args.a, b=args.b, n_param=args.N, dmax=args.dmax)
+    elif args.max_rank is not None:
+        _require(args.max_rank >= 1, "--max-rank must be >= 1, got %d" % args.max_rank)
+        params = {cid: verify.params_for_max_rank(cid, args.max_rank) for cid in ids}
+    reports = verify.run_many(ids, params, seed=args.seed, parallel=args.parallel)
     ok = verify.all_match_expected(reports)
     if args.json:
         print(verify.reports_to_json(reports))
@@ -156,7 +158,6 @@ def build_parser():
     pc = sub.add_parser("compute", help="compute and print an object")
     pc.add_argument("kind", choices=COMPUTE_KINDS)
     pc.add_argument("--a", type=int)
-    pc.add_argument("--b", type=int)
     pc.add_argument("--N", type=int)
     pc.add_argument("--vars", type=int, help="number of variables")
     pc.add_argument("--partition", type=str, help='comma list, e.g. "2,1"')
@@ -165,9 +166,7 @@ def build_parser():
     pc.add_argument("--left", type=str, help="polynomial text")
     pc.add_argument("--right", type=str, help="polynomial text")
     pc.add_argument("--dmax", type=int)
-    pc.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     pc.add_argument("--json", action="store_true")
-    pc.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run verification checks")

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import combinat, cyclotomic, evenoracle, oddops, oddsym, onh, qgrade
 from .skewpoly import SkewPolynomial, apply_w0, reverse_staircase, staircase
@@ -914,41 +915,99 @@ def check_sentinel_x1sq_central(params, rng):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# parameter kinds and registry
+
+ENVELOPE = {"a": 5, "ab_total": 5, "N": 6, "degree": 12}
+
+
+class Axis(NamedTuple):
+    """One kind of flag-bound check parameter, declared once.
+
+    ``flags`` are the CLI flags that set the parameter; it is set when all
+    of them are given.  ``shape`` says what they make: ``"one"`` the flag's
+    value, ``"list"`` a list of it, ``"pairs"`` a list of the pair of
+    values.  ``exceeds`` tells whether a value (for ``"pairs"``, one pair)
+    leaves ``ENVELOPE``, whose bound ``bound`` states; without it the
+    envelope does not bound the parameter.  ``clamp(value, r)`` is the value
+    under ``--max-rank r``; without it the rank leaves the parameter alone.
+    """
+
+    flags: tuple
+    shape: str
+    bound: str = ""
+    exceeds: Callable = None
+    clamp: Callable = None
+
+    def from_flags(self, values):
+        if self.shape == "pairs":
+            return [tuple(values)]
+        return [values[0]] if self.shape == "list" else values[0]
+
+
+_A, _AB, _N, _DEG = ENVELOPE["a"], ENVELOPE["ab_total"], ENVELOPE["N"], ENVELOPE["degree"]
+
+# scalar a is never clamped: jacobi_trudi_failure needs a >= 4, and it runs
+# at 6 by design, above the a <= 5 of the thickness sweeps
+A_SCALAR = Axis(("a",), "one", "the supported envelope", lambda a: a > 6)
+A_MAX = Axis(("a",), "one", "a <= %d" % _A, lambda a: a > _A, lambda a, r: min(a, r))
+A_LIST = Axis(("a",), "list", "a <= %d" % _A, lambda a_list: any(a > _A for a in a_list),
+              lambda a_list, r: [a for a in a_list if a <= r])
+AB_PAIRS = Axis(("a", "b"), "pairs", "a+b <= %d" % _AB, lambda ab: ab[0] + ab[1] > _AB,
+                lambda pairs, r: [(a, b) for (a, b) in pairs if a + b <= r + 1])
+AN_PAIRS = Axis(("a", "N"), "pairs", "a <= %d, N <= %d" % (_A, _N), lambda an: an[0] > _A or an[1] > _N,
+                lambda pairs, r: [(a, n) for (a, n) in pairs if a <= r])
+ABC_TOTAL = Axis(("a",), "one", "a+b+c <= %d" % _AB, lambda t: t > _AB, lambda t, r: min(t, r + 1))
+N_MAX = Axis(("N",), "one", "N <= %d" % _N, lambda n: n > _N)
+DEGREE = Axis(("dmax",), "one", "degree <= %d" % _DEG, lambda d: d > _DEG)
+M_MAX = Axis(("dmax",), "one")
+
+# the kind of each flag-bound parameter, by name; a check's "pairs" take
+# theirs from its REGISTRY row
+AXES = {
+    "a": A_SCALAR, "a_max": A_MAX, "a_list": A_LIST, "total_max": ABC_TOTAL,
+    "n_max": N_MAX, "quotient_pairs": AN_PAIRS, "m_max": M_MAX,
+    "dmax": DEGREE, "deg_max": DEGREE, "f_dmax": DEGREE,
+}
+
+
+class Check(NamedTuple):
+    fn: Callable
+    defaults: dict
+    pairs: Axis = None  # the kind of its "pairs": AB_PAIRS or AN_PAIRS
 
 
 REGISTRY = {
-    "defining_relations": (check_defining_relations, {"a_list": [2, 3, 4], "dmax": 8}),
-    "e_h_relation": (check_e_h_relation, {"a_max": 5, "m_max": 8}),
-    "eps_relations": (check_eps_relations, {"a_max": 5, "m_max": 5}),
-    "pieri": (check_pieri, {"a_list": [3, 4], "rows": 3, "cols": 3, "k_max": 3}),
-    "owl_corollary": (check_owl_corollary, {"a_max": 4, "f_dmax": 8, "g_dmax": 6, "random_sweeps": 10}),
-    "da_values": (check_da_values, {"a_max": 5}),
-    "crossing_slide": (check_crossing_slide, {"a_max": 5}),
-    "da_slide": (check_da_slide, {"a_max": 5}),
-    "ea_standard": (check_ea_standard, {"a_max": 5, "random_boxes": 20}),
-    "ea_idem": (check_ea_idem, {"a_max": 5}),
-    "splitter_assoc": (check_splitter_assoc, {"total_max": 4}),
-    "oval": (check_oval, {"pairs": [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]}),
-    "dapb": (check_dapb, {"pairs": [(1, 1), (2, 1), (2, 2), (2, 3)]}),
-    "shuffle": (check_shuffle, {"m_max": 4, "k_max": 4}),
-    "staircase_vanish": (check_staircase_vanish, {"a_max": 5}),
-    "add_step": (check_add_step, {"a_max": 5}),
-    "reorder_revstair": (check_reorder_revstair, {"a_max": 5}),
-    "nil_orth": (check_nil_orth, {"a_list": [2, 3, 4]}),
-    "identity_decomposition": (check_identity_decomposition, {"a_list": [2, 3, 4]}),
-    "eaeb_decomposition": (check_eaeb_decomposition, {"pairs": [(1, 1), (2, 1), (1, 2), (2, 2)]}),
-    "ea_eone": (check_ea_eone, {"a_max": 4}),
-    "center": (check_center, {"a_list": [2, 3]}),
-    "jacobi_trudi_failure": (check_jacobi_trudi_failure, {"a": 6}),
-    "schubert_basis": (check_schubert_basis, {"a_max": 4}),
-    "matrix_iso": (check_matrix_iso, {"a_list": [2, 3]}),
-    "grassmann_recursion": (check_grassmann_recursion, {"a_max": 3, "n_max": 6}),
-    "oh_rank": (check_oh_rank, {"pairs": [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)]}),
-    "schur_box": (check_schur_box, {"pairs": [(2, 3), (2, 4)]}),
-    "mod2": (check_mod2, {"a_max": 4, "deg_max": 8, "random_sweeps": 10, "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)]}),
-    "sentinel_mirror_ea_slide": (check_sentinel_mirror_ea_slide, {"a_max": 4}),
-    "sentinel_x1sq_central": (check_sentinel_x1sq_central, {"a": 2}),
+    "defining_relations": Check(check_defining_relations, {"a_list": [2, 3, 4], "dmax": 8}),
+    "e_h_relation": Check(check_e_h_relation, {"a_max": 5, "m_max": 8}),
+    "eps_relations": Check(check_eps_relations, {"a_max": 5, "m_max": 5}),
+    "pieri": Check(check_pieri, {"a_list": [3, 4], "rows": 3, "cols": 3, "k_max": 3}),
+    "owl_corollary": Check(check_owl_corollary, {"a_max": 4, "f_dmax": 8, "g_dmax": 6, "random_sweeps": 10}),
+    "da_values": Check(check_da_values, {"a_max": 5}),
+    "crossing_slide": Check(check_crossing_slide, {"a_max": 5}),
+    "da_slide": Check(check_da_slide, {"a_max": 5}),
+    "ea_standard": Check(check_ea_standard, {"a_max": 5, "random_boxes": 20}),
+    "ea_idem": Check(check_ea_idem, {"a_max": 5}),
+    "splitter_assoc": Check(check_splitter_assoc, {"total_max": 4}),
+    "oval": Check(check_oval, {"pairs": [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]}, AB_PAIRS),
+    "dapb": Check(check_dapb, {"pairs": [(1, 1), (2, 1), (2, 2), (2, 3)]}, AB_PAIRS),
+    "shuffle": Check(check_shuffle, {"m_max": 4, "k_max": 4}),
+    "staircase_vanish": Check(check_staircase_vanish, {"a_max": 5}),
+    "add_step": Check(check_add_step, {"a_max": 5}),
+    "reorder_revstair": Check(check_reorder_revstair, {"a_max": 5}),
+    "nil_orth": Check(check_nil_orth, {"a_list": [2, 3, 4]}),
+    "identity_decomposition": Check(check_identity_decomposition, {"a_list": [2, 3, 4]}),
+    "eaeb_decomposition": Check(check_eaeb_decomposition, {"pairs": [(1, 1), (2, 1), (1, 2), (2, 2)]}, AB_PAIRS),
+    "ea_eone": Check(check_ea_eone, {"a_max": 4}),
+    "center": Check(check_center, {"a_list": [2, 3]}),
+    "jacobi_trudi_failure": Check(check_jacobi_trudi_failure, {"a": 6}),
+    "schubert_basis": Check(check_schubert_basis, {"a_max": 4}),
+    "matrix_iso": Check(check_matrix_iso, {"a_list": [2, 3]}),
+    "grassmann_recursion": Check(check_grassmann_recursion, {"a_max": 3, "n_max": 6}),
+    "oh_rank": Check(check_oh_rank, {"pairs": [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)]}, AN_PAIRS),
+    "schur_box": Check(check_schur_box, {"pairs": [(2, 3), (2, 4)]}, AN_PAIRS),
+    "mod2": Check(check_mod2, {"a_max": 4, "deg_max": 8, "random_sweeps": 10, "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)]}),
+    "sentinel_mirror_ea_slide": Check(check_sentinel_mirror_ea_slide, {"a_max": 4}),
+    "sentinel_x1sq_central": Check(check_sentinel_x1sq_central, {"a": 2}),
 }
 
 # sentinels are must-fail by design
@@ -956,125 +1015,79 @@ EXPECTED_STATUS = {cid: "pass" for cid in REGISTRY}
 EXPECTED_STATUS["sentinel_mirror_ea_slide"] = "fail"
 EXPECTED_STATUS["sentinel_x1sq_central"] = "fail"
 
-ENVELOPE = {"a": 5, "ab_total": 5, "N": 6, "degree": 12}
-
-
-def _envelope_violation(params):
-    if params.get("a_max", 0) > ENVELOPE["a"]:
-        return "a_max=%d exceeds a <= %d" % (params["a_max"], ENVELOPE["a"])
-    # single-a checks (Jacobi-Trudi runs at 6 by design)
-    if params.get("a", 0) > 6:
-        return "a=%d exceeds the supported envelope" % params["a"]
-    if any(v > ENVELOPE["a"] for v in params.get("a_list", [])):
-        return "a_list=%r exceeds a <= %d" % (params["a_list"], ENVELOPE["a"])
-    for pr in params.get("pairs", []):
-        if isinstance(pr, (list, tuple)) and len(pr) == 2:
-            x, y = pr
-            if params.get("pair_kind") == "aN":
-                if x > ENVELOPE["a"] or y > ENVELOPE["N"]:
-                    return "pair %r exceeds a <= %d, N <= %d" % (pr, ENVELOPE["a"], ENVELOPE["N"])
-            elif x + y > ENVELOPE["ab_total"]:
-                return "pair %r exceeds a+b <= %d" % (pr, ENVELOPE["ab_total"])
-    for key in ("dmax", "deg_max", "f_dmax"):
-        if params.get(key, 0) > ENVELOPE["degree"]:
-            return "%s=%d exceeds degree <= %d" % (key, params[key], ENVELOPE["degree"])
-    if params.get("n_max", 0) > ENVELOPE["N"]:
-        return "n_max=%d exceeds N <= %d" % (params["n_max"], ENVELOPE["N"])
-    if params.get("total_max", 0) > ENVELOPE["ab_total"]:
-        return "total_max=%d exceeds a+b+c <= %d" % (params["total_max"], ENVELOPE["ab_total"])
-    return None
-
 
 def check_ids():
     return list(REGISTRY)
 
 
+def check_axes(check_id):
+    """A check's flag-bound parameters, in REGISTRY order, each with its Axis."""
+    axes = dict(AXES, pairs=REGISTRY[check_id].pairs)
+    return {name: axes[name] for name in default_params(check_id) if axes.get(name)}
+
+
+def _envelope_violation(check_id, params):
+    for name, axis in check_axes(check_id).items():
+        value = params[name]
+        if axis.exceeds is None:
+            continue
+        if axis.shape == "pairs":
+            over = [pair for pair in value if axis.exceeds(pair)]
+            if over:
+                return "pair %r exceeds %s" % (over[0], axis.bound)
+        elif axis.exceeds(value):
+            return "%s=%r exceeds %s" % (name, value, axis.bound)
+    return None
+
+
 def params_from_flags(check_id, a=None, b=None, n_param=None, dmax=None):
-    """Translate the generic CLI flags onto a check's own parameters."""
-    defaults = default_params(check_id)
-    out = {}
-    if a is not None:
-        if "a" in defaults:
-            out["a"] = a
-        elif "a_max" in defaults:
-            out["a_max"] = a
-        elif "a_list" in defaults:
-            out["a_list"] = [a]
-        elif "pairs" in defaults and b is not None:
-            out["pairs"] = [(a, b)]
-        elif "pairs" in defaults and n_param is not None:
-            out["pairs"] = [(a, n_param)]
-        elif "total_max" in defaults:
-            out["total_max"] = a
-        else:
-            raise ValueError("check %r does not take --a" % check_id)
-    if b is not None and "pairs" not in out:
-        raise ValueError("--b needs a check indexed by (a, b) pairs, with --a")
-    if n_param is not None:
-        if "n_max" in defaults:
-            out["n_max"] = n_param
-        elif "pairs" in defaults and "pairs" not in out and a is not None:
-            out["pairs"] = [(a, n_param)]
-        elif "pairs" not in out and "quotient_pairs" not in defaults:
-            raise ValueError("check %r does not take --N" % check_id)
-    if dmax is not None:
-        for key in ("dmax", "deg_max", "f_dmax", "m_max"):
-            if key in defaults:
-                out[key] = dmax
-                break
-        else:
-            raise ValueError("check %r does not take --dmax" % check_id)
+    """Translate the generic CLI flags onto a check's own parameters.
+
+    A parameter is set when every flag of its Axis is given.  A given flag
+    that sets no parameter is an error that names the flags the check
+    takes, so no flag is ignored or read as another.
+    """
+    given = {"a": a, "b": b, "N": n_param, "dmax": dmax}
+    given = {flag: v for flag, v in given.items() if v is not None}
+    axes = check_axes(check_id)
+    out, used = {}, set()
+    for name, axis in axes.items():
+        if all(flag in given for flag in axis.flags):
+            out[name] = axis.from_flags([given[flag] for flag in axis.flags])
+            used.update(axis.flags)
+    unused = ["--" + flag for flag in given if flag not in used]
+    if unused:
+        takes = ["%s (%s)" % (" with ".join("--" + f for f in axis.flags), name) for name, axis in axes.items()]
+        raise ValueError("check %r does not use %s as given; it takes %s"
+                         % (check_id, ", ".join(unused), ", ".join(takes)))
     return out
-
-
-_AB_PAIR_CHECKS = {"oval", "eaeb_decomposition", "dapb"}
-_AN_PAIR_CHECKS = {"oh_rank", "schur_box"}
 
 
 def params_for_max_rank(check_id, max_rank):
-    """Clamp a check's default sweep to thickness <= max_rank."""
+    """Clamp a check's default sweep to thickness <= max_rank.  A sweep that
+    this empties runs no instance and reports skipped; scalar a is left
+    alone."""
     defaults = default_params(check_id)
-    out = {}
-    if "a_max" in defaults:
-        out["a_max"] = min(defaults["a_max"], max_rank)
-    if "a_list" in defaults:
-        lst = [v for v in defaults["a_list"] if v <= max_rank]
-        out["a_list"] = lst or [min(defaults["a_list"])]
-    if "pairs" in defaults:
-        if check_id in _AB_PAIR_CHECKS:
-            kept = [p for p in defaults["pairs"] if p[0] + p[1] <= max_rank + 1]
-        else:
-            kept = [p for p in defaults["pairs"] if p[0] <= max_rank]
-        out["pairs"] = kept or defaults["pairs"][:1]
-    if "total_max" in defaults:
-        out["total_max"] = min(defaults["total_max"], max_rank + 1)
-    if "quotient_pairs" in defaults:
-        out["quotient_pairs"] = [
-            p for p in defaults["quotient_pairs"] if p[0] <= max_rank
-        ] or defaults["quotient_pairs"][:1]
-    return out
+    return {name: axis.clamp(defaults[name], max_rank) for name, axis in check_axes(check_id).items() if axis.clamp}
 
 
 def default_params(check_id):
     if check_id not in REGISTRY:
         raise UnknownCheckError("unknown check id %r" % check_id)
-    return dict(REGISTRY[check_id][1])
+    return dict(REGISTRY[check_id].defaults)
 
 
 def run_check(check_id, params=None, seed=DEFAULT_SEED):
     if check_id not in REGISTRY:
         raise UnknownCheckError("unknown check id %r" % check_id)
-    fn, defaults = REGISTRY[check_id]
+    fn, defaults, _ = REGISTRY[check_id]
     merged = dict(defaults)
     if params:
         for k, v in params.items():
             if k not in defaults:
                 raise ValueError("check %r has no parameter %r" % (check_id, k))
             merged[k] = v
-    probe = dict(merged)
-    if check_id in _AN_PAIR_CHECKS:
-        probe["pair_kind"] = "aN"
-    reason = _envelope_violation(probe)
+    reason = _envelope_violation(check_id, merged)
     start = time.perf_counter()
     if reason is not None:
         return CheckReport(check_id, merged, "skipped", [_triple("envelope", "within limits", reason)], seed)
@@ -1095,7 +1108,10 @@ def _run_one(args):
 
 
 def run_many(ids, params=None, seed=DEFAULT_SEED, parallel=1):
-    jobs = [(cid, params, seed) for cid in ids]
+    """Run the checks ``ids`` in order; ``params`` maps a check id to its
+    params, and a check it leaves out runs at its defaults."""
+    params = params or {}
+    jobs = [(cid, params.get(cid), seed) for cid in ids]
     if parallel > 1 and len(jobs) > 1:
         import concurrent.futures
 

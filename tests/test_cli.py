@@ -153,3 +153,82 @@ def test_compute_negative_vars_is_usage_error(capsys, kind):
     assert code == 2
     assert out == ""
     assert "--vars" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["oh_rank", "--a", "2", "--b", "3"], ["--b", "--a with --N (pairs)"]),
+    (["oval", "--a", "2", "--N", "5"], ["--N", "--a with --b (pairs)"]),
+    (["mod2", "--N", "5"], ["--N", "--a (a_max)", "--dmax (deg_max)", "--a with --N (quotient_pairs)"]),
+    (["nil_orth", "--a", "3", "--max-rank", "2"], ["--max-rank", "--a"]),
+])
+def test_verify_flag_that_sets_nothing_is_usage_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    for text in named:
+        assert text in err
+
+
+def test_verify_mod2_takes_a_quotient_pair_from_a_and_n(capsys):
+    code, out, _ = run_cli(capsys, "verify", "mod2", "--a", "3", "--N", "5", "--json")
+    assert code == 0
+    entry = json.loads(out)[0]
+    assert entry["status"] == "pass"
+    assert entry["params"]["quotient_pairs"] == [[3, 5]]
+
+
+def test_verify_max_rank_never_runs_above_the_rank(capsys):
+    code, out, _ = run_cli(capsys, "verify", "pieri", "--max-rank", "2")
+    assert code == 1
+    assert "skipped" in out and "instances=0" in out and "empty sweep" in out
+
+
+def test_verify_max_rank_below_one_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "da_values", "--max-rank", "0")
+    assert code == 2
+    assert out == ""
+    assert "--max-rank must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--b", "--seed", "--parallel"])
+def test_compute_has_no_flag_that_no_kind_reads(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "schur", "--partition", "1", "--vars", "2", flag, "7"])
+    assert exc.value.code == 2
+
+
+def _valid_compute_call(kind):
+    required, _ = COMPUTE_KINDS[kind]
+    return ["compute", kind, *_KIND_ARGS[kind], *(["--vars", "2"] if "vars" in required else [])]
+
+
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag)
+    for kind, (required, optional) in COMPUTE_KINDS.items()
+    for flag in ("a", "N", "vars", "partition", "perm", "k", "left", "right", "dmax")
+    if flag not in required + optional
+])
+def test_compute_flag_the_kind_does_not_read_is_usage_error(capsys, kind, flag):
+    code, out, err = run_cli(capsys, *_valid_compute_call(kind), "--" + flag, "2")
+    assert code == 2
+    assert out == ""
+    assert "does not read --%s" % flag in err
+
+
+@pytest.mark.parametrize("kind", COMPUTE_KINDS)
+def test_compute_valid_call_passes(capsys, kind):
+    code, out, _ = run_cli(capsys, *_valid_compute_call(kind))
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("kind", [k for k, (required, _) in COMPUTE_KINDS.items() if "vars" in required])
+def test_compute_zero_vars_is_usage_error_where_vars_is_required(capsys, kind):
+    code, out, err = run_cli(capsys, "compute", kind, *_KIND_ARGS[kind], "--vars", "0")
+    assert code == 2
+    assert "--vars" in err
+
+
+def test_compute_schubert_zero_vars_takes_the_permutation_size(capsys):
+    code, out, _ = run_cli(capsys, "compute", "schubert", "--perm", "2 1", "--vars", "0")
+    assert code == 0
+    assert out.strip() == "x1"
