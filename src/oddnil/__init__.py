@@ -15,6 +15,7 @@ __all__ = [
     "oddops",
     "oddsym",
     "onh",
+    "zlinalg",
     "cyclotomic",
     "evenoracle",
     "verify",

@@ -4,149 +4,22 @@ its relation recursion, and the Schur box basis.
 
 Degree-d slices of the two-sided ideal are spanned by the products
 eps_lambda h_m eps_mu (the eps generate the whole ring), expanded in the
-sorted eps-word basis; ranks and invariant factors come from exact
-integer Hermite/Smith forms.  Everything is fraction free.
+sorted eps-word basis; ranks and invariant factors come from the exact
+integer Hermite/Smith forms of ``zlinalg``.  Everything is fraction free.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import combinat, oddsym
 from .qgrade import QLaurent
 from .skewpoly import SkewPolynomial
+from .zlinalg import hermite_normal_form, int_rank, reduce, row, smith_invariant_factors
 
 
 class IncompleteCertificationError(RuntimeError):
     """d_max too small: quotient not certified zero above the expected top."""
-
-
-# ---------------------------------------------------------------------------
-# integer matrix normal forms
-
-
-def hermite_normal_form(rows):
-    """Row-style Hermite normal form over Z (nonnegative pivots, echelon).
-
-    Returns a new list of nonzero rows; the input is not modified.
-    """
-    if not rows:
-        return []
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    out = []
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row_idx], mat[pivot] = mat[pivot], mat[row_idx]
-        # euclidean elimination below the pivot
-        for r in range(row_idx + 1, len(mat)):
-            while mat[r][col]:
-                q = mat[row_idx][col] // mat[r][col]
-                for j in range(ncols):
-                    mat[row_idx][j] -= q * mat[r][j]
-                mat[row_idx], mat[r] = mat[r], mat[row_idx]
-        if mat[row_idx][col] < 0:
-            mat[row_idx] = [-v for v in mat[row_idx]]
-        row_idx += 1
-        if row_idx == len(mat):
-            break
-    mat = mat[:row_idx]
-    # reduce above pivots
-    for r in range(len(mat) - 1, -1, -1):
-        col = next(j for j, v in enumerate(mat[r]) if v)
-        for rr in range(r):
-            q = mat[rr][col] // mat[r][col]
-            if q:
-                mat[rr] = [x - q * y for x, y in zip(mat[rr], mat[r])]
-    return mat
-
-
-def smith_invariant_factors(rows):
-    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
-    mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    factors = []
-    top = 0
-    left = 0
-    while top < nrows and left < ncols:
-        # find a nonzero entry
-        pr = pc = None
-        best = None
-        for r in range(top, nrows):
-            for c in range(left, ncols):
-                v = abs(mat[r][c])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, r, c
-        if best is None:
-            break
-        mat[top], mat[pr] = mat[pr], mat[top]
-        for r in range(nrows):
-            mat[r][left], mat[r][pc] = mat[r][pc], mat[r][left]
-        while True:
-            # clear the pivot column
-            dirty = False
-            for r in range(top + 1, nrows):
-                if mat[r][left]:
-                    q = mat[r][left] // mat[top][left]
-                    mat[r] = [x - q * y for x, y in zip(mat[r], mat[top])]
-                    if mat[r][left]:
-                        mat[top], mat[r] = mat[r], mat[top]
-                        dirty = True
-            for c in range(left + 1, ncols):
-                if mat[top][c]:
-                    q = mat[top][c] // mat[top][left]
-                    for r in range(nrows):
-                        mat[r][c] -= q * mat[r][left]
-                    if mat[top][c]:
-                        for r in range(nrows):
-                            mat[r][left], mat[r][c] = mat[r][c], mat[r][left]
-                        dirty = True
-            if not dirty:
-                break
-        pivot = abs(mat[top][left])
-        # pivot must divide every remaining entry
-        fixed = False
-        for r in range(top + 1, nrows):
-            for c in range(left + 1, ncols):
-                if mat[r][c] % pivot:
-                    mat[top] = [x + y for x, y in zip(mat[top], mat[r])]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        factors.append(pivot)
-        top += 1
-        left += 1
-    return factors
-
-
-def int_rank(rows):
-    return len(hermite_normal_form(rows))
-
-
-def in_row_lattice(rows, vector):
-    """Is the vector an integer combination of the rows?"""
-    hnf = hermite_normal_form(rows)
-    v = list(vector)
-    for row in hnf:
-        col = next(j for j, x in enumerate(row) if x)
-        q, r = divmod(v[col], row[col])
-        if r:
-            return False
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +82,24 @@ def grassmann_power_column(a, n_param):
 
 @dataclass
 class DegreeLattice:
-    """Degree slice of a two-sided ideal inside the odd symmetric ring."""
+    """Degree slice of a two-sided ideal inside the odd symmetric ring.
+
+    The Hermite and Smith forms are computed on first use, so a caller that
+    reads only ranks never pays for a Smith form.
+    """
 
     degree: int
     ambient_basis: list
     generators: list
-    hermite: list = field(default=None)
-    smith_diagonal: list = field(default=None)
 
-    def __post_init__(self):
-        if self.hermite is None:
-            self.hermite = hermite_normal_form(self.generators)
-        if self.smith_diagonal is None:
-            self.smith_diagonal = smith_invariant_factors(self.generators)
+    @cached_property
+    def hermite(self):
+        return hermite_normal_form(self.generators)
+
+    @cached_property
+    def smith_diagonal(self):
+        # the Hermite rows span the generators' lattice: same invariant factors
+        return smith_invariant_factors(self.hermite)
 
     @property
     def rank(self):
@@ -236,16 +114,8 @@ class DegreeLattice:
 
     def reduce(self, coeffs):
         """Reduce an eps-word coefficient dict modulo the slice lattice."""
-        v = [0] * len(self.ambient_basis)
         index = {lam: i for i, lam in enumerate(self.ambient_basis)}
-        for lam, c in coeffs.items():
-            v[index[lam]] = c
-        for row in self.hermite:
-            col = next(j for j, x in enumerate(row) if x)
-            q = v[col] // row[col]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        return v
+        return reduce(self.hermite, row(coeffs, index))
 
 
 def _slice_generator_rows(a, degree, ideal_gens):
@@ -269,11 +139,7 @@ def _slice_generator_rows(a, degree, ideal_gens):
                     prod = left * g * right
                     if prod.is_zero():
                         continue
-                    coeffs = oddsym.expand_in_elementary(prod)
-                    row = [0] * len(ambient)
-                    for nu, c in coeffs.items():
-                        row[index[nu]] = c
-                    rows.append(row)
+                    rows.append(row(oddsym.expand_in_elementary(prod), index))
     return ambient, rows
 
 
@@ -340,17 +206,17 @@ def quotient_graded_rank(a, n_param, d_max=None):
     return QLaurent(coeffs)
 
 
-def quotient_rank_per_degree(a, n_param, d_max=None):
-    q = quotient_graded_rank(a, n_param, d_max)
-    return dict(q.coeffs)
-
-
 def schur_box_images(a, n_param, d_max=None):
     """Check the Schur polynomial picture of the quotient basis.
 
     Returns a report dict: partitions in the a x (N-a) box stay linearly
     independent per degree, while Schur polynomials sticking out of the box
     (too many rows or columns) reduce to zero, within the degree bound.
+
+    Independence in degree d is a rank jump: appending the box Schur rows
+    to the slice raises its rank by their number.  The slice's Hermite rows
+    span the same Z-module as its generators, so they have the same span
+    over Q and give the same ranks from far fewer rows.
     """
     if d_max is None:
         d_max = default_dmax(a, n_param)
@@ -373,14 +239,11 @@ def schur_box_images(a, n_param, d_max=None):
             reduced = slice_.reduce(coeffs)
             vanish.append((lam, not any(reduced)))
         if inside:
-            rows = list(slice_.generators)
-            base_rank = slice_.rank
-            for lam in inside:
-                rows.append(
-                    _coeff_vector(oddsym.expand_in_elementary(oddsym.schur(lam, a)), slice_.ambient_basis)
-                )
-            full_rank = int_rank(rows)
-            independent[d] = full_rank - base_rank == len(inside)
+            index = {lam: i for i, lam in enumerate(slice_.ambient_basis)}
+            rows = slice_.hermite + [
+                row(oddsym.expand_in_elementary(oddsym.schur(lam, a)), index) for lam in inside
+            ]
+            independent[d] = int_rank(rows) - slice_.rank == len(inside)
     return {
         "box": box,
         "vanishing": vanish,
@@ -389,10 +252,3 @@ def schur_box_images(a, n_param, d_max=None):
         "independent_ok": all(independent.values()),
     }
 
-
-def _coeff_vector(coeffs, ambient):
-    index = {lam: i for i, lam in enumerate(ambient)}
-    v = [0] * len(ambient)
-    for lam, c in coeffs.items():
-        v[index[lam]] = c
-    return v

@@ -213,5 +213,14 @@ def _binom3(a):
 
 
 def clear_caches():
+    """Empty the d_i memos here and every lru_cache in the library, so that
+    the next computation starts cold."""
+    # imported here: oddsym and onh import this module
+    from . import evenoracle, oddsym, onh
+
     _dd_cache.clear()
     _ddnj_cache.clear()
+    for mod in (combinat, evenoracle, oddsym, onh):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

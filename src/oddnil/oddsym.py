@@ -12,7 +12,7 @@ eps_lambda is x^{conjugate(lambda)} with coefficient +-1.
 from functools import lru_cache
 from math import comb
 
-from . import combinat, oddops
+from . import combinat, oddops, zlinalg
 from .skewpoly import SkewPolynomial, apply_w0, staircase
 
 
@@ -268,64 +268,31 @@ def monomials_of_degree(a, halfdeg):
     return out
 
 
-_RANK_PRIME = (1 << 61) - 1
-
-
-def _rank_mod_p(rows, p=_RANK_PRIME):
-    """Row rank of an integer matrix over GF(p)."""
-    mat = [[v % p for v in row] for row in rows if any(row)]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while mat and col < ncols:
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(v - factor * w) % p for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def odd_symmetric_rank(a, halfdeg):
     """Exact rank of the odd symmetric slice of Z-degree 2*halfdeg.
 
-    Certificate: the kernel of the stacked divided-difference matrices has
-    dimension <= (#monomials - rank over GF(p)), while the eps-words of this
-    degree are independent (distinct lex-leading monomials) and lie in the
-    kernel, giving the matching lower bound.  Raises if the two disagree.
+    Certificate: the slice is the kernel of the integer map
+    f -> (d_1 f, ..., d_{a-1} f) from the monomials of this degree to
+    a-1 copies of the monomials one degree down, so its rank is exactly
+    #monomials - rank of the map, with the rank taken exactly over Z
+    (``zlinalg.int_rank``).  The eps-words of this degree lie in the kernel
+    and are independent (distinct lex-leading monomials), so the kernel rank
+    is at least their number.  Returns the kernel rank after checking that
+    it equals the number of eps-words; raises if not.
     """
     monos = monomials_of_degree(a, halfdeg)
-    idx = {m: t for t, m in enumerate(monos)}
     lower_monos = monomials_of_degree(a, halfdeg - 1)
-    lower_idx = {m: t for t, m in enumerate(lower_monos)}
+    index = {key: t for t, key in enumerate((i, m) for i in range(1, a) for m in lower_monos)}
     rows = []
     for m in monos:
-        row = [0] * (len(lower_monos) * max(1, a - 1))
-        for i in range(1, a):
-            img = oddops._dd_mono(i, a, m)
-            for mm, c in img.terms.items():
-                row[(i - 1) * len(lower_monos) + lower_idx[mm]] = c
-        rows.append(row)
-    # transpose so rows are monomials' images; rank of the map
-    rank = _rank_mod_p(rows) if rows and rows[0] else 0
-    upper = len(monos) - rank
+        images = {(i, mm): c for i in range(1, a) for mm, c in oddops._dd_mono(i, a, m).terms.items()}
+        rows.append(zlinalg.row(images, index))
+    upper = len(monos) - zlinalg.int_rank(rows)
     words = combinat.partitions_of(halfdeg, maxpart=a)
     lower = len(words)
     if upper != lower:
         raise RuntimeError(
-            "rank certificate failed at a=%d degree=%d: kernel <= %d, eps-words %d"
+            "rank certificate failed at a=%d degree=%d: kernel %d, eps-words %d"
             % (a, 2 * halfdeg, upper, lower)
         )
     return upper

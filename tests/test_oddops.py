@@ -289,7 +289,8 @@ def test_owl_corollaries(a):
 @pytest.mark.parametrize("a", [2, 3])
 def test_kernel_equals_image(a):
     # per-degree integer rank computation
-    from oddnil.oddsym import _rank_mod_p, monomials_of_degree
+    from oddnil.oddsym import monomials_of_degree
+    from oddnil.zlinalg import int_rank
 
     for i in range(1, a):
         for hd in range(1, 5):
@@ -310,4 +311,24 @@ def test_kernel_equals_image(a):
                 for mm, c in O._dd_mono(i, a, m).terms.items():
                     row[mi[mm]] = c
                 rows_up.append(row)
-            assert len(monos) - _rank_mod_p(rows) == _rank_mod_p(rows_up), (a, i, hd)
+            assert len(monos) - int_rank(rows) == int_rank(rows_up), (a, i, hd)
+
+
+def test_clear_caches_empties_every_lru_cache():
+    from oddnil import cyclotomic, evenoracle, onh
+
+    cyclotomic.schur_box_images(2, 3)
+    onh.schubert_basis_list(3)
+    evenoracle.even_quotient_rank_gf2(2, 4, 2)
+    caches = {
+        "%s.%s" % (mod.__name__, name): obj
+        for mod in (C, evenoracle, S, onh)
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info")
+    }
+    filled = {name for name, c in caches.items() if c.cache_info().currsize}
+    assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.evenoracle.even_elementary",
+            "oddnil.onh.schubert_basis_list"} <= filled
+    O.clear_caches()
+    assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
+    assert not O._dd_cache and not O._ddnj_cache

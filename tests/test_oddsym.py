@@ -130,7 +130,7 @@ def test_schubert_examples():
 
 @pytest.mark.parametrize("a", [2, 3, 4])
 def test_schubert_degrees_and_unimodularity(a):
-    from oddnil.cyclotomic import smith_invariant_factors
+    from oddnil.zlinalg import smith_invariant_factors
 
     monos = sorted(itertools.product(*[range(a - i) for i in range(a)]))
     idx = {m: t for t, m in enumerate(monos)}
@@ -248,7 +248,7 @@ def test_graded_rank_certificate(a):
 def test_jacobi_trudi_failure_at_rank_six():
     # eps_4 is not an integer combination of degree-8 words in
     # h_1, h_2, h_3, eps_1, eps_2, eps_3 (certified by integer rank)
-    from oddnil.cyclotomic import in_row_lattice, int_rank
+    from oddnil.zlinalg import in_row_lattice, int_rank
 
     a = 6
     gens = {("h", k): S.complete(k, a) for k in (1, 2, 3)}
