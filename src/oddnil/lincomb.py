@@ -1,0 +1,71 @@
+"""Sparse integer combinations: dicts from keys to nonzero ints.
+
+Skew polynomials (keys are exponent tuples), ONH_a elements (keys are
+words) and q-Laurent polynomials (keys are exponents) all store a finite
+integer combination this way.  Every function here keeps the one invariant
+the three classes rely on: no key is ever stored with coefficient 0.
+"""
+
+
+def add_scaled(d, terms, c):
+    """d += c * terms in place, for a nonzero int c; a key whose sum reaches
+    zero is deleted.  Returns d."""
+    for k, v in terms.items():
+        s = d.get(k, 0) + c * v
+        if s:
+            d[k] = s
+        else:
+            del d[k]
+    return d
+
+
+def collect(pairs):
+    """The combination sum of c * key over the (key, c) pairs; keys may
+    repeat and coefficients may be 0."""
+    d = {}
+    for k, c in pairs:
+        s = d.get(k, 0) + c
+        if s:
+            d[k] = s
+        else:
+            d.pop(k, None)
+    return d
+
+
+def scaled(terms, c):
+    """c * terms as a new dict."""
+    return {k: c * v for k, v in terms.items()} if c else {}
+
+
+def convolve(f, g):
+    """The product of two combinations whose keys combine by +: exponents of
+    q add, words concatenate."""
+    d = {}
+    for ka, ca in f.items():
+        for kb, cb in g.items():
+            k = ka + kb
+            s = d.get(k, 0) + ca * cb
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+    return d
+
+
+def format_terms(pairs, name):
+    """Render (key, coefficient) pairs, in the order given, as "a + 2*b - c".
+    A key whose name is empty (the unit) is written as its bare magnitude;
+    no pairs give "0"."""
+    parts = []
+    for k, c in pairs:
+        mag = abs(c)
+        body = name(k)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = "%d*%s" % (mag, body)
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append("-" + body if c < 0 else body)
+    return " ".join(parts) if parts else "0"

@@ -19,9 +19,9 @@ image is shared by every later caller, so callers copy its terms and never
 mutate it.
 """
 
+from .lincomb import add_scaled
 from .skewpoly import (
     SkewPolynomial,
-    _add_scaled,
     _from_normal,
     apply_permutation,
     apply_simple_transposition,
@@ -44,15 +44,11 @@ def _power_formula(nvars, lo, hi, m):
     d = {}
     for j in range(m):
         e = [0] * nvars
-        e[lo - 1] += j
-        e[hi - 1] += m - 1 - j
-        key = tuple(e)
-        sign_exp = j
-        if lo > hi:
-            sign_exp += j * (m - 1 - j)
-        c = 1 if sign_exp % 2 == 0 else -1
-        d[key] = d.get(key, 0) + c
-    return SkewPolynomial(nvars, d)
+        e[lo - 1] = j
+        e[hi - 1] = m - 1 - j
+        sign_exp = j + j * (m - 1 - j) if lo > hi else j
+        d[tuple(e)] = -1 if sign_exp & 1 else 1
+    return _from_normal(nvars, d)
 
 
 def _dd_mono(i, nvars, mono):
@@ -103,7 +99,7 @@ def divided_difference(i, p):
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
     d = {}
     for mono, c in p.terms.items():
-        _add_scaled(d, _dd_mono(i, p.nvars, mono).terms, c)
+        add_scaled(d, _dd_mono(i, p.nvars, mono).terms, c)
     return _from_normal(p.nvars, d)
 
 
@@ -124,12 +120,7 @@ def _ddnj_mono(i, j, nvars, mono):
     rest = list(mono)
     rest[j0] -= 1
     rest = tuple(rest)
-    out = SkewPolynomial.zero(nvars)
-    if var in (i, j):
-        if any(rest):
-            out = out + SkewPolynomial.monomial(nvars, rest)
-        else:
-            out = out + SkewPolynomial.one(nvars)
+    out = SkewPolynomial.monomial(nvars, rest) if var in (i, j) else SkewPolynomial.zero(nvars)
     # s_{i,j}(x_var) * d_{i,j}(rest)
     if any(rest):
         tail = _ddnj_mono(i, j, nvars, rest)
@@ -150,7 +141,7 @@ def dd_nonadjacent(i, j, p):
         raise ValueError("indices (%d, %d) out of range" % (i, j))
     d = {}
     for mono, c in p.terms.items():
-        _add_scaled(d, _ddnj_mono(i, j, p.nvars, mono).terms, c)
+        add_scaled(d, _ddnj_mono(i, j, p.nvars, mono).terms, c)
     return _from_normal(p.nvars, d)
 
 

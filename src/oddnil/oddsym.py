@@ -9,10 +9,12 @@ greedy elimination of the lex-leading monomial: the leading monomial of
 eps_lambda is x^{conjugate(lambda)} with coefficient +-1.
 """
 
+import itertools
 from functools import lru_cache
 from math import comb
 
 from . import combinat, oddops, zlinalg
+from .lincomb import add_scaled
 from .skewpoly import SkewPolynomial, apply_w0, staircase
 
 
@@ -25,57 +27,38 @@ def x_tilde(a, i):
     return SkewPolynomial.variable(a, i).scale((-1) ** (i - 1))
 
 
-@lru_cache(maxsize=None)
-def elementary(k, a):
-    """eps_k in a variables; 1 for k = 0, 0 for k < 0 or k > a."""
-    if k == 0:
-        return SkewPolynomial.one(a)
-    if k < 0 or k > a:
-        return SkewPolynomial.zero(a)
-    import itertools
-
+def _x_tilde_sum(a, index_lists):
+    """The sum of the products x~_{i_1} ... x~_{i_k} over the index lists."""
     out = SkewPolynomial.zero(a)
-    for subset in itertools.combinations(range(1, a + 1), k):
+    for indices in index_lists:
         t = SkewPolynomial.one(a)
-        for i in subset:
+        for i in indices:
             t = t * x_tilde(a, i)
         out = out + t
     return out
+
+
+@lru_cache(maxsize=None)
+def elementary(k, a):
+    """eps_k in a variables; 1 for k = 0, 0 for k < 0 or k > a."""
+    if k < 0:
+        return SkewPolynomial.zero(a)
+    return _x_tilde_sum(a, itertools.combinations(range(1, a + 1), k))
 
 
 @lru_cache(maxsize=None)
 def complete(k, a):
     """h_k in a variables; 1 for k = 0, 0 for k < 0."""
-    if k == 0:
-        return SkewPolynomial.one(a)
     if k < 0:
         return SkewPolynomial.zero(a)
-    import itertools
-
-    out = SkewPolynomial.zero(a)
-    for multiset in itertools.combinations_with_replacement(range(1, a + 1), k):
-        t = SkewPolynomial.one(a)
-        for i in multiset:
-            t = t * x_tilde(a, i)
-        out = out + t
-    return out
+    return _x_tilde_sum(a, itertools.combinations_with_replacement(range(1, a + 1), k))
 
 
 def elementary_in_fewer_vars(k, a):
     """eps_k of x_1..x_{a-1}, embedded in a variables."""
-    import itertools
-
-    if k == 0:
-        return SkewPolynomial.one(a)
-    if k < 0 or k > a - 1:
+    if k < 0:
         return SkewPolynomial.zero(a)
-    out = SkewPolynomial.zero(a)
-    for subset in itertools.combinations(range(1, a), k):
-        t = SkewPolynomial.one(a)
-        for i in subset:
-            t = t * x_tilde(a, i)
-        out = out + t
-    return out
+    return _x_tilde_sum(a, itertools.combinations(range(1, a), k))
 
 
 def is_odd_symmetric(p):
@@ -183,9 +166,9 @@ def expand_in_elementary(f):
     """
     a = f.nvars
     out = {}
-    residual = f
+    residual = dict(f.terms)
     while residual:
-        exps, c = residual.lead()
+        exps = max(residual)
         if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
             raise NotOddSymmetricError(
                 "leading monomial %r is not partition-shaped; input not odd symmetric" % (exps,)
@@ -196,12 +179,14 @@ def expand_in_elementary(f):
         lead_exps, lead_c = word_poly.lead()
         if lead_exps != exps:
             raise NotOddSymmetricError("leading-term mismatch while expanding")
-        q, r = divmod(c, lead_c)
+        q, r = divmod(residual[exps], lead_c)
         if r:
             raise NotOddSymmetricError("non-integral elementary expansion")
-        out[lam] = out.get(lam, 0) + q
-        residual = residual - word_poly.scale(q)
-    return {lam: c for lam, c in out.items() if c}
+        # stripping q * word_poly cancels the leading monomial and leaves only
+        # lex-smaller ones, so each word is stripped once and q != 0
+        out[lam] = q
+        add_scaled(residual, word_poly.terms, -q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +201,6 @@ def pieri_expected(alpha, k, a):
     |alpha after row i_1| + ... + |alpha after row i_k|.  Compositions that
     are not partitions are discarded.
     """
-    import itertools
-
     alpha = combinat.normalize_partition(alpha)
     if k > a or k < 1:
         return []
@@ -250,9 +233,8 @@ def mod2_reduction(f):
 
 
 def monomials_of_degree(a, halfdeg):
-    """Exponent vectors with entry sum = halfdeg (Z-degree 2*halfdeg)."""
-    import itertools
-
+    """Exponent vectors with entry sum = halfdeg (Z-degree 2*halfdeg); none
+    for a negative halfdeg."""
     out = []
 
     def rec(prefix, remaining, slots):
@@ -262,6 +244,8 @@ def monomials_of_degree(a, halfdeg):
         for e in range(remaining + 1):
             rec(prefix + [e], remaining - e, slots - 1)
 
+    if halfdeg < 0:
+        return []
     if a == 0:
         return [()] if halfdeg == 0 else []
     rec([], halfdeg, a)

@@ -33,7 +33,8 @@ from functools import lru_cache
 from math import comb
 
 from . import combinat, oddops, oddsym
-from .skewpoly import SkewPolynomial, _add_scaled, _from_normal, left_dot
+from .lincomb import add_scaled, collect, convolve, format_terms, scaled
+from .skewpoly import SkewPolynomial, _from_normal, left_dot
 
 
 # ---------------------------------------------------------------------------
@@ -133,33 +134,21 @@ class OnhElement:
         return (self - other).is_zero()
 
     def __add__(self, other):
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch")
-        d = dict(self.combo)
-        for w, c in other.combo.items():
-            v = d.get(w, 0) + c
-            if v:
-                d[w] = v
-            else:
-                d.pop(w, None)
-        out = OnhElement.__new__(OnhElement)
-        out.strands = self.strands
-        out.combo = d
-        return out
+        return self._plus(other, 1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        if self.strands != other.strands:
+            raise ValueError("strand mismatch")
+        return _element(self.strands, add_scaled(dict(self.combo), other.combo, sign))
 
     def scale(self, c):
-        if c == 0:
-            return OnhElement.zero(self.strands)
-        out = OnhElement.__new__(OnhElement)
-        out.strands = self.strands
-        out.combo = {w: c * v for w, v in self.combo.items()}
-        return out
+        return _element(self.strands, scaled(self.combo, c))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -172,26 +161,14 @@ class OnhElement:
             return self.scale(other)
         if self.strands != other.strands:
             raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
-        d = {}
-        for wa, ca in self.combo.items():
-            for wb, cb in other.combo.items():
-                w = wa + wb
-                v = d.get(w, 0) + ca * cb
-                if v:
-                    d[w] = v
-                else:
-                    d.pop(w, None)
-        out = OnhElement.__new__(OnhElement)
-        out.strands = self.strands
-        out.combo = d
-        return out
+        return _element(self.strands, convolve(self.combo, other.combo))
 
     def evaluate(self, p):
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
         d = {}
         for w, c in self.combo.items():
-            _add_scaled(d, apply_word(w, p).terms, c)
+            add_scaled(d, apply_word(w, p).terms, c)
         return _from_normal(self.strands, d)
 
     def is_zero(self):
@@ -212,6 +189,14 @@ class OnhElement:
         return "OnhElement(%d, %s)" % (self.strands, format_element(self))
 
 
+def _element(strands, combo):
+    """Wrap a combination of checked words without copying or checking it."""
+    out = OnhElement.__new__(OnhElement)
+    out.strands = strands
+    out.combo = combo
+    return out
+
+
 def dot(strands, r):
     return OnhElement.from_word(strands, (r,))
 
@@ -222,13 +207,7 @@ def cross(strands, r):
 
 def from_polynomial(f):
     """Left multiplication by f, as an element (one word per monomial)."""
-    combo = {}
-    for mono, c in f.terms.items():
-        word = []
-        for i, e in enumerate(mono, start=1):
-            word.extend([i] * e)
-        combo[tuple(word)] = combo.get(tuple(word), 0) + c
-    return OnhElement(f.nvars, combo)
+    return OnhElement(f.nvars, collect((dots_word(m), c) for m, c in f.terms.items()))
 
 
 def dots_word(exps):
@@ -287,23 +266,20 @@ def extract_standard_basis(element):
         if val.is_zero():
             continue
         unit = _unit_value(w, a)
-        uword = tuple(-l for l in combinat.canonical_reduced_word(w))
-        delta = {}
-        for mono, c in val.terms.items():
-            coeff = c // unit
-            out[(mono, w)] = coeff
-            word = dots_word(mono) + uword
-            delta[word] = delta.get(word, 0) - coeff
-        residual = residual + OnhElement(a, delta)
-    return {k: v for k, v in out.items() if v}
+        coeffs = {(mono, w): c // unit for mono, c in val.terms.items()}
+        out.update(coeffs)
+        residual = residual - assemble_standard_basis(a, coeffs)
+    return out
 
 
 def assemble_standard_basis(a, coeffs):
-    combo = {}
-    for (mono, u), c in coeffs.items():
-        word = dots_word(mono) + tuple(-l for l in combinat.canonical_reduced_word(u))
-        combo[word] = combo.get(word, 0) + c
-    return OnhElement(a, combo)
+    return OnhElement(
+        a,
+        collect(
+            (dots_word(mono) + tuple(-l for l in combinat.canonical_reduced_word(u)), c)
+            for (mono, u), c in coeffs.items()
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +367,16 @@ def box(f, a):
     if not oddsym.is_odd_symmetric(f):
         raise oddsym.NotOddSymmetricError("box label must be odd symmetric")
     ea = e_word(a)
-    combo = {}
-    for mono, c in f.terms.items():
-        word = ea + dots_word(mono) + ea
-        combo[word] = combo.get(word, 0) + c
-    return OnhElement(a, combo)
+    return OnhElement(a, collect((ea + dots_word(mono) + ea, c) for mono, c in f.terms.items()))
+
+
+def embed(element, offset, n):
+    """element on strands offset+1 .. offset+strands inside n strands."""
+    return OnhElement(n, {shift_word(w, offset): c for w, c in element.combo.items()})
 
 
 def box_embedded(f, a, offset, n):
-    base = box(f, a)
-    return OnhElement(n, {shift_word(w, offset): c for w, c in base.combo.items()})
+    return embed(box(f, a), offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +519,14 @@ def staircase_element(a):
 
 
 def format_element(element):
-    if not element.combo:
-        return "0"
-    parts = []
-    for w in sorted(element.combo):
-        c = element.combo[w]
-        mag = abs(c)
-        body = '"%s"' % format_word(w)
-        if mag != 1:
-            body = "%d*%s" % (mag, body)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_terms(sorted(element.combo.items()), lambda w: '"%s"' % format_word(w))
 
 
 def parse_element(text, strands):
     s = text.strip()
     if s == "0":
         return OnhElement.zero(strands)
-    combo = {}
+    pairs = []
     pos = 0
     sign = 1
     first = True
@@ -592,8 +555,8 @@ def parse_element(text, strands):
             raise ValueError("expected quoted word at %r" % s[pos:])
         end = s.index('"', pos + 1)
         word = parse_word(s[pos + 1 : end])
-        combo[word] = combo.get(word, 0) + coeff
+        pairs.append((word, coeff))
         pos = end + 1
         sign = 1
         first = False
-    return OnhElement(strands, combo)
+    return OnhElement(strands, collect(pairs))

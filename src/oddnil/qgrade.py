@@ -7,6 +7,8 @@ quotient [n]!/([k]![n-k]!).  Coefficients are arbitrary-precision ints and
 exponents are stored sparsely; nothing is ever truncated.
 """
 
+from .lincomb import add_scaled, collect, convolve, format_terms, scaled
+
 
 class QLaurent:
     """A Laurent polynomial in q with integer coefficients.
@@ -58,49 +60,27 @@ class QLaurent:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QLaurent.from_int(other)
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = d.get(e, 0) + c
-            if v:
-                d[e] = v
-            else:
-                d.pop(e, None)
-        return QLaurent(d)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QLaurent({e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if isinstance(other, int):
             other = QLaurent.from_int(other)
-        return self + (-other)
+        return QLaurent(add_scaled(dict(self.coeffs), other.coeffs, sign))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QLaurent({e: c * other for e, c in self.coeffs.items()})
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = d.get(e, 0) + c1 * c2
-                if v:
-                    d[e] = v
-                else:
-                    d.pop(e, None)
-        return QLaurent(d)
+            return QLaurent(scaled(self.coeffs, other))
+        return QLaurent(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def coefficient(self, e):
-        return self.coeffs.get(e, 0)
-
-    def bar(self):
-        """The bar involution q -> q^{-1}."""
-        return QLaurent({-e: c for e, c in self.coeffs.items()})
 
     def is_bar_invariant(self):
         return self.coeffs == {-e: c for e, c in self.coeffs.items()}
@@ -108,12 +88,6 @@ class QLaurent:
     def at_one(self):
         """Specialize q = 1."""
         return sum(self.coeffs.values())
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else None
 
     def exponent_multiset(self):
         """Sorted list of exponents, each repeated coefficient-many times.
@@ -129,27 +103,26 @@ class QLaurent:
         return out
 
     def exact_div(self, other):
-        """Exact quotient self/other; raises if the remainder is nonzero."""
+        """Exact quotient self/other; raises if the remainder is nonzero.
+
+        An exact quotient has no exponent below min(self) - min(other), so
+        the long division stops there instead of running down forever.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division of QLaurent by zero")
         rem = dict(self.coeffs)
         quot = {}
         top = max(other.coeffs)
         lead = other.coeffs[top]
+        low = min(rem, default=0) - min(other.coeffs)
         while rem:
             e = max(rem)
             qe = e - top
             qc, r = divmod(rem[e], lead)
-            if r:
+            if r or qe < low:
                 raise ArithmeticError("nonzero remainder in exact QLaurent division")
             quot[qe] = qc
-            for e2, c2 in other.coeffs.items():
-                k = qe + e2
-                v = rem.get(k, 0) - qc * c2
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
+            add_scaled(rem, convolve({qe: qc}, other.coeffs), -1)
         return QLaurent(quot)
 
     def __str__(self):
@@ -161,22 +134,13 @@ class QLaurent:
 
 def format_qlaurent(p):
     """Render as e.g. "q^4 + q^2 + 2 + q^-2 + q^-4" (descending exponents)."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(p.coeffs, reverse=True):
-        c = p.coeffs[e]
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            qpow = "q" if e == 1 else "q^%d" % e
-            body = qpow if mag == 1 else "%d*%s" % (mag, qpow)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_terms(sorted(p.coeffs.items(), reverse=True), _q_power_name)
+
+
+def _q_power_name(e):
+    if e == 0:
+        return ""
+    return "q" if e == 1 else "q^%d" % e
 
 
 _QTERM = None
@@ -194,7 +158,7 @@ def parse_qlaurent(text):
     s = text.strip()
     if s == "0":
         return QLaurent.zero()
-    coeffs = {}
+    pairs = []
     pos = 0
     first = True
     while pos < len(s):
@@ -212,10 +176,10 @@ def parse_qlaurent(text):
             if cpart is not None:
                 raise ValueError("bad q-Laurent term at %r" % s[pos:])
             coeff, e = int(bare), 0
-        coeffs[e] = coeffs.get(e, 0) + sign * coeff
+        pairs.append((e, sign * coeff))
         pos = m.end()
         first = False
-    return QLaurent(coeffs)
+    return QLaurent(collect(pairs))
 
 
 def q_int(n):
@@ -246,7 +210,4 @@ def q_cardinality_box(a, b):
     """Sum of q^{2|alpha| - ab} over partitions alpha in an a x b box."""
     from . import combinat
 
-    out = QLaurent.zero()
-    for alpha in combinat.partitions_in_box(a, b):
-        out = out + QLaurent.q_power(2 * sum(alpha) - a * b)
-    return out
+    return QLaurent(collect((2 * sum(alpha) - a * b, 1) for alpha in combinat.partitions_in_box(a, b)))

@@ -29,6 +29,8 @@ x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 
 from operator import add
 
+from .lincomb import add_scaled, collect, format_terms, scaled
+
 
 class SkewPolynomial:
     __slots__ = ("nvars", "terms")
@@ -95,12 +97,6 @@ class SkewPolynomial:
             return None
         return 2 * max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        return len({sum(m) for m in self.terms}) <= 1
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
 
@@ -114,18 +110,7 @@ class SkewPolynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = SkewPolynomial.constant(self.nvars, other)
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            v = d.get(m, 0) + c
-            if v:
-                d[m] = v
-            else:
-                d.pop(m, None)
-        return _from_normal(self.nvars, d)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -133,14 +118,17 @@ class SkewPolynomial:
         return self.scale(-1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if isinstance(other, int):
             other = SkewPolynomial.constant(self.nvars, other)
-        return self + (-other)
+        if self.nvars != other.nvars:
+            raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
+        return _from_normal(self.nvars, add_scaled(dict(self.terms), other.terms, sign))
 
     def scale(self, c):
-        if c == 0:
-            return SkewPolynomial.zero(self.nvars)
-        return _from_normal(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return _from_normal(self.nvars, scaled(self.terms, c))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -188,17 +176,6 @@ def _from_normal(nvars, terms):
     out.nvars = nvars
     out.terms = terms
     return out
-
-
-def _add_scaled(d, terms, c):
-    """d += c * terms in place, for a nonzero int c; a key whose sum reaches
-    zero is deleted."""
-    for m, v in terms.items():
-        s = d.get(m, 0) + c * v
-        if s:
-            d[m] = s
-        else:
-            del d[m]
 
 
 def _parity_mask(m):
@@ -250,17 +227,11 @@ def apply_simple_transposition(i, p):
     """Action of s_i: x_i -> -x_{i+1}, x_{i+1} -> -x_i, x_j -> -x_j."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("transposition index %d out of range for %d variables" % (i, p.nvars))
+    # s_i permutes the monomials, so no two terms collide
+    k = i - 1
     d = {}
     for m, c in p.terms.items():
-        sign_exp = sum(m) + m[i - 1] * m[i]
-        sm = list(m)
-        sm[i - 1], sm[i] = sm[i], sm[i - 1]
-        sm = tuple(sm)
-        v = d.get(sm, 0) + (c if sign_exp % 2 == 0 else -c)
-        if v:
-            d[sm] = v
-        else:
-            d.pop(sm, None)
+        d[m[:k] + (m[i], m[k]) + m[i + 1 :]] = -c if (sum(m) + m[k] * m[i]) & 1 else c
     return _from_normal(p.nvars, d)
 
 
@@ -319,29 +290,17 @@ def psi_staircase(a):
 
 
 def format_skew(p):
-    if not p.terms:
-        return "0"
-    parts = []
-    for m in sorted(p.terms, reverse=True):
-        c = p.terms[m]
-        factors = []
-        for j, e in enumerate(m):
-            if e == 1:
-                factors.append("x%d" % (j + 1))
-            elif e > 1:
-                factors.append("x%d^%d" % (j + 1, e))
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_terms(sorted(p.terms.items(), reverse=True), _monomial_name)
+
+
+def _monomial_name(m):
+    factors = []
+    for j, e in enumerate(m):
+        if e == 1:
+            factors.append("x%d" % (j + 1))
+        elif e > 1:
+            factors.append("x%d^%d" % (j + 1, e))
+    return "*".join(factors)
 
 
 def parse_skew(text, nvars):
@@ -350,7 +309,7 @@ def parse_skew(text, nvars):
         return SkewPolynomial.zero(nvars)
     s = s.replace("- ", "-").replace("+ ", "+")
     tokens = s.replace("-", " -").replace("+", " +").split()
-    out = SkewPolynomial.zero(nvars)
+    pairs = []
     for tok in tokens:
         sign = 1
         if tok.startswith("-"):
@@ -379,5 +338,5 @@ def parse_skew(text, nvars):
                 exps[idx - 1] += exp
             else:
                 coeff *= int(factor)
-        out = out + SkewPolynomial.monomial(nvars, exps, coeff)
-    return out
+        pairs.append((tuple(exps), coeff))
+    return SkewPolynomial(nvars, collect(pairs))

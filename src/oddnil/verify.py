@@ -86,10 +86,6 @@ def _monomials_up_to(a, maxhalf):
     return out
 
 
-def _emb(el, off, n):
-    return onh.OnhElement(n, {onh.shift_word(w, off): c for w, c in el.combo.items()})
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -299,15 +295,15 @@ def check_da_slide(params, rng):
     for a in range(1, params["a_max"] + 1):
         n = a + 1
         chain = onh.OnhElement.from_word(n, tuple(-i for i in range(a, 0, -1)))
-        d_lo = _emb(onh.d_element(a), 0, n)
-        d_hi = _emb(onh.d_element(a), 1, n)
+        d_lo = onh.embed(onh.d_element(a), 0, n)
+        d_hi = onh.embed(onh.d_element(a), 1, n)
         sw.require(
             ("D_a slide", a),
             d_lo * chain == (chain * d_hi).scale((-1) ** comb(a, 3)),
         )
         # alternative definition of D_a
         if a >= 2:
-            alt = _emb(onh.d_element(a - 1), 1, a) * onh.OnhElement.from_word(
+            alt = onh.embed(onh.d_element(a - 1), 1, a) * onh.OnhElement.from_word(
                 a, tuple(-i for i in range(1, a))
             )
             sw.require(("alt def D_a", a), alt == onh.d_element(a))
@@ -388,13 +384,13 @@ def check_splitter_assoc(params, rng):
         for b in range(1, total - a):
             for c in range(1, total - a - b + 1):
                 n = a + b + c
-                lhs = _emb(onh.up_splitter(a, b), 0, n) * onh.up_splitter(a + b, c)
-                rhs = _emb(onh.up_splitter(b, c), a, n) * onh.up_splitter(a, b + c)
+                lhs = onh.embed(onh.up_splitter(a, b), 0, n) * onh.up_splitter(a + b, c)
+                rhs = onh.embed(onh.up_splitter(b, c), a, n) * onh.up_splitter(a, b + c)
                 sign = (-1) ** ((a * b * comb(c, 2)) % 2)
                 sw.require(("up-splitter assoc", a, b, c), lhs == rhs.scale(sign))
                 e_n = onh.idempotent_e(n)
-                sw.require(("merge assoc left", a, b, c), e_n * _emb(onh.idempotent_e(a + b), 0, n) == e_n)
-                sw.require(("merge assoc right", a, b, c), e_n * _emb(onh.idempotent_e(b + c), a, n) == e_n)
+                sw.require(("merge assoc left", a, b, c), e_n * onh.embed(onh.idempotent_e(a + b), 0, n) == e_n)
+                sw.require(("merge assoc right", a, b, c), e_n * onh.embed(onh.idempotent_e(b + c), a, n) == e_n)
                 # triangle: crossing a c-strand under a splitter
                 tcross = onh.OnhElement.from_word(
                     n,
@@ -402,7 +398,7 @@ def check_splitter_assoc(params, rng):
                     + onh.shift_word(onh.e_word(c), a)
                     + onh.crossing_word_letters(c, a),
                 )
-                lhs_t = _emb(onh.idempotent_e(b + c), a, n) * tcross * _emb(onh.up_splitter(a, b), c, n)
+                lhs_t = onh.embed(onh.idempotent_e(b + c), a, n) * tcross * onh.embed(onh.up_splitter(a, b), c, n)
                 rhs_t = onh.up_splitter(a, b + c) * onh.idempotent_e(n)
                 sw.require(("triangle", a, b, c), lhs_t == rhs_t)
     # merge identities for plain crossings
@@ -427,14 +423,14 @@ def check_splitter_assoc(params, rng):
         n = a + b
         if n > total + 1:
             continue
-        lhs = _emb(onh.d_element(a), 0, n) * _emb(onh.d_element(b), a, n) * onh.OnhElement.from_word(
+        lhs = onh.embed(onh.d_element(a), 0, n) * onh.embed(onh.d_element(b), a, n) * onh.OnhElement.from_word(
             n, onh.crossing_word_letters(b, a)
         )
         sw.require(
             ("D_a D_b over crossing", a, b),
             lhs == onh.d_element(n).scale((-1) ** ((comb(a, 2) * comb(b, 2)) % 2)),
         )
-        lhs_m = _emb(onh.d_element(a), 0, n) * _emb(onh.d_element(b), a, n) * onh.OnhElement.from_word(
+        lhs_m = onh.embed(onh.d_element(a), 0, n) * onh.embed(onh.d_element(b), a, n) * onh.OnhElement.from_word(
             n, onh.mirror_crossing_letters(a, b)
         )
         sw.require(("D_a D_b over mirror crossing", a, b), lhs_m == onh.d_element(n))

@@ -5,12 +5,19 @@ Each function is the earlier method or function body, unchanged except
 that calls between them go to the versions here (so ``mul`` stands in for
 ``SkewPolynomial.__mul__``).  They build every intermediate result as a
 fresh polynomial through ``SkewPolynomial.__add__`` and ``scale``.  The
+per-class add and multiply loops of ``SkewPolynomial``, ``QLaurent`` and
+``OnhElement``, the collision-handling ``apply_simple_transposition`` and
+the rebuild-per-step ``expand_in_elementary`` that ``lincomb`` replaced
+are kept the same way.  The
 memoized images of a single monomial (``oddops._dd_mono`` and
 ``oddops._ddnj_mono``) are shared with the library, not copied.
 """
 
-from oddnil import oddops
-from oddnil.skewpoly import SkewPolynomial
+from oddnil import combinat, oddops
+from oddnil.oddsym import NotOddSymmetricError, elementary_word_value
+from oddnil.onh import OnhElement
+from oddnil.qgrade import QLaurent
+from oddnil.skewpoly import SkewPolynomial, _from_normal
 
 
 def mul(self, other):
@@ -84,4 +91,171 @@ def evaluate(self, p):
     out = SkewPolynomial.zero(self.strands)
     for w, c in self.combo.items():
         out = out + apply_word(w, p).scale(c)
+    return out
+
+
+def skew_add(self, other):
+    """SkewPolynomial.__add__."""
+    if isinstance(other, int):
+        other = SkewPolynomial.constant(self.nvars, other)
+    if self.nvars != other.nvars:
+        raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
+    d = dict(self.terms)
+    for m, c in other.terms.items():
+        v = d.get(m, 0) + c
+        if v:
+            d[m] = v
+        else:
+            d.pop(m, None)
+    return _from_normal(self.nvars, d)
+
+
+def apply_simple_transposition(i, p):
+    """Action of s_i: x_i -> -x_{i+1}, x_{i+1} -> -x_i, x_j -> -x_j."""
+    if not 1 <= i <= p.nvars - 1:
+        raise ValueError("transposition index %d out of range for %d variables" % (i, p.nvars))
+    d = {}
+    for m, c in p.terms.items():
+        sign_exp = sum(m) + m[i - 1] * m[i]
+        sm = list(m)
+        sm[i - 1], sm[i] = sm[i], sm[i - 1]
+        sm = tuple(sm)
+        v = d.get(sm, 0) + (c if sign_exp % 2 == 0 else -c)
+        if v:
+            d[sm] = v
+        else:
+            d.pop(sm, None)
+    return _from_normal(p.nvars, d)
+
+
+def expand_in_elementary(f):
+    """oddsym.expand_in_elementary."""
+    a = f.nvars
+    out = {}
+    residual = f
+    while residual:
+        exps, c = residual.lead()
+        if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
+            raise NotOddSymmetricError(
+                "leading monomial %r is not partition-shaped; input not odd symmetric" % (exps,)
+            )
+        mu = tuple(e for e in exps if e)
+        lam = combinat.conjugate(mu)
+        word_poly = elementary_word_value(lam, a)
+        lead_exps, lead_c = word_poly.lead()
+        if lead_exps != exps:
+            raise NotOddSymmetricError("leading-term mismatch while expanding")
+        q, r = divmod(c, lead_c)
+        if r:
+            raise NotOddSymmetricError("non-integral elementary expansion")
+        out[lam] = out.get(lam, 0) + q
+        residual = skew_add(residual, word_poly.scale(-q))
+    return {lam: c for lam, c in out.items() if c}
+
+
+def q_add(self, other):
+    """QLaurent.__add__."""
+    if isinstance(other, int):
+        other = QLaurent.from_int(other)
+    d = dict(self.coeffs)
+    for e, c in other.coeffs.items():
+        v = d.get(e, 0) + c
+        if v:
+            d[e] = v
+        else:
+            d.pop(e, None)
+    return QLaurent(d)
+
+
+def q_neg(self):
+    """QLaurent.__neg__."""
+    return QLaurent({e: -c for e, c in self.coeffs.items()})
+
+
+def q_mul(self, other):
+    """QLaurent.__mul__."""
+    if isinstance(other, int):
+        return QLaurent({e: c * other for e, c in self.coeffs.items()})
+    d = {}
+    for e1, c1 in self.coeffs.items():
+        for e2, c2 in other.coeffs.items():
+            e = e1 + e2
+            v = d.get(e, 0) + c1 * c2
+            if v:
+                d[e] = v
+            else:
+                d.pop(e, None)
+    return QLaurent(d)
+
+
+def q_exact_div(self, other):
+    """QLaurent.exact_div."""
+    if other.is_zero():
+        raise ZeroDivisionError("division of QLaurent by zero")
+    rem = dict(self.coeffs)
+    quot = {}
+    top = max(other.coeffs)
+    lead = other.coeffs[top]
+    while rem:
+        e = max(rem)
+        qe = e - top
+        qc, r = divmod(rem[e], lead)
+        if r:
+            raise ArithmeticError("nonzero remainder in exact QLaurent division")
+        quot[qe] = qc
+        for e2, c2 in other.coeffs.items():
+            k = qe + e2
+            v = rem.get(k, 0) - qc * c2
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return QLaurent(quot)
+
+
+def element_add(self, other):
+    """OnhElement.__add__."""
+    if self.strands != other.strands:
+        raise ValueError("strand mismatch")
+    d = dict(self.combo)
+    for w, c in other.combo.items():
+        v = d.get(w, 0) + c
+        if v:
+            d[w] = v
+        else:
+            d.pop(w, None)
+    out = OnhElement.__new__(OnhElement)
+    out.strands = self.strands
+    out.combo = d
+    return out
+
+
+def element_scale(self, c):
+    """OnhElement.scale."""
+    if c == 0:
+        return OnhElement.zero(self.strands)
+    out = OnhElement.__new__(OnhElement)
+    out.strands = self.strands
+    out.combo = {w: c * v for w, v in self.combo.items()}
+    return out
+
+
+def element_mul(self, other):
+    """OnhElement.__mul__: lazy concatenation of words."""
+    if isinstance(other, int):
+        return element_scale(self, other)
+    if self.strands != other.strands:
+        raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
+    d = {}
+    for wa, ca in self.combo.items():
+        for wb, cb in other.combo.items():
+            w = wa + wb
+            v = d.get(w, 0) + ca * cb
+            if v:
+                d[w] = v
+            else:
+                d.pop(w, None)
+    out = OnhElement.__new__(OnhElement)
+    out.strands = self.strands
+    out.combo = d
     return out

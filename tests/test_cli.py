@@ -179,8 +179,25 @@ def test_verify_mod2_takes_a_quotient_pair_from_a_and_n(capsys):
 
 def test_verify_max_rank_never_runs_above_the_rank(capsys):
     code, out, _ = run_cli(capsys, "verify", "pieri", "--max-rank", "2")
-    assert code == 1
+    # the clamped sweep is empty: skipped, and counted as expected
+    assert code == 0
     assert "skipped" in out and "instances=0" in out and "empty sweep" in out
+    assert "[ok]" in out and "UNEXPECTED" not in out
+
+
+@pytest.mark.parametrize("rank", ["1", "2"])
+def test_verify_all_at_a_small_max_rank_exits_zero(capsys, rank):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-rank", rank, "--parallel", "1", "--json")
+    assert code == 0
+    statuses = {entry["check"]: entry["status"] for entry in json.loads(out)}
+    assert statuses["pieri"] == "skipped"
+    assert "fail" not in {s for c, s in statuses.items() if not c.startswith("sentinel")}
+
+
+def test_verify_envelope_skip_still_exits_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "nil_orth", "--a", "7")
+    assert code == 1
+    assert "skipped" in out and "UNEXPECTED" in out
 
 
 def test_verify_max_rank_below_one_is_usage_error(capsys):

@@ -1,0 +1,86 @@
+"""lincomb against a Counter oracle: the same sums, and never a stored 0."""
+
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from oddnil.lincomb import add_scaled, collect, convolve, format_terms, scaled
+
+# small key spaces make keys repeat and sums cancel
+int_keys = st.integers(-3, 3)
+tuple_keys = st.lists(st.integers(-2, 2), max_size=2).map(tuple)
+coeffs = st.integers(-3, 3)
+nonzero = coeffs.filter(bool)
+
+
+def combos(keys):
+    return st.dictionaries(keys, nonzero, max_size=6)
+
+
+def oracle(counter):
+    return {k: c for k, c in counter.items() if c}
+
+
+def assert_normal(d):
+    assert all(type(c) is int and c for c in d.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.tuples(int_keys, coeffs)), st.lists(st.tuples(tuple_keys, coeffs))))
+def test_collect(pairs):
+    want = Counter()
+    for k, c in pairs:
+        want[k] += c
+    got = collect(pairs)
+    assert_normal(got)
+    assert got == oracle(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(combos(int_keys), combos(int_keys)), st.tuples(combos(tuple_keys), combos(tuple_keys))),
+       nonzero)
+def test_add_scaled(pair, c):
+    d, terms = pair
+    want = Counter(d)
+    for k, v in terms.items():
+        want[k] += c * v
+    got = dict(d)
+    assert add_scaled(got, terms, c) is got
+    assert_normal(got)
+    assert got == oracle(want)
+    assert add_scaled(dict(terms), terms, -1) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(combos(int_keys), combos(int_keys)), st.tuples(combos(tuple_keys), combos(tuple_keys))))
+def test_convolve(pair):
+    f, g = pair
+    want = Counter()
+    for ka, ca in f.items():
+        for kb, cb in g.items():
+            want[ka + kb] += ca * cb
+    got = convolve(f, g)
+    assert_normal(got)
+    assert got == oracle(want)
+
+
+@given(combos(int_keys), coeffs)
+def test_scaled(f, c):
+    got = scaled(f, c)
+    assert_normal(got)
+    assert got == oracle(Counter({k: c * v for k, v in f.items()}))
+
+
+def test_convolve_cancels():
+    # (1 + q)(1 - q) = 1 - q^2: the two q terms cancel
+    assert convolve({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
+    # words concatenate
+    assert convolve({(1,): 2}, {(): 1, (-1,): -1}) == {(1,): 2, (1, -1): -2}
+
+
+def test_format_terms():
+    name = {0: "", 1: "q", 2: "q^2"}.get
+    assert format_terms([], name) == "0"
+    assert format_terms([(0, -3)], name) == "-3"
+    assert format_terms([(2, 1), (1, -2), (0, 1)], name) == "q^2 - 2*q + 1"
+    assert format_terms([(1, -1), (0, -1)], name) == "-q - 1"

@@ -279,3 +279,9 @@ def test_jacobi_trudi_failure_at_rank_six():
     target[bidx[(4,)]] = 1
     assert int_rank(rows + [target]) == int_rank(rows) + 1
     assert not in_row_lattice(rows, target)
+
+
+@pytest.mark.parametrize("a", range(5))
+@pytest.mark.parametrize("halfdeg", [-1, -3])
+def test_monomials_of_negative_degree_are_none(a, halfdeg):
+    assert S.monomials_of_degree(a, halfdeg) == []

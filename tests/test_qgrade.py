@@ -91,3 +91,12 @@ def test_format_examples():
 
 def test_exponent_multiset():
     assert q_binomial(4, 2).exponent_multiset() == [-4, -2, 0, 0, 2, 4]
+
+
+def test_exact_division_by_a_unit_led_divisor_stops_on_a_remainder():
+    # 1 / (q + 1) is an infinite series; the division must not run forever
+    with pytest.raises(ArithmeticError):
+        QLaurent.one().exact_div(QLaurent({1: 1, 0: 1}))
+    with pytest.raises(ArithmeticError):
+        QLaurent({3: 1, -2: 5}).exact_div(QLaurent({1: -1, -1: 1}))
+    assert QLaurent({2: 1, -2: -1}).exact_div(QLaurent({1: 1, -1: 1})) == QLaurent({1: 1, -1: -1})
