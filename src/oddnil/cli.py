@@ -2,7 +2,8 @@
 registry.
 
 Exit codes: 0 success (and, for verify, every check matched its expected
-status), 1 verification failure, 2 usage error.  All results go to stdout,
+status), 1 verification failure or internal error, 2 usage error (a flag,
+a check id, or an input outside the domain of what it asks for).  All results go to stdout,
 diagnostics to stderr.  With --json, output is byte-identical across runs
 for the same invocation and seed (wall times are zeroed in JSON for this
 reason; the text report shows real timings).
@@ -42,6 +43,14 @@ def _require(cond, message):
         raise UsageError(message)
 
 
+def _parse(parser, text, *args):
+    """Read a flag's text; text that does not parse is a usage error."""
+    try:
+        return parser(text, *args)
+    except ValueError as exc:
+        raise UsageError("cannot read %r: %s" % (text, exc)) from exc
+
+
 def _signed_partition_sum(terms):
     return format_terms(((mu, sign) for sign, mu in terms), lambda mu: "s(%s)" % combinat.format_partition(mu))
 
@@ -63,26 +72,26 @@ def cmd_compute(args):
     _check_compute_flags(args)
     kind = args.kind
     if kind == "schur":
-        alpha = combinat.parse_partition(args.partition)
+        alpha = _parse(combinat.parse_partition, args.partition)
         result = format_skew(oddsym.schur(alpha, args.vars))
     elif kind == "dual-schur":
-        alpha = combinat.parse_partition(args.partition)
+        alpha = _parse(combinat.parse_partition, args.partition)
         result = format_skew(oddsym.dual_schur(alpha, args.vars))
     elif kind == "elementary":
         result = format_skew(oddsym.elementary(args.k, args.vars))
     elif kind == "complete":
         result = format_skew(oddsym.complete(args.k, args.vars))
     elif kind == "schubert":
-        w = combinat.parse_permutation(args.perm)
+        w = _parse(combinat.parse_permutation, args.perm)
         nvars = args.vars or len(w)
         _require(nvars == len(w), "--vars must match the permutation size")
         result = format_skew(oddsym.schubert(w, nvars))
     elif kind == "product":
-        f = parse_skew(args.left, args.vars)
-        g = parse_skew(args.right, args.vars)
+        f = _parse(parse_skew, args.left, args.vars)
+        g = _parse(parse_skew, args.right, args.vars)
         result = format_skew(f * g)
     elif kind == "pieri":
-        alpha = combinat.parse_partition(args.partition)
+        alpha = _parse(combinat.parse_partition, args.partition)
         result = _signed_partition_sum(oddsym.pieri_expected(alpha, args.k, args.vars))
     elif kind == "grassmann-matrix":
         mat = cyclotomic.grassmann_matrix(args.a)
@@ -184,9 +193,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, verify.UnknownCheckError, combinat.BoxViolationError, ValueError) as exc:
+    except (UsageError, verify.UnknownCheckError, combinat.BoxViolationError, combinat.DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # one line instead of a traceback, naming where the fault was raised;
+        # imported here to keep it off the start-up path
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print("internal error: %s: %s (%s:%d in %s)" % (type(exc).__name__, exc, os.path.basename(where.filename),
+                                                         where.lineno, where.name), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ import itertools
 from functools import lru_cache
 
 
+class DomainError(ValueError):
+    """An argument outside the domain a function is defined on; the command
+    line reports it as a usage error."""
+
+
 class BoxViolationError(ValueError):
     """A partition does not fit in the required box."""
 
@@ -214,7 +219,7 @@ def parse_permutation(text):
 def enumerate_sq(a):
     """All sequences l_1..l_{a-1} with 0 <= l_nu <= nu; there are a! of them."""
     if a < 1:
-        raise ValueError("enumerate_sq needs a >= 1")
+        raise DomainError("enumerate_sq needs a >= 1")
     ranges = [range(nu + 1) for nu in range(1, a)]
     return [tuple(t) for t in itertools.product(*ranges)]
 

@@ -2,10 +2,24 @@
 integer lattices for the ideal <h_m : m > N-a>, the Grassmann matrix and
 its relation recursion, and the Schur box basis.
 
-Degree-d slices of the two-sided ideal are spanned by the products
-eps_lambda h_m eps_mu (the eps generate the whole ring), expanded in the
-sorted eps-word basis; ranks and invariant factors come from the exact
-integer Hermite/Smith forms of ``zlinalg``.  Everything is fraction free.
+A two-sided ideal I generated by seeds g is, in half-degree n, the Z-span
+I_n of the products eps_lambda g eps_mu over sorted eps-words lambda, mu
+(they span the ring).  The slices are built in rising degree from
+
+    I_n = sum_{k=1}^{a} (eps_k I_{n-k} + I_{n-k} eps_k) + span(seeds of half-degree n).
+
+This is the same Z-span.  Each product with lambda nonempty is eps_k
+times a product in I_{n-k} (k the first letter of lambda; the rest of a
+sorted word is sorted), one with only mu nonempty is a product in I_{n-k}
+times eps_k (k the last letter of mu), and one with both empty is a seed;
+conversely eps_k I_{n-k} and I_{n-k} eps_k lie in I.  I_{n-k} is the Z-span
+of its Hermite rows, so eps_k times those rows on either side span the
+rest.  The multiplication tables of ``oddsym.eps_multiplication`` carry
+the rows up, and ``oddsym.complete_in_elementary`` gives the seeds h_n in
+eps-words.  The Hermite form depends only on the lattice, so each slice's
+Hermite rows are those of the full span of products.  Ranks and invariant
+factors come from the exact integer Hermite/Smith forms of ``zlinalg``.
+Everything is fraction free.
 """
 
 from dataclasses import dataclass
@@ -13,12 +27,13 @@ from functools import cached_property
 from math import comb
 
 from . import combinat, oddsym
+from .combinat import DomainError
 from .qgrade import QLaurent
 from .skewpoly import SkewPolynomial
 from .zlinalg import hermite_normal_form, int_rank, reduce, row, smith_invariant_factors
 
 
-class IncompleteCertificationError(RuntimeError):
+class IncompleteCertificationError(DomainError):
     """d_max too small: quotient not certified zero above the expected top."""
 
 
@@ -31,7 +46,7 @@ def grassmann_matrix(a):
     polynomial ring over the symmetric subring: first column is
     (-1)^{binom(j-1,2)} eps_j, superdiagonal is the identity."""
     if a < 1:
-        raise ValueError("grassmann_matrix needs a >= 1")
+        raise DomainError("grassmann_matrix needs a >= 1")
     mat = []
     for j in range(1, a + 1):
         row = [SkewPolynomial.zero(a) for _ in range(a)]
@@ -118,90 +133,120 @@ class DegreeLattice:
         return reduce(self.hermite, row(coeffs, index))
 
 
-def _slice_generator_rows(a, degree, ideal_gens):
-    """Rows for span{eps_lambda g eps_mu} in the given Z-degree.
-
-    ideal_gens: list of (polynomial, Z-degree) pairs.
-    """
-    halfdeg = degree // 2
-    ambient = combinat.partitions_of(halfdeg, maxpart=a)
+def _slice(a, degree, seeds, below):
+    """Degree slice of a two-sided ideal, spanned by its seeds in this
+    degree (eps-word dicts) and by eps_k times each Hermite row of the slice
+    k half-degrees down, on either side; below[k-1] holds those rows."""
+    n = degree // 2
+    ambient = combinat.partitions_of(n, maxpart=a)
     index = {lam: i for i, lam in enumerate(ambient)}
-    rows = []
-    for g, gdeg in ideal_gens:
-        rest = halfdeg - gdeg // 2
-        if rest < 0:
-            continue
-        for s1 in range(rest + 1):
-            for lam in combinat.partitions_of(s1, maxpart=a):
-                left = oddsym.elementary_word_value(lam, a)
-                for mu in combinat.partitions_of(rest - s1, maxpart=a):
-                    right = oddsym.elementary_word_value(mu, a)
-                    prod = left * g * right
-                    if prod.is_zero():
-                        continue
-                    rows.append(row(oddsym.expand_in_elementary(prod), index))
-    return ambient, rows
+    gens = [row(g, index) for g in seeds if g]
+    for k, rows in enumerate(below, start=1):
+        lower = combinat.partitions_of(n - k, maxpart=a)
+        for h in rows:
+            coeffs = {lam: c for lam, c in zip(lower, h) if c}
+            for side in ("left", "right"):
+                image = oddsym.multiply_by_eps(a, k, coeffs, n, side)
+                if image:
+                    gens.append(row(image, index))
+    return DegreeLattice(degree, ambient, gens)
 
 
-def ideal_degree_slice(a, n_param, degree):
-    """Degree slice of <h_m : m > N-a> expressed in the eps-word basis."""
+def _chain(slice_fn, a, n_param, d_max):
+    """slice_fn's slices in Z-degrees 0, 2, ..., d_max (none for a negative
+    d_max), each built from the Hermite rows of the a slices under it."""
+    if d_max % 2:
+        raise DomainError("d_max=%d is odd; slices exist in even Z-degrees only" % d_max)
+    # rows as tuples keep slice_fn's arguments hashable, so a tracer can
+    # key its calls by them
+    slices, rows = [], []
+    for d in range(0, d_max + 1, 2):
+        below = tuple(reversed(rows[-a:])) if a > 0 else ()
+        slices.append(slice_fn(a, n_param, d, below))
+        rows.append(tuple(map(tuple, slices[-1].hermite)))
+    return slices
+
+
+def _check_degree(degree):
     if degree % 2 or degree < 0:
-        raise ValueError("Z-degree must be even and nonnegative")
-    if a == 0:
-        return DegreeLattice(degree, [()] if degree == 0 else [], [])
-    gens = []
-    for m in range(n_param - a + 1, degree // 2 + 1):
-        if m >= 1:
-            gens.append((oddsym.complete(m, a), 2 * m))
-    ambient, rows = _slice_generator_rows(a, degree, gens)
-    return DegreeLattice(degree, ambient, rows)
+        raise DomainError("Z-degree must be even and nonnegative")
 
 
-def first_column_degree_slice(a, n_param, degree):
+def h_ideal_slices(a, n_param, d_max):
+    """Slices of <h_m : m > N-a> in Z-degrees 0, 2, ..., d_max."""
+    return _chain(ideal_degree_slice, a, n_param, d_max)
+
+
+def column_ideal_slices(a, n_param, d_max):
+    """Slices of the first-column ideal in Z-degrees 0, 2, ..., d_max."""
+    return _chain(first_column_degree_slice, a, n_param, d_max)
+
+
+def ideal_degree_slice(a, n_param, degree, below=None):
+    """Degree slice of <h_m : m > N-a> expressed in the eps-word basis.
+
+    ``below`` holds the Hermite rows of the slices 1, ..., a half-degrees
+    down, as h_ideal_slices passes them; without it they are built first.
+    """
+    _check_degree(degree)
+    if below is None:
+        return h_ideal_slices(a, n_param, degree)[-1]
+    n = degree // 2
+    seeds = [oddsym.complete_in_elementary(a, n)] if n >= max(n_param - a + 1, 1) else []
+    return _slice(a, degree, seeds, below)
+
+
+def first_column_degree_slice(a, n_param, degree, below=None):
     """Degree slice of the ideal generated by the first column of
-    M^{N-a+1}; used to compare against the h-ideal."""
-    if degree % 2 or degree < 0:
-        raise ValueError("Z-degree must be even and nonnegative")
-    col = grassmann_power_column(a, n_param)
-    gens = []
-    for j, g in enumerate(col, start=1):
-        gens.append((g, 2 * (n_param - a + j)))
-    ambient, rows = _slice_generator_rows(a, degree, gens)
-    return DegreeLattice(degree, ambient, rows)
+    M^{N-a+1}, whose entry j has half-degree N-a+j; used to compare against
+    the h-ideal.  ``below`` is as for ideal_degree_slice."""
+    _check_degree(degree)
+    if below is None:
+        return column_ideal_slices(a, n_param, degree)[-1]
+    j = degree // 2 - (n_param - a)
+    seeds = [oddsym.expand_in_elementary(grassmann_power_column(a, n_param)[j - 1])] if 1 <= j <= a else []
+    return _slice(a, degree, seeds, below)
 
 
 def default_dmax(a, n_param):
     return 2 * a * (n_param - a) + 4
 
 
-def quotient_graded_rank(a, n_param, d_max=None):
+def quotient_graded_rank(a, n_param, d_max=None, slices=None):
     """Graded rank of the odd Grassmannian quotient as a QLaurent in q
     (exponent = Z-degree); certifies that every slice above the expected
-    top degree 2a(N-a) and up to d_max is entirely ideal."""
+    top degree 2a(N-a) and up to d_max is entirely ideal.
+
+    d_max must be even: the boundary check reads the slice in degree d_max.
+    ``slices`` is the chain ``h_ideal_slices(a, N, d_max)`` when the caller
+    has built it already; otherwise it is built here.
+    """
     if not 0 <= a <= n_param:
-        raise ValueError("need 0 <= a <= N")
+        raise DomainError("need 0 <= a <= N")
     top = 2 * a * (n_param - a)
     if d_max is None:
         d_max = default_dmax(a, n_param)
     if d_max < top:
-        raise ValueError("d_max=%d below expected top degree %d" % (d_max, top))
+        raise DomainError("d_max=%d below expected top degree %d" % (d_max, top))
+    if d_max % 2:
+        raise DomainError("d_max=%d is odd; the boundary check needs an even d_max such as %d"
+                          % (d_max, d_max + 1))
+    if slices is None:
+        slices = h_ideal_slices(a, n_param, d_max)
     coeffs = {}
-    boundary_rank = 0
-    for d in range(0, d_max + 1, 2):
-        r = ideal_degree_slice(a, n_param, d).quotient_rank
+    for sl in slices:
+        r = sl.quotient_rank
         if r:
-            if d > top:
+            if sl.degree > top:
                 raise IncompleteCertificationError(
                     "quotient nonzero in degree %d > %d for (a, N) = (%d, %d)"
-                    % (d, top, a, n_param)
+                    % (sl.degree, top, a, n_param)
                 )
-            coeffs[d] = r
-        if d == d_max:
-            boundary_rank = r
-    if boundary_rank and a not in (0, n_param):
+            coeffs[sl.degree] = r
+    if slices[-1].quotient_rank and a not in (0, n_param):
         raise IncompleteCertificationError(
-            "quotient nonzero at the boundary degree %d; raise d_max to certify"
-            % d_max
+            "quotient nonzero at the boundary degree %d; raise d_max to at least %d to certify"
+            % (d_max, d_max + 2)
         )
     return QLaurent(coeffs)
 
@@ -224,8 +269,8 @@ def schur_box_images(a, n_param, d_max=None):
     box = combinat.partitions_in_box(a, b)
     vanish = []
     independent = {}
-    for d in range(0, d_max + 1, 2):
-        slice_ = ideal_degree_slice(a, n_param, d)
+    for slice_ in h_ideal_slices(a, n_param, d_max):
+        d = slice_.degree
         halfdeg = d // 2
         inside = [lam for lam in box if sum(lam) == halfdeg]
         outside = [

@@ -190,6 +190,63 @@ def expand_in_elementary(f):
 
 
 # ---------------------------------------------------------------------------
+# arithmetic on the eps-word basis
+
+
+@lru_cache(maxsize=None)
+def eps_multiplication(a, k, n, side):
+    """Multiplication by eps_k (1 <= k <= a) from half-degree n-k to n on the
+    sorted eps-words: {lam: eps_k eps_lam} for side "left", {lam: eps_lam
+    eps_k} for side "right", each image an eps-word dict.
+
+    A word that stays sorted (k >= lam_1 on the left, k <= lam_r on the
+    right) is its own image; any other is one product, expanded once.  The
+    dicts are shared by every caller and must not be modified.
+    """
+    eps = elementary(k, a)
+    out = {}
+    for lam in combinat.partitions_of(n - k, maxpart=a):
+        if side == "left" and (not lam or k >= lam[0]):
+            out[lam] = {(k,) + lam: 1}
+        elif side == "right" and (not lam or k <= lam[-1]):
+            out[lam] = {lam + (k,): 1}
+        else:
+            word = elementary_word_value(lam, a)
+            out[lam] = expand_in_elementary(eps * word if side == "left" else word * eps)
+    return out
+
+
+def multiply_by_eps(a, k, coeffs, n, side):
+    """eps_k times the eps-word combination coeffs of half-degree n-k (side
+    "left"), or coeffs times eps_k (side "right"), as an eps-word dict."""
+    images = eps_multiplication(a, k, n, side)
+    out = {}
+    for lam, c in coeffs.items():
+        add_scaled(out, images[lam], c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def complete_in_elementary(a, m):
+    """h_m in a variables as an eps-word dict, with no h_m formed as a
+    polynomial; m >= 0.  The dicts are shared and must not be modified.
+
+    For m >= 1 the e-h relation sum_{k=0}^{m} (-1)^{binom(k+1,2)} eps_k
+    h_{m-k} = 0 (check_e_h_relation) gives h_m from its k = 0 term: every
+    other term is a left multiplication of an earlier h.  It is the series
+    identity sum_{i=0}^{min(a,m)} (-1)^{i(m-i)} eps_i z_{m-i} = 0 written in
+    h, where z_j = (-1)^{binom(j+1,2)} h_j and eps_i = 0 for i > a.
+    """
+    if m == 0:
+        return {(): 1}
+    out = {}
+    for k in range(1, min(a, m) + 1):
+        lower = complete_in_elementary(a, m - k)
+        add_scaled(out, multiply_by_eps(a, k, lower, m, "left"), -((-1) ** comb(k + 1, 2)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # odd Pieri rule
 
 

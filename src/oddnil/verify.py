@@ -18,6 +18,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from . import combinat, cyclotomic, evenoracle, oddops, oddsym, onh, qgrade, zlinalg
+from .combinat import DomainError
 from .skewpoly import SkewPolynomial, apply_w0, reverse_staircase, staircase
 
 DEFAULT_SEED = 24680
@@ -378,6 +379,23 @@ def check_ea_idem(params, rng):
 
 
 def check_splitter_assoc(params, rng):
+    """Associativity of splitters and merges, and how crossings combine.
+
+    The triangle slides the a-leg of an (a, b) splitter across a thick
+    c-strand, and its sign is (-1)^{binom(a,2) binom(c,2)}.  The leg crosses
+    the c-strand below e_a (x) e_c in the plain orientation,
+    crossing_word_letters(c, a), while every splitter uses the mirror one.
+    Now e_k = +-x^{delta_k} D_k, with a sign fixed by k, and D_k has parity
+    binom(k, 2).  Below D_a (x) D_c the mirror orientation gives D_{a+c}
+    and the plain one gives D_{a+c} after D_a and D_c trade places, which
+    is their super-interchange sign: the "D_a D_b over (mirror) crossing"
+    pair below states exactly this.  So the c-strand's crossing is that
+    sign times up_splitter(a, c) on the first a+c strands.  With mirror
+    crossings only, the triangle is a composite of splitters with no sign:
+    the (a, c) and (a, b) mirror crossings compose to the (a, b+c) one, and
+    e_{b+c} absorbs e_c (x) e_b, leaving up_splitter(a, b+c).  The sign is
+    first -1 at (a, b, c) = (2, 1, 2), above the default total_max = 4.
+    """
     sw = _Sweep()
     total = params["total_max"]
     for a in range(1, total - 1):
@@ -400,7 +418,7 @@ def check_splitter_assoc(params, rng):
                 )
                 lhs_t = onh.embed(onh.idempotent_e(b + c), a, n) * tcross * onh.embed(onh.up_splitter(a, b), c, n)
                 rhs_t = onh.up_splitter(a, b + c) * onh.idempotent_e(n)
-                sw.require(("triangle", a, b, c), lhs_t == rhs_t)
+                sw.require(("triangle", a, b, c), lhs_t == rhs_t.scale((-1) ** (comb(a, 2) * comb(c, 2) % 2)))
     # merge identities for plain crossings
     for (a, b, c) in [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 3)]:
         n = a + b + c
@@ -678,8 +696,8 @@ def check_jacobi_trudi_failure(params, rng):
     sw = _Sweep()
     a = params["a"]
     if a < 4:
-        raise ValueError("jacobi_trudi_failure needs a >= 4: its target eps_4 has degree 4, "
-                         "and there is none in %d variables" % a)
+        raise DomainError("jacobi_trudi_failure needs a >= 4: its target eps_4 has degree 4, "
+                          "and there is none in %d variables" % a)
     gens = {("h", k): oddsym.complete(k, a) for k in (1, 2, 3)}
     gens.update({("e", k): oddsym.elementary(k, a) for k in (1, 2, 3)})
 
@@ -781,7 +799,9 @@ def check_grassmann_recursion(params, rng):
 def check_oh_rank(params, rng):
     sw = _Sweep()
     for (a, n_param) in params["pairs"]:
-        q = cyclotomic.quotient_graded_rank(a, n_param)
+        d_max = cyclotomic.default_dmax(a, n_param)
+        slices = cyclotomic.h_ideal_slices(a, n_param, d_max)
+        q = cyclotomic.quotient_graded_rank(a, n_param, d_max, slices)
         sw.check(("total rank", a, n_param), comb(n_param, a), q.at_one())
         centered = q * qgrade.QLaurent.q_power(-a * (n_param - a))
         sw.require(("palindromic", a, n_param), centered.is_bar_invariant())
@@ -791,13 +811,12 @@ def check_oh_rank(params, rng):
             centered,
         )
         # first-column ideal comparison (small a only: a=2 mandated)
-        column_ideal = a == 2 and n_param <= 5
-        for d in range(0, cyclotomic.default_dmax(a, n_param) + 1, 2):
-            sl = cyclotomic.ideal_degree_slice(a, n_param, d)
+        columns = cyclotomic.column_ideal_slices(a, n_param, d_max) if a == 2 and n_param <= 5 else None
+        for i, sl in enumerate(slices):
+            d = sl.degree
             sw.require(("torsion-free slice", a, n_param, d), sl.is_torsion_free())
-            if column_ideal:
-                s2 = cyclotomic.first_column_degree_slice(a, n_param, d)
-                sw.check(("h-ideal = column ideal", a, n_param, d), sl.hermite, s2.hermite)
+            if columns:
+                sw.check(("h-ideal = column ideal", a, n_param, d), sl.hermite, columns[i].hermite)
     return sw
 
 
@@ -850,11 +869,11 @@ def check_mod2(params, rng):
             rhs = oddsym.mod2_reduction(f) * oddsym.mod2_reduction(g)
             sw.check(("multiply mod 2", a, str(f), str(g)), rhs, lhs)
     for (a, n_param) in params["quotient_pairs"]:
-        for d in range(0, 2 * a * (n_param - a) + 1, 2):
+        for sl in cyclotomic.h_ideal_slices(a, n_param, 2 * a * (n_param - a)):
             sw.check(
-                ("OH rank mod 2 oracle", a, n_param, d),
-                evenoracle.even_quotient_rank_gf2(a, n_param, d // 2),
-                cyclotomic.ideal_degree_slice(a, n_param, d).quotient_rank,
+                ("OH rank mod 2 oracle", a, n_param, sl.degree),
+                evenoracle.even_quotient_rank_gf2(a, n_param, sl.degree // 2),
+                sl.quotient_rank,
             )
     return sw
 
@@ -884,6 +903,8 @@ def check_sentinel_mirror_ea_slide(params, rng):
 def check_sentinel_x1sq_central(params, rng):
     sw = _Sweep()
     a = params["a"]
+    if a < 2:
+        raise DomainError("sentinel_x1sq_central needs a >= 2: its witness crosses strands 1 and 2")
     F = onh.from_polynomial(SkewPolynomial.monomial(a, tuple([2] + [0] * (a - 1))))
     d1 = onh.cross(a, 1)
     lhs, rhs = F * d1, d1 * F
@@ -1030,10 +1051,14 @@ def params_from_flags(check_id, a=None, b=None, n_param=None, dmax=None):
 
     A parameter is set when every flag of its Axis is given.  A given flag
     that sets no parameter is an error that names the flags the check
-    takes, so no flag is ignored or read as another.
+    takes, so no flag is ignored or read as another.  Every flag counts
+    strands or degrees, so a negative one is an error too.
     """
     given = {"a": a, "b": b, "N": n_param, "dmax": dmax}
     given = {flag: v for flag, v in given.items() if v is not None}
+    negative = ["--%s %d" % (flag, v) for flag, v in given.items() if v < 0]
+    if negative:
+        raise DomainError("flags must be >= 0, got %s" % ", ".join(negative))
     axes = check_axes(check_id)
     out, used = {}, set()
     for name, axis in axes.items():
@@ -1043,8 +1068,8 @@ def params_from_flags(check_id, a=None, b=None, n_param=None, dmax=None):
     unused = ["--" + flag for flag in given if flag not in used]
     if unused:
         takes = ["%s (%s)" % (" with ".join("--" + f for f in axis.flags), name) for name, axis in axes.items()]
-        raise ValueError("check %r does not use %s as given; it takes %s"
-                         % (check_id, ", ".join(unused), ", ".join(takes)))
+        raise DomainError("check %r does not use %s as given; it takes %s"
+                          % (check_id, ", ".join(unused), ", ".join(takes)))
     return out
 
 
@@ -1070,7 +1095,7 @@ def run_check(check_id, params=None, seed=DEFAULT_SEED):
     if params:
         for k, v in params.items():
             if k not in defaults:
-                raise ValueError("check %r has no parameter %r" % (check_id, k))
+                raise DomainError("check %r has no parameter %r" % (check_id, k))
             merged[k] = v
     reason = _envelope_violation(check_id, merged)
     start = time.perf_counter()

@@ -1,0 +1,64 @@
+"""The degree slices that ``cyclotomic`` built before it built them
+incrementally, kept as a test oracle.
+
+The bodies are the earlier ``_slice_generator_rows``, ``ideal_degree_slice``
+and ``first_column_degree_slice``, unchanged: every product
+eps_lambda g eps_mu is formed as a skew polynomial and expanded back into
+eps-words.
+"""
+
+from oddnil import combinat, oddsym
+from oddnil.cyclotomic import DegreeLattice, grassmann_power_column
+from oddnil.zlinalg import row
+
+
+def _slice_generator_rows(a, degree, ideal_gens):
+    """Rows for span{eps_lambda g eps_mu} in the given Z-degree.
+
+    ideal_gens: list of (polynomial, Z-degree) pairs.
+    """
+    halfdeg = degree // 2
+    ambient = combinat.partitions_of(halfdeg, maxpart=a)
+    index = {lam: i for i, lam in enumerate(ambient)}
+    rows = []
+    for g, gdeg in ideal_gens:
+        rest = halfdeg - gdeg // 2
+        if rest < 0:
+            continue
+        for s1 in range(rest + 1):
+            for lam in combinat.partitions_of(s1, maxpart=a):
+                left = oddsym.elementary_word_value(lam, a)
+                for mu in combinat.partitions_of(rest - s1, maxpart=a):
+                    right = oddsym.elementary_word_value(mu, a)
+                    prod = left * g * right
+                    if prod.is_zero():
+                        continue
+                    rows.append(row(oddsym.expand_in_elementary(prod), index))
+    return ambient, rows
+
+
+def ideal_degree_slice(a, n_param, degree):
+    """Degree slice of <h_m : m > N-a> expressed in the eps-word basis."""
+    if degree % 2 or degree < 0:
+        raise ValueError("Z-degree must be even and nonnegative")
+    if a == 0:
+        return DegreeLattice(degree, [()] if degree == 0 else [], [])
+    gens = []
+    for m in range(n_param - a + 1, degree // 2 + 1):
+        if m >= 1:
+            gens.append((oddsym.complete(m, a), 2 * m))
+    ambient, rows = _slice_generator_rows(a, degree, gens)
+    return DegreeLattice(degree, ambient, rows)
+
+
+def first_column_degree_slice(a, n_param, degree):
+    """Degree slice of the ideal generated by the first column of
+    M^{N-a+1}; used to compare against the h-ideal."""
+    if degree % 2 or degree < 0:
+        raise ValueError("Z-degree must be even and nonnegative")
+    col = grassmann_power_column(a, n_param)
+    gens = []
+    for j, g in enumerate(col, start=1):
+        gens.append((g, 2 * (n_param - a + j)))
+    ambient, rows = _slice_generator_rows(a, degree, gens)
+    return DegreeLattice(degree, ambient, rows)

@@ -249,3 +249,49 @@ def test_compute_schubert_zero_vars_takes_the_permutation_size(capsys):
     code, out, _ = run_cli(capsys, "compute", "schubert", "--perm", "2 1", "--vars", "0")
     assert code == 0
     assert out.strip() == "x1"
+
+
+def test_uncertified_oh_rank_names_the_dmax_to_raise(capsys):
+    code, out, err = run_cli(capsys, "compute", "oh-rank", "--a", "3", "--N", "5", "--dmax", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at least 14" in err
+
+
+def test_odd_oh_rank_dmax_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compute", "oh-rank", "--a", "3", "--N", "5", "--dmax", "13")
+    assert code == 2
+    assert out == ""
+    assert "odd" in err and "14" in err
+    code, out, _ = run_cli(capsys, "compute", "oh-rank", "--a", "3", "--N", "5", "--dmax", "14")
+    assert code == 0 and out.strip().startswith("q^12")
+
+
+def test_internal_error_exits_one_not_as_usage_error(capsys, monkeypatch):
+    from oddnil import cyclotomic
+
+    def broken(*args):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(cyclotomic, "quotient_graded_rank", broken)
+    code, out, err = run_cli(capsys, "compute", "oh-rank", "--a", "2", "--N", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ValueError: broken on purpose (test_cli.py:")
+    assert err.endswith(" in broken)\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "center", "--a", "-1"],
+    ["verify", "oval", "--a", "-1", "--b", "1"],
+    ["verify", "nil_orth", "--a", "0"],
+    ["verify", "sentinel_x1sq_central", "--a", "1"],
+    ["compute", "grassmann-matrix", "--a", "0"],
+    ["compute", "product", "--left", "x1^x", "--right", "x1", "--vars", "2"],
+])
+def test_inputs_outside_the_domain_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -232,6 +232,11 @@ def test_incomplete_certification_error():
         CY.quotient_graded_rank(2, 4, d_max=2)
     # the default d_max certifies cleanly
     assert CY.quotient_graded_rank(2, 4).at_one() == 6
+    # an odd d_max would never read a boundary slice, so it is refused
+    with pytest.raises(C.DomainError, match="odd"):
+        CY.quotient_graded_rank(3, 5, d_max=13)
+    with pytest.raises(CY.IncompleteCertificationError, match="at least 14"):
+        CY.quotient_graded_rank(3, 5, d_max=12)
 
 
 @pytest.mark.parametrize("a,n_param", [(1, 3), (2, 3), (2, 4), (3, 4)])

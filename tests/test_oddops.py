@@ -327,8 +327,8 @@ def test_clear_caches_empties_every_lru_cache():
         if hasattr(obj, "cache_info")
     }
     filled = {name for name, c in caches.items() if c.cache_info().currsize}
-    assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.evenoracle.even_elementary",
-            "oddnil.onh.schubert_basis_list"} <= filled
+    assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.oddsym.eps_multiplication",
+            "oddnil.evenoracle.even_elementary", "oddnil.onh.schubert_basis_list"} <= filled
     O.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     assert not O._dd_cache and not O._ddnj_cache

@@ -122,3 +122,23 @@ def test_jacobi_trudi_failure_needs_degree_four():
     with pytest.raises(ValueError, match="a >= 4"):
         V.run_check("jacobi_trudi_failure", {"a": 3})
     assert V.run_check("jacobi_trudi_failure", {"a": 4}).status == "pass"
+
+
+def test_splitter_triangle_carries_its_sign_at_total_five():
+    from math import comb
+
+    from oddnil import onh
+
+    assert V.run_check("splitter_assoc", {"total_max": 5}).status == "pass"
+    # at (2, 1, 2) the unsigned triangle fails: the sides differ by -1
+    a, b, c = 2, 1, 2
+    n = a + b + c
+    tcross = onh.OnhElement.from_word(
+        n, onh.shift_word(onh.e_word(a), 0) + onh.shift_word(onh.e_word(c), a) + onh.crossing_word_letters(c, a)
+    )
+    lhs = onh.embed(onh.idempotent_e(b + c), a, n) * tcross * onh.embed(onh.up_splitter(a, b), c, n)
+    rhs = onh.up_splitter(a, b + c) * onh.idempotent_e(n)
+    assert (-1) ** (comb(a, 2) * comb(c, 2)) == -1
+    assert lhs == rhs.scale(-1) and lhs != rhs
+    # the crossing equals the signed (a, c) splitter, the step the sign comes from
+    assert tcross == onh.embed(onh.up_splitter(a, c), 0, n).scale(-1)
