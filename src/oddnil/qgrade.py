@@ -7,6 +7,8 @@ quotient [n]!/([k]![n-k]!).  Coefficients are arbitrary-precision ints and
 exponents are stored sparsely; nothing is ever truncated.
 """
 
+import re
+
 from .lincomb import add_scaled, collect, convolve, format_terms, scaled
 
 
@@ -143,18 +145,11 @@ def _q_power_name(e):
     return "q" if e == 1 else "q^%d" % e
 
 
-_QTERM = None
+_QTERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(q)(?:\^(-?\d+))?|(\d+))\s*")
 
 
 def parse_qlaurent(text):
     """Inverse of format_qlaurent (also accepts arbitrary term order)."""
-    global _QTERM
-    if _QTERM is None:
-        import re
-
-        _QTERM = re.compile(
-            r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(q)(?:\^(-?\d+))?|(\d+))\s*"
-        )
     s = text.strip()
     if s == "0":
         return QLaurent.zero()

@@ -14,12 +14,12 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from . import combinat, cyclotomic, evenoracle, oddops, oddsym, onh, qgrade, zlinalg
 from .combinat import DomainError
-from .skewpoly import SkewPolynomial, apply_w0, reverse_staircase, staircase
+from .skewpoly import SkewPolynomial, apply_w0, psi_staircase, reverse_staircase, staircase
 
 DEFAULT_SEED = 24680
 
@@ -88,6 +88,73 @@ def _monomials_up_to(a, maxhalf):
 
 
 # ---------------------------------------------------------------------------
+# the Morita contracts on the Schubert basis: sigmas and lambdas map one
+# index set to elements, basis[i] is a Schubert polynomial, unit[i] is the
+# unit's value on it, and label(indices..., i) names an instance
+
+
+def _seq_family(a):
+    """sigma_l and lambda_l for l in Sq(a), and the Schubert basis they act on."""
+    sq = combinat.enumerate_sq(a)
+    return {l: onh.sigma_seq(l) for l in sq}, {l: onh.lambda_seq(l) for l in sq}, onh.schubert_basis_list(a)
+
+
+def _part_family(a, b):
+    """sigma_alpha and lambda_alpha for alpha in the a x b box, and the
+    Schubert basis they act on."""
+    parts = combinat.partitions_in_box(a, b)
+    sig = {al: onh.sigma_part(al, a, b) for al in parts}
+    return sig, {al: onh.lambda_part(al, a, b) for al in parts}, onh.schubert_basis_list(a + b)
+
+
+def _orthogonality(sw, label, sigmas, lambdas, basis, unit):
+    """lambda_k sigma_j = delta_jk unit; each sigma_j is evaluated once per
+    basis polynomial."""
+    zero = SkewPolynomial.zero(basis[0].nvars)
+    for j, sigma in sigmas.items():
+        svals = [sigma.evaluate(p) for p in basis]
+        for k, lam in lambdas.items():
+            for i, v in enumerate(svals):
+                sw.check(label(j, k, i), unit[i] if j == k else zero, lam.evaluate(v))
+
+
+def _matrix_units(sw, label, sigmas, lambdas, pairs, basis):
+    """e_jk e_mn = delta_km e_jn for every two (j, k), (m, n) in pairs, with
+    e_jk = sigma_j lambda_k; pairs must hold (j, n) whenever they hold
+    (j, k) and (k, n).  Returns each e_jk's values on the basis."""
+    zero = SkewPolynomial.zero(basis[0].nvars)
+    lvals = {k: [lambdas[k].evaluate(p) for p in basis] for k in dict.fromkeys(k for _, k in pairs)}
+    e = {(j, k): [sigmas[j].evaluate(v) for v in lvals[k]] for j, k in pairs}
+    for j, k in pairs:
+        for (m, n), vals in e.items():
+            for i, v in enumerate(vals):
+                want = e[j, n][i] if k == m else zero
+                sw.check(label(j, k, m, n, i), want, sigmas[j].evaluate(lambdas[k].evaluate(v)))
+    return e
+
+
+def _decomposition(sw, label, sum_label, sigmas, lambdas, basis, unit):
+    """The e_kk = sigma_k lambda_k are orthogonal idempotents (the
+    matrix-unit sweep on the diagonal, named label(j, m, i) for e_jj e_mm)
+    and sum_k e_kk = unit."""
+    diagonal = [(k, k) for k in sigmas]
+    e = _matrix_units(sw, lambda j, _, m, __, i: label(j, m, i), sigmas, lambdas, diagonal, basis)
+    zero = SkewPolynomial.zero(basis[0].nvars)
+    for i, want in enumerate(unit):
+        sw.check(sum_label(i), want, sum((e[k, k][i] for k in sigmas), zero))
+
+
+def _witness(sw, label, want, got):
+    """One sentinel instance, failed by the first Schubert polynomial on
+    which the elements want and got differ."""
+    for i, p in enumerate(onh.schubert_basis_list(want.strands)):
+        vw, vg = want.evaluate(p), got.evaluate(p)
+        if vw != vg:
+            return sw.check(label + (i,), vw, vg)
+    sw.require(label, True)
+
+
+# ---------------------------------------------------------------------------
 # checks
 
 
@@ -153,19 +220,21 @@ def check_e_h_relation(params, rng):
 def check_eps_relations(params, rng):
     sw = _Sweep()
 
-    def fam(f, name, a):
+    def fam(f, g, name, a):
+        """The even- and odd-sum relations between the families f and g,
+        and f's doubling relation when g is f."""
         for m in range(1, params["m_max"] + 1):
             for i in range(1, 2 * m):
                 j = 2 * m - i
                 if 1 <= i <= a and 1 <= j <= a:
-                    sw.check((name + " even-sum", a, i, j), f(i, a) * f(j, a), f(j, a) * f(i, a))
+                    sw.check((name + " even-sum", a, i, j), f(i, a) * g(j, a), g(j, a) * f(i, a))
             for i in range(0, 2 * m + 1):
                 j = 2 * m + 1 - i
                 if 1 <= i <= a - 1 and 1 <= 2 * m - i <= a - 1:
-                    lhs = f(i, a) * f(j, a) + (f(j, a) * f(i, a)).scale((-1) ** i)
-                    rhs = (f(i + 1, a) * f(2 * m - i, a)).scale((-1) ** i) + f(2 * m - i, a) * f(i + 1, a)
+                    lhs = f(i, a) * g(j, a) + (g(j, a) * f(i, a)).scale((-1) ** i)
+                    rhs = (f(i + 1, a) * g(2 * m - i, a)).scale((-1) ** i) + g(2 * m - i, a) * f(i + 1, a)
                     sw.check((name + " odd-sum", a, i, j), lhs, rhs)
-            if 1 < 2 * m <= a - 1:
+            if f is g and 1 < 2 * m <= a - 1:
                 sw.check(
                     (name + " doubling", a, m),
                     f(2 * m + 1, a).scale(2),
@@ -173,28 +242,9 @@ def check_eps_relations(params, rng):
                 )
 
     for a in range(2, params["a_max"] + 1):
-        fam(oddsym.elementary, "eps", a)
-        fam(oddsym.complete, "h", a)
-        # mixed relations
-        for m in range(1, params["m_max"] + 1):
-            for i in range(1, 2 * m):
-                j = 2 * m - i
-                if 1 <= i <= a and 1 <= j <= a:
-                    sw.check(
-                        ("mixed even-sum", a, i, j),
-                        oddsym.elementary(i, a) * oddsym.complete(j, a),
-                        oddsym.complete(j, a) * oddsym.elementary(i, a),
-                    )
-            for i in range(0, 2 * m + 1):
-                j = 2 * m + 1 - i
-                if 1 <= i <= a - 1 and 1 <= 2 * m - i <= a - 1:
-                    lhs = oddsym.elementary(i, a) * oddsym.complete(j, a) + (
-                        oddsym.complete(j, a) * oddsym.elementary(i, a)
-                    ).scale((-1) ** i)
-                    rhs = (oddsym.elementary(i + 1, a) * oddsym.complete(2 * m - i, a)).scale(
-                        (-1) ** i
-                    ) + oddsym.complete(2 * m - i, a) * oddsym.elementary(i + 1, a)
-                    sw.check(("mixed odd-sum", a, i, j), lhs, rhs)
+        fam(oddsym.elementary, oddsym.elementary, "eps", a)
+        fam(oddsym.complete, oddsym.complete, "h", a)
+        fam(oddsym.elementary, oddsym.complete, "mixed", a)
         # variable reduction
         for k in range(0, a + 1):
             lhs = oddsym.elementary_in_fewer_vars(k, a)
@@ -268,8 +318,6 @@ def check_da_values(params, rng):
             SkewPolynomial.constant(a, (-1) ** comb(a, 3)),
             oddops.longest_dd(a, staircase(a)),
         )
-        from .skewpoly import psi_staircase
-
         sw.check(
             ("D_a(psi staircase)", a),
             SkewPolynomial.constant(a, (-1) ** comb(a + 1, 4)),
@@ -459,21 +507,12 @@ def check_oval(params, rng):
     sw = _Sweep()
     pairs = params["pairs"]
     for (a, b) in pairs:
-        n = a + b
-        en = onh.idempotent_e(n)
-        basis = onh.schubert_basis_list(n)
-        envals = [en.evaluate(p) for p in basis]
-        parts = combinat.partitions_in_box(a, b)
-        sig = {al: onh.sigma_part(al, a, b) for al in parts}
-        lam = {al: onh.lambda_part(al, a, b) for al in parts}
-        for alpha in parts:
-            sw.check(("deg sigma_alpha", a, b, alpha), [2 * sum(alpha) - 2 * a * b], sig[alpha].degrees())
-            svals = [sig[alpha].evaluate(p) for p in basis]
-            for beta in parts:
-                for i, s in enumerate(svals):
-                    v = lam[beta].evaluate(s)
-                    want = envals[i] if alpha == beta else SkewPolynomial.zero(n)
-                    sw.check(("lambda_beta sigma_alpha", a, b, alpha, beta, i), want, v)
+        en = onh.idempotent_e(a + b)
+        sig, lam, basis = _part_family(a, b)
+        for alpha, s in sig.items():
+            sw.check(("deg sigma_alpha", a, b, alpha), [2 * sum(alpha) - 2 * a * b], s.degrees())
+        _orthogonality(sw, lambda al, be, i: ("lambda_beta sigma_alpha", a, b, al, be, i),
+                       sig, lam, basis, [en.evaluate(p) for p in basis])
     return sw
 
 
@@ -574,43 +613,20 @@ def check_nil_orth(params, rng):
     sw = _Sweep()
     for a in params["a_list"]:
         ea = onh.idempotent_e(a)
-        basis = onh.schubert_basis_list(a)
-        eavals = [ea.evaluate(p) for p in basis]
-        sq = combinat.enumerate_sq(a)
-        sig = {l: onh.sigma_seq(l) for l in sq}
-        lam = {l: onh.lambda_seq(l) for l in sq}
-        svals = {l: [sig[l].evaluate(p) for p in basis] for l in sq}
-        for lp in sq:
-            for l in sq:
-                for i, s in enumerate(svals[l]):
-                    v = lam[lp].evaluate(s)
-                    want = eavals[i] if lp == l else SkewPolynomial.zero(a)
-                    sw.check(("lambda sigma", a, lp, l, i), want, v)
+        sig, lam, basis = _seq_family(a)
+        _orthogonality(sw, lambda l, lp, i: ("lambda sigma", a, lp, l, i),
+                       sig, lam, basis, [ea.evaluate(p) for p in basis])
     return sw
 
 
 def check_identity_decomposition(params, rng):
-    import math
-
     sw = _Sweep()
     for a in params["a_list"]:
-        basis = onh.schubert_basis_list(a)
-        sq = combinat.enumerate_sq(a)
-        sw.note(("idempotents at a=%d" % a), math.factorial(a), len(sq))
-        sig = {l: onh.sigma_seq(l) for l in sq}
-        lam = {l: onh.lambda_seq(l) for l in sq}
-        evals = {l: [sig[l].evaluate(lam[l].evaluate(p)) for p in basis] for l in sq}
-        for i, p in enumerate(basis):
-            tot = SkewPolynomial.zero(a)
-            for l in sq:
-                tot = tot + evals[l][i]
-            sw.check(("sum e_l = 1", a, i), p, tot)
-        for l in sq:
-            for lp in sq:
-                for i, p in enumerate(basis):
-                    v = sig[l].evaluate(lam[l].evaluate(evals[lp][i]))
-                    want = evals[l][i] if l == lp else SkewPolynomial.zero(a)
-                    sw.check(("e_l e_l'", a, l, lp, i), want, v)
+        sig, lam, basis = _seq_family(a)
+        sw.note(("idempotents at a=%d" % a), factorial(a), len(sig))
+        # the unit is the identity: its values are the basis itself
+        _decomposition(sw, lambda l, lp, i: ("e_l e_l'", a, l, lp, i),
+                       lambda i: ("sum e_l = 1", a, i), sig, lam, basis, basis)
     return sw
 
 
@@ -618,25 +634,13 @@ def check_eaeb_decomposition(params, rng):
     sw = _Sweep()
     for (a, b) in params["pairs"]:
         n = a + b
-        basis = onh.schubert_basis_list(n)
-        parts = combinat.partitions_in_box(a, b)
-        sw.note(("idempotents at (a,b)=(%d,%d)" % (a, b)), comb(n, a), len(parts))
-        sig = {al: onh.sigma_part(al, a, b) for al in parts}
-        lam = {al: onh.lambda_part(al, a, b) for al in parts}
+        sig, lam, basis = _part_family(a, b)
+        sw.note(("idempotents at (a,b)=(%d,%d)" % (a, b)), comb(n, a), len(sig))
         eab = onh.e_embedded(a, 0, n) * onh.e_embedded(b, a, n)
-        evals = {al: [sig[al].evaluate(lam[al].evaluate(p)) for p in basis] for al in parts}
-        for i, p in enumerate(basis):
-            tot = SkewPolynomial.zero(n)
-            for al in parts:
-                tot = tot + evals[al][i]
-            sw.check(("sum e_alpha = e_a x e_b", a, b, i), eab.evaluate(p), tot)
-        for al in parts:
-            for be in parts:
-                for i, p in enumerate(basis):
-                    v = sig[be].evaluate(lam[be].evaluate(evals[al][i]))
-                    want = evals[be][i] if al == be else SkewPolynomial.zero(n)
-                    sw.check(("e_beta e_alpha", a, b, al, be, i), want, v)
-        ms = sorted(2 * sum(al) - a * b for al in parts)
+        _decomposition(sw, lambda be, al, i: ("e_beta e_alpha", a, b, al, be, i),
+                       lambda i: ("sum e_alpha = e_a x e_b", a, b, i),
+                       sig, lam, basis, [eab.evaluate(p) for p in basis])
+        ms = sorted(2 * sum(al) - a * b for al in sig)
         sw.check(
             ("degree multiset", a, b),
             qgrade.q_binomial(a + b, a).exponent_multiset(),
@@ -741,26 +745,9 @@ def check_schubert_basis(params, rng):
 def check_matrix_iso(params, rng):
     sw = _Sweep()
     for a in params["a_list"]:
-        sq = combinat.enumerate_sq(a)
-        basis = onh.schubert_basis_list(a)
-        sig = {l: onh.sigma_seq(l) for l in sq}
-        lam = {l: onh.lambda_seq(l) for l in sq}
-        lam_vals = {l: [lam[l].evaluate(p) for p in basis] for l in sq}
-        e_vals = {
-            (l1, l2): [sig[l1].evaluate(v) for v in lam_vals[l2]] for l1 in sq for l2 in sq
-        }
-        for l1 in sq:
-            for l2 in sq:
-                for m1 in sq:
-                    for m2 in sq:
-                        for i in range(len(basis)):
-                            v = sig[l1].evaluate(lam[l2].evaluate(e_vals[(m1, m2)][i]))
-                            want = (
-                                e_vals[(l1, m2)][i]
-                                if l2 == m1
-                                else SkewPolynomial.zero(a)
-                            )
-                            sw.check(("matrix units", a, l1, l2, m1, m2, i), want, v)
+        sig, lam, basis = _seq_family(a)
+        _matrix_units(sw, lambda *idx: ("matrix units", a) + idx,
+                      sig, lam, list(itertools.product(sig, sig)), basis)
     return sw
 
 
@@ -886,17 +873,7 @@ def check_sentinel_mirror_ea_slide(params, rng):
         lhs = onh.e_embedded(a, 1, n) * chain
         rhs = chain * onh.e_embedded(a, 0, n)
         # this SHOULD differ; finding a witness makes the sentinel "fail"
-        basis = onh.schubert_basis_list(n)
-        for i, p in enumerate(basis):
-            vl, vr = lhs.evaluate(p), rhs.evaluate(p)
-            if vl != vr:
-                sw.instances += 1
-                sw.failures.append(
-                    _triple(("mirror slide witness", a, i), str(vr), str(vl))
-                )
-                break
-        else:
-            sw.instances += 1
+        _witness(sw, ("mirror slide witness", a), rhs, lhs)
     return sw
 
 
@@ -907,16 +884,7 @@ def check_sentinel_x1sq_central(params, rng):
         raise DomainError("sentinel_x1sq_central needs a >= 2: its witness crosses strands 1 and 2")
     F = onh.from_polynomial(SkewPolynomial.monomial(a, tuple([2] + [0] * (a - 1))))
     d1 = onh.cross(a, 1)
-    lhs, rhs = F * d1, d1 * F
-    basis = onh.schubert_basis_list(a)
-    for i, p in enumerate(basis):
-        vl, vr = lhs.evaluate(p), rhs.evaluate(p)
-        if vl != vr:
-            sw.instances += 1
-            sw.failures.append(_triple(("x_1^2 commutator witness", a, i), str(vl), str(vr)))
-            break
-    else:
-        sw.instances += 1
+    _witness(sw, ("x_1^2 commutator witness", a), F * d1, d1 * F)
     return sw
 
 

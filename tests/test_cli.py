@@ -1,8 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
+from oddnil import verify
 from oddnil.cli import COMPUTE_KINDS, main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +291,8 @@ def test_internal_error_exits_one_not_as_usage_error(capsys, monkeypatch):
     ["verify", "oval", "--a", "-1", "--b", "1"],
     ["verify", "nil_orth", "--a", "0"],
     ["verify", "sentinel_x1sq_central", "--a", "1"],
+    ["verify", "schur_box", "--a", "3", "--N", "2"],
+    ["verify", "mod2", "--a", "3", "--N", "2"],
     ["compute", "grassmann-matrix", "--a", "0"],
     ["compute", "product", "--left", "x1^x", "--right", "x1", "--vars", "2"],
 ])
@@ -295,3 +301,22 @@ def test_inputs_outside_the_domain_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_all_json_and_instance_counts_match_the_golden_files(capsys, monkeypatch):
+    # tests/data holds the output of `oddnil verify all --parallel 1 --json`
+    # and each check's instance count; a change that alters either on
+    # purpose regenerates both files and says why
+    runs = []
+    run_many = verify.run_many
+
+    def recording(*args, **kwargs):
+        runs.append(run_many(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(verify, "run_many", recording)
+    code, out, err = run_cli(capsys, "verify", "all", "--parallel", "1", "--json")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "verify_all.json").read_text()
+    counts = {r.check_id: r.instances for r in runs[0]}
+    assert counts == json.loads((DATA / "verify_instances.json").read_text())

@@ -42,7 +42,8 @@ def test_chain_of_a_principal_ideal_matches_triple_products(a, word):
     poly = S.elementary_word_value(word, a)
     n0 = sum(word)
     seeds = {n0: [S.expand_in_elementary(poly)]}
-    chain = CY._chain(lambda a, n_param, d, below: CY._slice(a, d, seeds.get(d // 2, []), below), a, None, 2 * n0 + 8)
+    # the slice function ignores N; any N >= a passes the chain's domain check
+    chain = CY._chain(lambda a, n_param, d, below: CY._slice(a, d, seeds.get(d // 2, []), below), a, a, 2 * n0 + 8)
     for sl in chain:
         ambient, rows = R._slice_generator_rows(a, sl.degree, [(poly, 2 * n0)])
         assert sl.hermite == CY.DegreeLattice(sl.degree, ambient, rows).hermite, (a, word, sl.degree)
@@ -53,7 +54,11 @@ def test_single_slices_are_the_chain_tops():
     assert CY.first_column_degree_slice(2, 4, 8).hermite == CY.column_ideal_slices(2, 4, 8)[-1].hermite
     assert CY.ideal_degree_slice(0, 3, 0).quotient_rank == 1
     assert CY.ideal_degree_slice(0, 3, 4).ambient_basis == []
-    assert CY.h_ideal_slices(3, 2, -2) == []
+    assert CY.h_ideal_slices(2, 3, -2) == []
+    with pytest.raises(C.DomainError, match="need 0 <= a <= N"):
+        CY.h_ideal_slices(3, 2, -2)
+    with pytest.raises(C.DomainError, match="need 0 <= a <= N"):
+        CY.column_ideal_slices(3, 2, 4)
     with pytest.raises(C.DomainError, match="odd"):
         CY.h_ideal_slices(2, 4, 5)
 

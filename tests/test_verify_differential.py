@@ -1,0 +1,80 @@
+"""The Schubert-basis checks of ``verify`` against their earlier bodies
+(``reference_verify``): the same status, instance count, notes and
+multiset of failure triples, on the real sigma/lambda families, with one
+lambda negated (so the family checks fail), and with the sentinels'
+crossing and projector made trivial (so the sentinels find no witness)."""
+
+import random
+from collections import Counter
+
+import pytest
+
+import reference_verify as R
+from oddnil import onh
+from oddnil import verify as V
+
+SMALL_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]
+
+CASES = [
+    ("nil_orth", {"a_list": [2, 3]}),
+    ("identity_decomposition", {"a_list": [2, 3]}),
+    ("matrix_iso", {"a_list": [2, 3]}),
+    ("oval", {"pairs": SMALL_PAIRS}),
+    ("eaeb_decomposition", {"pairs": SMALL_PAIRS}),
+    ("sentinel_mirror_ea_slide", {"a_max": 3}),
+    ("sentinel_x1sq_central", {"a": 2}),
+    ("sentinel_x1sq_central", {"a": 3}),
+]
+SENTINELS = {"sentinel_mirror_ea_slide", "sentinel_x1sq_central"}
+
+
+def _negate_at_zero(fn):
+    """fn with its value negated at the all-zero index: the sequence
+    (0, ..., 0) for lambda_seq, the empty partition for lambda_part."""
+
+    def negated(index, *rest):
+        out = fn(index, *rest)
+        return out if any(index) else out.scale(-1)
+
+    return negated
+
+
+def _negate_one_lambda(monkeypatch):
+    for name in ("lambda_seq", "lambda_part"):
+        monkeypatch.setattr(onh, name, _negate_at_zero(getattr(onh, name)))
+
+
+def _trivial_sentinel_parts(monkeypatch):
+    monkeypatch.setattr(onh, "cross", lambda strands, r: onh.OnhElement.identity(strands))
+    monkeypatch.setattr(onh, "e_embedded", lambda a, offset, n: onh.OnhElement.identity(n))
+
+
+VARIANTS = {"real": None, "one lambda negated": _negate_one_lambda, "trivial sentinels": _trivial_sentinel_parts}
+RUNS = [
+    (check_id, params, variant)
+    for variant in VARIANTS
+    for check_id, params in CASES
+    if variant != "trivial sentinels" or check_id in SENTINELS
+]
+
+
+def _outcome(fn, check_id, params):
+    sw = fn(dict(V.default_params(check_id), **params), random.Random(0))
+    return sw.passed, sw.instances, sw.notes, Counter(sw.failures)
+
+
+@pytest.mark.parametrize("check_id,params,variant", RUNS)
+def test_check_matches_its_earlier_body(monkeypatch, check_id, params, variant):
+    if VARIANTS[variant]:
+        VARIANTS[variant](monkeypatch)
+    fn = V.REGISTRY[check_id].fn
+    new = _outcome(fn, check_id, params)
+    old = _outcome(getattr(R, fn.__name__), check_id, params)
+    assert new == old
+    passed, instances = new[:2]
+    assert instances > 0
+    if check_id in SENTINELS:
+        # a sentinel passes exactly when it finds no witness
+        assert passed == (variant == "trivial sentinels")
+    else:
+        assert passed == (variant == "real")
