@@ -6,6 +6,17 @@ integer combination this way.  Every function here keeps the one invariant
 the three classes rely on: no key is ever stored with coefficient 0.
 """
 
+from operator import index
+
+
+def coefficient(c, key):
+    """c as an int, through operator.index; a non-integer is a ValueError,
+    never truncated."""
+    try:
+        return index(c)
+    except TypeError:
+        raise ValueError("coefficient %r of %r is not an integer" % (c, key)) from None
+
 
 def add_scaled(d, terms, c):
     """d += c * terms in place, for a nonzero int c; a key whose sum reaches

@@ -7,7 +7,17 @@ and 0 otherwise.  On pure powers,
     d_i(x_i^m)     = sum_{j=0}^{m-1} (-1)^j x_{i+1}^j x_i^{m-1-j}
     d_i(x_{i+1}^m) = sum_{j=0}^{m-1} (-1)^j x_i^j x_{i+1}^{m-1-j}
 
-and general monomials are handled by peeling variable blocks off the left.
+A monomial is x^A = L B R with L = x^{A_<i}, B = x_i^p x_{i+1}^q
+(p = A_i, q = A_{i+1}) and R = x^{A_>i+1}.  Since d_i kills every x_j with
+j != i, i+1 and s_i sends it to -x_j, the Leibniz rule gives d_i(L) = 0,
+s_i(L) = (-1)^{|A_<i|} L and d_i(R) = 0, so
+
+    d_i(x^A) = (-1)^{A_1 + ... + A_{i-1}} L d_i(B) R
+
+in closed form.  d_i(B) is d_1(x_1^p x_2^q) shifted to x_i, x_{i+1}, a
+cached table keyed by (p, q); its terms sit between L and R in normal
+order, so no factor needs reordering.
+
 A word of operator letters composes right-to-left: the leftmost letter acts
 last.  D_a is the fixed word [1, 2,1, 3,2,1, ..., a-1,...,1]; every sign
 downstream depends on this exact word, so it is a stored constant and is
@@ -19,7 +29,9 @@ image is shared by every later caller, so callers copy its terms and never
 mutate it.
 """
 
-from .lincomb import add_scaled
+from functools import lru_cache
+
+from .lincomb import add_scaled, collect
 from .skewpoly import (
     SkewPolynomial,
     _from_normal,
@@ -35,61 +47,32 @@ _dd_cache = {}
 _ddnj_cache = {}
 
 
-def _power_formula(nvars, lo, hi, m):
-    """sum_{j} (-1)^j x_lo^j x_hi^{m-1-j}, stored in normal order.
+@lru_cache(maxsize=None)
+def _dd_block(p, q):
+    """d_1(x_1^p x_2^q) as ((e_1, e_2), c) pairs in normal order, c != 0.
 
-    The written product x_lo^j x_hi^{m-1-j} needs the reordering sign
-    (-1)^{j (m-1-j)} when lo > hi.
+    It is d_1(x_1^p) x_2^q + (-1)^p x_2^p d_1(x_2^q).  The written product
+    x_2^j x_1^{p-1-j} of the first power formula needs the reordering sign
+    (-1)^{j (p-1-j)}, and x_2^p x_1^k in the second needs (-1)^{p k}.
     """
-    d = {}
-    for j in range(m):
-        e = [0] * nvars
-        e[lo - 1] = j
-        e[hi - 1] = m - 1 - j
-        sign_exp = j + j * (m - 1 - j) if lo > hi else j
-        d[tuple(e)] = -1 if sign_exp & 1 else 1
-    return _from_normal(nvars, d)
+    pairs = [((p - 1 - j, j + q), -1 if (j + j * (p - 1 - j)) & 1 else 1) for j in range(p)]
+    pairs += [((k, p + q - 1 - k), -1 if (p + k + p * k) & 1 else 1) for k in range(q)]
+    return tuple(collect(pairs).items())
 
 
 def _dd_mono(i, nvars, mono):
+    """d_i of the monomial x^mono (a tuple), memoized per (i, mono)."""
     key = (i, mono)
     hit = _dd_cache.get(key)
     if hit is not None:
         return hit
-    # first nonzero block
-    for j0 in range(nvars):
-        if mono[j0]:
-            break
+    head, tail = mono[: i - 1], mono[i + 1 :]
+    block = _dd_block(mono[i - 1], mono[i])
+    if sum(head) & 1:
+        terms = {head + e + tail: -c for e, c in block}
     else:
-        out = SkewPolynomial.zero(nvars)
-        _dd_cache[key] = out
-        return out
-    m = mono[j0]
-    rest = list(mono)
-    rest[j0] = 0
-    rest = tuple(rest)
-    var = j0 + 1
-    if var == i:
-        head = _power_formula(nvars, i + 1, i, m)
-    elif var == i + 1:
-        head = _power_formula(nvars, i, i + 1, m)
-    else:
-        head = None
-    if any(rest):
-        restpoly = SkewPolynomial.monomial(nvars, rest)
-        if head is not None:
-            out = head * restpoly
-        else:
-            out = SkewPolynomial.zero(nvars)
-        # s_i(x_var^m) = (-1)^m x_{s_i(var)}^m
-        svar = i + 1 if var == i else (i if var == i + 1 else var)
-        se = [0] * nvars
-        se[svar - 1] = m
-        shead = SkewPolynomial.monomial(nvars, se, 1 if m % 2 == 0 else -1)
-        out = out + shead * _dd_mono(i, nvars, rest)
-    else:
-        out = head if head is not None else SkewPolynomial.zero(nvars)
-    _dd_cache[key] = out
+        terms = {head + e + tail: c for e, c in block}
+    out = _dd_cache[key] = _from_normal(nvars, terms)
     return out
 
 
@@ -207,11 +190,11 @@ def clear_caches():
     """Empty the d_i memos here and every lru_cache in the library, so that
     the next computation starts cold."""
     # imported here: oddsym and onh import this module
-    from . import evenoracle, oddsym, onh
+    from . import evenoracle, oddops, oddsym, onh
 
     _dd_cache.clear()
     _ddnj_cache.clear()
-    for mod in (combinat, evenoracle, oddsym, onh):
+    for mod in (combinat, evenoracle, oddops, oddsym, onh):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 
 from . import combinat, oddops, oddsym
-from .lincomb import add_scaled, collect, convolve, format_terms, scaled
+from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
 from .skewpoly import SkewPolynomial, _from_normal, left_dot
 
 
@@ -107,10 +107,11 @@ class OnhElement:
         d = {}
         if combo:
             for word, c in combo.items():
+                c = coefficient(c, word)
                 if c:
                     word = tuple(word)
                     check_word(word, strands)
-                    d[word] = int(c)
+                    d[word] = c
         self.combo = d
 
     @classmethod

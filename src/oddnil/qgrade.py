@@ -9,7 +9,7 @@ exponents are stored sparsely; nothing is ever truncated.
 
 import re
 
-from .lincomb import add_scaled, collect, convolve, format_terms, scaled
+from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
 
 
 class QLaurent:
@@ -25,8 +25,9 @@ class QLaurent:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
+                c = coefficient(c, e)
                 if c:
-                    d[int(e)] = int(c)
+                    d[int(e)] = c
         self.coeffs = d
 
     @classmethod

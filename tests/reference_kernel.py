@@ -8,9 +8,11 @@ fresh polynomial through ``SkewPolynomial.__add__`` and ``scale``.  The
 per-class add and multiply loops of ``SkewPolynomial``, ``QLaurent`` and
 ``OnhElement``, the collision-handling ``apply_simple_transposition`` and
 the rebuild-per-step ``expand_in_elementary`` that ``lincomb`` replaced
-are kept the same way.  The
-memoized images of a single monomial (``oddops._dd_mono`` and
-``oddops._ddnj_mono``) are shared with the library, not copied.
+are kept the same way.  ``_dd_mono`` is the recursive d_i on a monomial
+that the closed form in ``oddops`` replaced: it peels the first variable
+block off the left and forms two skew products per step, with its own memo
+``_dd_cache``, so a wrong closed form cannot hide behind a shared image.  The memoized d_{i,j} images
+(``oddops._ddnj_mono``) are still shared with the library.
 """
 
 from oddnil import combinat, oddops
@@ -47,13 +49,75 @@ def mul(self, other):
     return out
 
 
+_dd_cache = {}
+
+
+def _power_formula(nvars, lo, hi, m):
+    """sum_{j} (-1)^j x_lo^j x_hi^{m-1-j}, stored in normal order.
+
+    The written product x_lo^j x_hi^{m-1-j} needs the reordering sign
+    (-1)^{j (m-1-j)} when lo > hi.
+    """
+    d = {}
+    for j in range(m):
+        e = [0] * nvars
+        e[lo - 1] = j
+        e[hi - 1] = m - 1 - j
+        sign_exp = j + j * (m - 1 - j) if lo > hi else j
+        d[tuple(e)] = -1 if sign_exp & 1 else 1
+    return _from_normal(nvars, d)
+
+
+def _dd_mono(i, nvars, mono):
+    """oddops._dd_mono: peel the first nonzero block, recurse on the rest."""
+    key = (i, mono)
+    hit = _dd_cache.get(key)
+    if hit is not None:
+        return hit
+    # first nonzero block
+    for j0 in range(nvars):
+        if mono[j0]:
+            break
+    else:
+        out = SkewPolynomial.zero(nvars)
+        _dd_cache[key] = out
+        return out
+    m = mono[j0]
+    rest = list(mono)
+    rest[j0] = 0
+    rest = tuple(rest)
+    var = j0 + 1
+    if var == i:
+        head = _power_formula(nvars, i + 1, i, m)
+    elif var == i + 1:
+        head = _power_formula(nvars, i, i + 1, m)
+    else:
+        head = None
+    if any(rest):
+        restpoly = SkewPolynomial.monomial(nvars, rest)
+        if head is not None:
+            out = mul(head, restpoly)
+        else:
+            out = SkewPolynomial.zero(nvars)
+        # s_i(x_var^m) = (-1)^m x_{s_i(var)}^m
+        svar = i + 1 if var == i else (i if var == i + 1 else var)
+        se = [0] * nvars
+        se[svar - 1] = m
+        shead = SkewPolynomial.monomial(nvars, se, 1 if m % 2 == 0 else -1)
+        out = out + mul(shead, _dd_mono(i, nvars, rest))
+    else:
+        out = head if head is not None else SkewPolynomial.zero(nvars)
+    _dd_cache[key] = out
+    return out
+
+
 def divided_difference(i, p):
     """The odd divided difference d_i applied to p."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
     out = SkewPolynomial.zero(p.nvars)
     for mono, c in p.terms.items():
-        out = out + oddops._dd_mono(i, p.nvars, mono).scale(c)
+        out = out + _dd_mono(i, p.nvars, mono).scale(c)
     return out
 
 

@@ -1,9 +1,14 @@
 """Differential tests: the fast skew-polynomial kernel against the
 straightforward implementation it replaced (tests/reference_kernel.py).
+The closed-form d_i on a monomial is compared with the recursive
+reference, which keeps its own memo, on every small monomial and on
+hypothesis polynomials, cold and on memo hits.
 
 Terms dicts are compared exactly, so a stored zero coefficient or a
 wrong-length key fails as surely as a wrong sign.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +83,47 @@ def test_divided_difference_matches_reference(pair, data):
         assert normal(oddops.divided_difference(i, p)) == normal(ref.divided_difference(i, p))
     j = data.draw(st.integers(1, n).filter(lambda j: j != i))
     assert normal(oddops.dd_nonadjacent(i, j, f)) == normal(ref.dd_nonadjacent(i, j, f))
+
+
+@pytest.mark.parametrize("nvars", range(2, 7))
+def test_dd_on_every_small_monomial_matches_recursive_reference(nvars):
+    """Every monomial with exponents <= 6, every i.
+
+    The reference recursion reads the images of monomials with a zero
+    first exponent, so those stay in its memo while the rest of both memos
+    is dropped after each value of the first exponent.
+    """
+    small = range(7)
+    for i in range(1, nvars):
+        ref._dd_cache.clear()
+        for first in small:
+            for rest in itertools.product(small, repeat=nvars - 1):
+                mono = (first,) + rest
+                got = oddops._dd_mono(i, nvars, mono)
+                assert normal(got) == normal(ref._dd_mono(i, nvars, mono)), (i, mono)
+            oddops._dd_cache.clear()
+            if first == 0:
+                kept = dict(ref._dd_cache)
+            else:
+                ref._dd_cache.clear()
+                ref._dd_cache.update(kept)
+    ref._dd_cache.clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(min_vars=2), st.data())
+def test_divided_difference_cold_and_on_memo_hits(pair, data):
+    f, g = pair
+    i = data.draw(st.integers(1, f.nvars - 1))
+    # with g = f + h, f - g cancels every shared term
+    polys = (f, g, f - g)
+    ref._dd_cache.clear()
+    want = [normal(ref.divided_difference(i, p)) for p in polys]
+    oddops.clear_caches()
+    assert [normal(oddops.divided_difference(i, p)) for p in polys] == want
+    assert all((i, m) in oddops._dd_cache for p in polys for m in p.terms)
+    # the second pass reads only memo hits, which the first left unchanged
+    assert [normal(oddops.divided_difference(i, p)) for p in polys] == want
 
 
 def test_zero_polynomial_through_every_kernel():

@@ -319,16 +319,19 @@ def test_clear_caches_empties_every_lru_cache():
 
     cyclotomic.schur_box_images(2, 3)
     onh.schubert_basis_list(3)
-    evenoracle.even_quotient_rank_gf2(2, 4, 2)
+    # degree 3 is above N - a = 1, so h_2 and h_3 (and the even e_k) are built
+    evenoracle.even_quotient_rank_gf2(2, 3, 3)
+    O.divided_difference(1, SkewPolynomial.monomial(3, (2, 1, 1)))
     caches = {
         "%s.%s" % (mod.__name__, name): obj
-        for mod in (C, evenoracle, S, onh)
+        for mod in (C, evenoracle, O, S, onh)
         for name, obj in vars(mod).items()
         if hasattr(obj, "cache_info")
     }
     filled = {name for name, c in caches.items() if c.cache_info().currsize}
     assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.oddsym.eps_multiplication",
-            "oddnil.evenoracle.even_elementary", "oddnil.onh.schubert_basis_list"} <= filled
+            "oddnil.evenoracle.even_elementary", "oddnil.onh.schubert_basis_list",
+            "oddnil.oddops._dd_block"} <= filled
     O.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     assert not O._dd_cache and not O._ddnj_cache

@@ -41,6 +41,15 @@ def test_element_checks_ranges():
         H.OnhElement.identity(2) * H.OnhElement.identity(3)
 
 
+def test_element_rejects_non_integer_coefficients():
+    for c in (2.7, 0.5, 1.0, "1"):
+        with pytest.raises(ValueError):
+            H.OnhElement(2, {(-1,): c})
+    el = H.OnhElement(2, {(-1,): True, (1, 2): 3, (2,): 0})
+    assert el.combo == {(-1,): 1, (1, 2): 3}
+    assert all(type(c) is int for c in el.combo.values())
+
+
 def test_defining_relations_as_elements():
     one = H.OnhElement.identity(2)
     x1, x2, d1 = H.dot(2, 1), H.dot(2, 2), H.cross(2, 1)

@@ -23,6 +23,15 @@ small_laurents = st.dictionaries(
 ).map(QLaurent)
 
 
+def test_qlaurent_rejects_non_integer_coefficients():
+    for c in (2.5, 0.5, 3.0, "1"):
+        with pytest.raises(ValueError):
+            QLaurent({1: c})
+    q = QLaurent({1: True, -2: 4, 3: 0})
+    assert q.coeffs == {1: 1, -2: 4}
+    assert all(type(c) is int for c in q.coeffs.values())
+
+
 def test_q_int_values():
     assert q_int(0) == QLaurent.zero()
     assert q_int(2) == QLaurent({1: 1, -1: 1})

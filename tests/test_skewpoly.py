@@ -69,6 +69,23 @@ def test_variable_count_mismatch():
         SkewPolynomial.one(2) * SkewPolynomial.one(3)
 
 
+def test_constructor_rejects_non_integer_coefficients_and_negative_exponents():
+    # int() would truncate: 0.4 to a stored zero, 1.5 to x1
+    for c in (0.4, 1.5, 2.0, 0.0, "1", None):
+        with pytest.raises(ValueError):
+            SkewPolynomial(2, {(1, 0): c})
+    for mono in ((-1, 0), (2, -3)):
+        with pytest.raises(ValueError):
+            SkewPolynomial(2, {mono: 1})
+    with pytest.raises(ValueError):
+        SkewPolynomial.monomial(3, (0, -1, 0))
+    # integer-like values (bool, index types) are kept as ints
+    p = SkewPolynomial(2, {(1, 0): True, (0, 1): -2, (2, 2): 0})
+    assert p.terms == {(1, 0): 1, (0, 1): -2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert SkewPolynomial(0, {(): 3}).terms == {(): 3}
+
+
 def test_transposition_generator_rules():
     # s_i(x_i) = -x_{i+1}, s_i(x_{i+1}) = -x_i, s_i(x_j) = -x_j
     a = 3
