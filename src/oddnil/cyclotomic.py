@@ -222,10 +222,12 @@ def default_dmax(a, n_param):
     sorted eps-word has a prefix in t+1..t+a.  For a <= 2 this default
     covers them; for a >= 3 it proves the quotient zero only up to d_max
     (at half-degree t+3, eps_3^r has no prefix in t+1..t+2), and a proof
-    for all degrees needs d_max = top + 2a.  The default stays top + 4
-    for now: top + 2a triples the cost of quotient_graded_rank(4, 6), from
-    0.04 to 0.12 s cold (2 cores, Python 3.11.7), and straightening
-    eps-words without skew products should pay for it first.
+    for all degrees needs d_max = top + 2a, which callers pass explicitly.
+    The default stays top + 4 because each extra slice needs its own
+    Hermite form: with top + 2a the warm pass of the benchmark's
+    quotient_lattice workload takes 0.024 s instead of 0.015 s (+65%, best
+    of three fresh interpreters, 2 cores, Python 3.11.7), while
+    quotient_graded_rank(4, 8) cold takes 0.14 s instead of 0.10 s.
     """
     return 2 * a * (n_param - a) + 4
 

@@ -18,6 +18,23 @@ def coefficient(c, key):
         raise ValueError("coefficient %r of %r is not an integer" % (c, key)) from None
 
 
+def exponent(e):
+    """e as an int, through operator.index; a non-integer is a ValueError."""
+    try:
+        return index(e)
+    except TypeError:
+        raise ValueError("exponent %r is not an integer" % (e,)) from None
+
+
+def exponents(mono):
+    """mono as a tuple of ints, through one operator.index map; a
+    non-integer entry is a ValueError."""
+    try:
+        return tuple(map(index, mono))
+    except TypeError:
+        raise ValueError("exponent vector %r has a non-integer entry" % (mono,)) from None
+
+
 def add_scaled(d, terms, c):
     """d += c * terms in place, for a nonzero int c; a key whose sum reaches
     zero is deleted.  Returns d."""

@@ -9,7 +9,7 @@ exponents are stored sparsely; nothing is ever truncated.
 
 import re
 
-from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
+from .lincomb import add_scaled, coefficient, collect, convolve, exponent, format_terms, scaled
 
 
 class QLaurent:
@@ -27,7 +27,7 @@ class QLaurent:
             for e, c in coeffs.items():
                 c = coefficient(c, e)
                 if c:
-                    d[int(e)] = c
+                    d[exponent(e)] = c
         self.coeffs = d
 
     @classmethod

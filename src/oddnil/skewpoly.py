@@ -29,7 +29,7 @@ x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 
 from operator import add
 
-from .lincomb import add_scaled, coefficient, collect, format_terms, scaled
+from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, scaled
 
 
 class SkewPolynomial:
@@ -42,11 +42,12 @@ class SkewPolynomial:
             for mono, c in terms.items():
                 c = coefficient(c, mono)
                 if c:
+                    mono = exponents(mono)
                     if len(mono) != nvars:
                         raise ValueError("monomial %r has wrong length" % (mono,))
                     if nvars and min(mono) < 0:
                         raise ValueError("monomial %r has a negative exponent" % (mono,))
-                    d[tuple(mono)] = c
+                    d[mono] = c
         self.terms = d
 
     # -- constructors ------------------------------------------------------

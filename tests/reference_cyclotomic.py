@@ -4,8 +4,12 @@ incrementally, kept as a test oracle.
 The bodies are the earlier ``_slice_generator_rows``, ``ideal_degree_slice``
 and ``first_column_degree_slice``, unchanged: every product
 eps_lambda g eps_mu is formed as a skew polynomial and expanded back into
-eps-words.
+eps-words.  ``eps_multiplication`` is the earlier body of
+``oddsym.eps_multiplication``, which formed one skew product per unsorted
+word before the tables were straightened with the eps relations.
 """
+
+from functools import lru_cache
 
 from oddnil import combinat, oddsym
 from oddnil.cyclotomic import DegreeLattice, grassmann_power_column
@@ -62,3 +66,20 @@ def first_column_degree_slice(a, n_param, degree):
         gens.append((g, 2 * (n_param - a + j)))
     ambient, rows = _slice_generator_rows(a, degree, gens)
     return DegreeLattice(degree, ambient, rows)
+
+
+@lru_cache(maxsize=None)
+def eps_multiplication(a, k, n, side):
+    """Multiplication by eps_k from half-degree n-k to n on the sorted
+    eps-words, each unsorted product formed as a polynomial and expanded."""
+    eps = oddsym.elementary(k, a)
+    out = {}
+    for lam in combinat.partitions_of(n - k, maxpart=a):
+        if side == "left" and (not lam or k >= lam[0]):
+            out[lam] = {(k,) + lam: 1}
+        elif side == "right" and (not lam or k <= lam[-1]):
+            out[lam] = {lam + (k,): 1}
+        else:
+            word = oddsym.elementary_word_value(lam, a)
+            out[lam] = oddsym.expand_in_elementary(eps * word if side == "left" else word * eps)
+    return out

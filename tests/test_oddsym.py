@@ -80,6 +80,28 @@ def test_eps_relation_families(a):
             assert eps(1, a) * eps(2 * m, a) + eps(2 * m, a) * eps(1, a) == eps(2 * m + 1, a).scale(2)
 
 
+def _straightening_instances(a):
+    """(i, j) of the odd-sum relation that eps-word straightening rewrites
+    with, eps_{i+1} eps_{j-1} unsorted (i + 1 < j - 1 <= a, i + j odd), that
+    check_eps_relations never reaches: i = 0, where the relation is the
+    doubling 2 eps_j = eps_1 eps_{j-1} + eps_{j-1} eps_1 (eps_0 = 1), and
+    j = a + 1, where eps_{a+1} = 0."""
+    return [(i, j) for j in range(3, a + 2) for i in range(0, j - 2) if (i + j) % 2 and (i == 0 or j == a + 1)]
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_odd_sum_relation_at_the_straightening_edges(a):
+    eps = S.elementary
+    assert eps(a + 1, a).is_zero()
+    instances = _straightening_instances(a)
+    if a >= 2:
+        assert (0, a + 1 if a % 2 == 0 else a) in instances
+    for i, j in instances:
+        lhs = eps(i, a) * eps(j, a) + (eps(j, a) * eps(i, a)).scale((-1) ** i)
+        rhs = (eps(i + 1, a) * eps(j - 1, a)).scale((-1) ** i) + eps(j - 1, a) * eps(i + 1, a)
+        assert lhs == rhs, (a, i, j)
+
+
 @pytest.mark.parametrize("a", range(2, 6))
 def test_h_and_mixed_relations(a):
     h, eps = S.complete, S.elementary

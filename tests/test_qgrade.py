@@ -32,6 +32,16 @@ def test_qlaurent_rejects_non_integer_coefficients():
     assert all(type(c) is int for c in q.coeffs.values())
 
 
+def test_qlaurent_rejects_non_integer_exponents():
+    # int() would truncate the exponent 1.5 to 1
+    for e in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="exponent"):
+            QLaurent({e: 1})
+    q = QLaurent({True: 2})
+    assert q.coeffs == {1: 2}
+    assert all(type(e) is int for e in q.coeffs)
+
+
 def test_q_int_values():
     assert q_int(0) == QLaurent.zero()
     assert q_int(2) == QLaurent({1: 1, -1: 1})

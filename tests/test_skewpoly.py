@@ -69,6 +69,16 @@ def test_variable_count_mismatch():
         SkewPolynomial.one(2) * SkewPolynomial.one(3)
 
 
+def test_constructor_rejects_non_integer_exponents():
+    # a float exponent would be stored, then fail inside d_i as a TypeError
+    for mono in ((1.5, 0), (1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="non-integer"):
+            SkewPolynomial(2, {mono: 1})
+    p = SkewPolynomial(2, {(True, 0): 1})
+    assert p.terms == {(1, 0): 1}
+    assert all(type(e) is int for mono in p.terms for e in mono)
+
+
 def test_constructor_rejects_non_integer_coefficients_and_negative_exponents():
     # int() would truncate: 0.4 to a stored zero, 1.5 to x1
     for c in (0.4, 1.5, 2.0, 0.0, "1", None):

@@ -11,6 +11,7 @@ import reference_cyclotomic as R
 from oddnil import combinat as C
 from oddnil import cyclotomic as CY
 from oddnil import oddsym as S
+from oddnil import skewpoly
 from oddnil.qgrade import QLaurent, q_cardinality_box
 from oddnil.skewpoly import SkewPolynomial
 
@@ -70,17 +71,58 @@ def _product(a, word):
     return out
 
 
-@pytest.mark.parametrize("a", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
 def test_eps_multiplication_matches_polynomial_products(a):
-    for n in range(1, 9):
+    # the straightened tables against the polynomial-product oracle
+    for n in range(1, 13):
         for k in range(1, min(a, n) + 1):
             words = C.partitions_of(n - k, maxpart=a)
-            left = S.eps_multiplication(a, k, n, "left")
-            right = S.eps_multiplication(a, k, n, "right")
-            assert list(left) == list(right) == words
-            for lam in words:
-                assert left[lam] == S.expand_in_elementary(_product(a, (k,) + lam)), (a, k, lam)
-                assert right[lam] == S.expand_in_elementary(_product(a, lam + (k,))), (a, k, lam)
+            for side in ("left", "right"):
+                table = S.eps_multiplication(a, k, n, side)
+                assert list(table) == words
+                assert table == R.eps_multiplication(a, k, n, side), (a, k, n, side)
+
+
+def test_eps_multiplication_matches_direct_products():
+    # the oracle itself against products formed letter by letter
+    a = 3
+    for n in range(1, 7):
+        for k in range(1, min(a, n) + 1):
+            for lam in C.partitions_of(n - k, maxpart=a):
+                assert R.eps_multiplication(a, k, n, "left")[lam] == S.expand_in_elementary(_product(a, (k,) + lam))
+                assert R.eps_multiplication(a, k, n, "right")[lam] == S.expand_in_elementary(_product(a, lam + (k,)))
+
+
+def test_eps_multiplication_is_associative_at_a_6():
+    # beyond the oracle's reach: (eps_k eps_lam) eps_m = eps_k (eps_lam eps_m)
+    a = 6
+    for n in range(2, 21):
+        for k in range(1, a + 1):
+            for m in range(1, min(a, n - k) + 1):
+                for lam in C.partitions_of(n - k - m, maxpart=a):
+                    left_first = S.multiply_by_eps(a, k, {lam: 1}, n - m, "left")
+                    right_first = S.multiply_by_eps(a, m, {lam: 1}, n - k, "right")
+                    assert S.multiply_by_eps(a, m, left_first, n, "right") == S.multiply_by_eps(
+                        a, k, right_first, n, "left"
+                    ), (k, lam, m)
+
+
+def test_eps_multiplication_forms_no_polynomial(monkeypatch):
+    S._left.cache_clear()
+    S._right.cache_clear()
+    S.eps_multiplication.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SkewPolynomial was formed")
+
+    # every SkewPolynomial is built by its constructor or by _from_normal
+    monkeypatch.setattr(SkewPolynomial, "__init__", refuse)
+    monkeypatch.setattr(skewpoly, "_from_normal", refuse)
+    for n in range(1, 11):
+        for k in range(1, min(4, n) + 1):
+            for side in ("left", "right"):
+                S.eps_multiplication(4, k, n, side)
+    S.eps_multiplication.cache_clear()
 
 
 def test_multiply_by_eps_is_linear():
@@ -112,6 +154,15 @@ def test_untruncated_series_identity_vanishes(a):
 def test_quotient_rank_reads_a_given_chain():
     chain = CY.h_ideal_slices(3, 5, CY.default_dmax(3, 5))
     assert CY.quotient_graded_rank(3, 5, CY.default_dmax(3, 5), chain) == CY.quotient_graded_rank(3, 5)
+
+
+@pytest.mark.parametrize("a,n_param", [(a, n) for a in range(1, 5) for n in range(a, 9)])
+def test_quotient_rank_proved_in_all_degrees(a, n_param):
+    # a zero half-degrees above the top prove the quotient zero beyond them
+    top = 2 * a * (n_param - a)
+    q = CY.quotient_graded_rank(a, n_param, d_max=top + 2 * a)
+    assert q.at_one() == comb(n_param, a)
+    assert q * QLaurent.q_power(-a * (n_param - a)) == q_cardinality_box(a, n_param - a)
 
 
 def test_quotient_rank_at_4_8_is_the_balanced_binomial():
