@@ -13,6 +13,17 @@ faithful and the action is right-linear over the odd symmetric subring,
 which is why the a! Schubert polynomials suffice).  No rewriting system
 is used anywhere.
 
+Evaluation walks a suffix tree of the words instead of applying each word
+on its own.  The action is linear, and for a word w = u v we have
+w(p) = u(v(p)); so a walk that applies each shared suffix v once, keeps
+v(p), and continues into every u above it sums the same integer terms c_w
+w(p) as the word-by-word loop, only in another order.  A branch is left
+once its polynomial is zero, since every longer word through it then
+gives zero too.  The tree is built on an element's first evaluation and
+kept; this relies on one rule: an element's ``combo`` is never mutated
+after construction (every operation returns a new element, which builds
+its own tree).
+
 Thick calculus conventions (all signs downstream depend on these):
 
 * e_a is the 0-Hecke product (x_r d_r) along the canonical reduced word
@@ -100,7 +111,7 @@ def parse_word(text):
 
 
 class OnhElement:
-    __slots__ = ("strands", "combo")
+    __slots__ = ("strands", "combo", "_tree")
 
     def __init__(self, strands, combo=None):
         self.strands = strands
@@ -165,11 +176,24 @@ class OnhElement:
         return _element(self.strands, convolve(self.combo, other.combo))
 
     def evaluate(self, p):
+        """Apply the element to p by a depth-first walk of its suffix tree:
+        each shared suffix acts once, and a branch stops where p dies."""
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
+        try:
+            tree = self._tree
+        except AttributeError:
+            tree = self._tree = _suffix_tree(self.combo)
         d = {}
-        for w, c in self.combo.items():
-            add_scaled(d, apply_word(w, p).terms, c)
+        stack = [(tree, p)]
+        while stack:
+            (c, edges), q = stack.pop()
+            if c:
+                add_scaled(d, q.terms, c)
+            for segment, child in edges:
+                r = apply_word(segment, q)
+                if r.terms:
+                    stack.append((child, r))
         return _from_normal(self.strands, d)
 
     def is_zero(self):
@@ -196,6 +220,37 @@ def _element(strands, combo):
     out.strands = strands
     out.combo = combo
     return out
+
+
+def _suffix_tree(combo):
+    """The words of combo as a compressed trie on their reversed letters.
+
+    A node is (c, edges): c is the coefficient of the word that ends there
+    (0 if none), and each edge is (segment, node) for a word segment that
+    acts after the suffix above it.  A chain of nodes where no word ends
+    and nothing branches is one edge.
+    """
+    trie = {}
+    for word, c in combo.items():
+        node = trie
+        for l in reversed(word):
+            node = node.setdefault(l, {})
+        node[0] = c  # letters are nonzero, so key 0 holds the coefficient
+    root = (trie.get(0, 0), [])
+    stack = [(trie, root[1])]
+    while stack:
+        node, edges = stack.pop()
+        for l, child in node.items():
+            if not l:
+                continue
+            letters = [l]
+            while len(child) == 1 and 0 not in child:
+                ((l, child),) = child.items()
+                letters.append(l)
+            sub = (child.get(0, 0), [])
+            edges.append((tuple(reversed(letters)), sub))
+            stack.append((child, sub[1]))
+    return root
 
 
 def dot(strands, r):

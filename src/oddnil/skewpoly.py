@@ -213,16 +213,6 @@ def left_dot(r, p):
     return _from_normal(p.nvars, d)
 
 
-def multiply_monomials(nvars, ma, mb):
-    """(sign, exponent sum) for x^ma * x^mb; the letter-free closed form."""
-    sign_exp = 0
-    suffix = 0
-    for j in range(nvars - 1, -1, -1):
-        sign_exp += mb[j] * suffix
-        suffix += ma[j]
-    return (1 if sign_exp % 2 == 0 else -1), tuple(ma[j] + mb[j] for j in range(nvars))
-
-
 # ---------------------------------------------------------------------------
 # the signed symmetric-group action
 

@@ -2,7 +2,9 @@
 straightforward implementation it replaced (tests/reference_kernel.py).
 The closed-form d_i on a monomial is compared with the recursive
 reference, which keeps its own memo, on every small monomial and on
-hypothesis polynomials, cold and on memo hits.
+hypothesis polynomials, cold and on memo hits.  OnhElement.evaluate,
+which walks a suffix tree of the words, is compared with the per-word
+reference on words that share suffixes and on the sigma/lambda families.
 
 Terms dicts are compared exactly, so a stored zero coefficient or a
 wrong-length key fails as surely as a wrong sign.
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernel as ref
 from oddnil import combinat, oddops, oddsym, onh
+from oddnil.lincomb import collect
 from oddnil.qgrade import QLaurent
 from oddnil.skewpoly import SkewPolynomial, apply_simple_transposition, left_dot
 
@@ -283,3 +286,128 @@ def test_element_arithmetic_matches_reference(pair, k):
     assert combo_of(f * g) == combo_of(ref.element_mul(f, g))
     assert combo_of(f * k) == combo_of(ref.element_mul(f, k))
     assert combo_of((f - g) * (f + g)) == combo_of(ref.element_mul(f - g, f + g))
+
+
+@st.composite
+def shared_suffix_elements(draw, n):
+    """An element whose words are drawn prefixes glued onto a few drawn
+    suffixes, so the suffix tree branches; d_r d_r = 0 in a prefix or a
+    suffix kills every polynomial partway along the word."""
+    letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
+    segment = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    if n > 1:
+        r = draw(st.integers(1, n - 1))
+        segment = st.one_of(segment, st.just((-r, -r)), segment.map(lambda w: w + (-r, -r)))
+    suffixes = draw(st.lists(segment, min_size=1, max_size=3))
+    pairs = draw(st.lists(st.tuples(segment, st.sampled_from(suffixes), coefficient), max_size=8))
+    return onh.OnhElement(n, collect((u + v, c) for u, v, c in pairs))
+
+
+@st.composite
+def evaluation_cases(draw):
+    n = draw(st.integers(1, 4))
+    el = draw(shared_suffix_elements(n))
+    other = draw(shared_suffix_elements(n))
+    el = draw(
+        st.sampled_from(
+            [
+                el,
+                el * other,
+                el + other,
+                # every word of el cancels against its copy in the difference
+                el - (el + other),
+                el + onh.OnhElement.identity(n).scale(draw(coefficient)),
+            ]
+        )
+    )
+    # small exponents keep the products' long words from blowing p up
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficient, max_size=4)
+    return el, SkewPolynomial(n, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluation_cases())
+def test_suffix_tree_evaluation_matches_per_word_reference(case):
+    el, p = case
+    want = normal(ref.evaluate(el, p))
+    assert normal(el.evaluate(p)) == want
+    # the second evaluation walks the tree built by the first
+    assert normal(el.evaluate(p)) == want
+
+
+def test_suffix_tree_edge_cases():
+    one = SkewPolynomial.one(2)
+    x1 = SkewPolynomial.variable(2, 1)
+    empty = onh.OnhElement.identity(2).scale(3)
+    assert normal(empty.evaluate(x1)) == (2, {(1, 0): 3})
+    assert normal(onh.OnhElement.zero(2).evaluate(x1)) == (2, {})
+    # d_1 dies on the constant 1 before x_1 x_2 acts; the empty word and
+    # x_1 survive, and the word ending inside the dead branch adds nothing
+    el = onh.OnhElement(2, {(): 1, (1,): -1, (2, 1, -1): 5, (-1,): 2})
+    for p in (one, x1, x1 * x1 + one):
+        assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+    # two words, one a suffix of the other: a node where a word ends
+    # inside an edge chain splits the chain there
+    assert onh._suffix_tree({(1, -1): 2, (2, 1, -1): 3}) == (0, [((1, -1), (2, [((2,), (3, []))]))])
+
+
+def _sigma_lambda_families():
+    for a in (1, 2, 3):
+        sq = combinat.enumerate_sq(a)
+        for l in sq:
+            yield onh.sigma_seq(l, a)
+            yield onh.lambda_seq(l, a)
+        yield onh.lambda_seq(sq[-1], a) * onh.sigma_seq(sq[0], a)
+    for n in (2, 3, 4):
+        for a in range(1, n):
+            b = n - a
+            for al in combinat.partitions_in_box(a, b):
+                sig, lam = onh.sigma_part(al, a, b), onh.lambda_part(al, a, b)
+                yield sig
+                yield lam
+                yield lam * sig
+
+
+def test_sigma_lambda_families_match_per_word_reference_on_schubert_basis():
+    for el in _sigma_lambda_families():
+        for p in onh.schubert_basis_list(el.strands):
+            assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p)), (el, p)
+
+
+def test_tree_walk_applies_each_shared_suffix_once(monkeypatch):
+    el = onh.sigma_seq((0, 1, 2), 4)
+    tree = onh._suffix_tree(el.combo)
+    edges, letters, stack = 0, 0, [tree]
+    while stack:
+        for segment, child in stack.pop()[1]:
+            edges, letters = edges + 1, letters + len(segment)
+            stack.append(child)
+    assert letters < sum(len(w) for w in el.combo)
+    # apply_word is reached through the module attribute, once per edge
+    # at most (a dead branch is not entered)
+    seen = []
+    real = onh.apply_word
+    monkeypatch.setattr(onh, "apply_word", lambda w, p: seen.append(w) or real(w, p))
+    p = onh.schubert_basis_list(4)[0]
+    assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+    assert 0 < len(seen) <= edges
+    assert sum(map(len, seen)) <= letters
+
+
+def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_tree():
+    n = 3
+    f = onh.sigma_seq((0, 1), n)
+    g = onh.lambda_seq((1, 0), n)
+    basis = onh.schubert_basis_list(n)
+    for p in basis:
+        f.evaluate(p)
+        g.evaluate(p)
+    f_tree = f._tree
+    for h in (f + g, f - g, g + f, f * g, g * f, f.scale(-2), 3 * f, -f, f * 2):
+        assert getattr(h, "_tree", None) is None
+        for p in basis:
+            assert normal(h.evaluate(p)) == normal(ref.evaluate(h, p))
+        assert h._tree is not f_tree and h._tree is not g._tree
+    assert f._tree is f_tree
+    for p in basis:
+        assert normal(f.evaluate(p)) == normal(ref.evaluate(f, p))
