@@ -45,7 +45,7 @@ from math import comb
 
 from . import combinat, oddops, zlinalg
 from .lincomb import add_scaled
-from .skewpoly import SkewPolynomial, apply_w0, staircase
+from .skewpoly import SkewPolynomial, _from_normal, apply_w0, staircase
 
 
 class NotOddSymmetricError(ValueError):
@@ -58,14 +58,22 @@ def x_tilde(a, i):
 
 
 def _x_tilde_sum(a, index_lists):
-    """The sum of the products x~_{i_1} ... x~_{i_k} over the index lists."""
-    out = SkewPolynomial.zero(a)
+    """The sum of the products x~_{i_1} ... x~_{i_k} over weakly increasing
+    index lists, none repeated, built with no skew product.
+
+    A weakly increasing product x_{i_1} ... x_{i_k} is already in normal
+    order, so it is the monomial x^A with A_i the number of times i occurs,
+    and the signs of the x~ factors multiply to (-1)^{sum_i (i-1) A_i} =
+    (-1)^{i_1 + ... + i_k - k}.  Distinct multisets give distinct A, so each
+    list is one term and no two terms meet.
+    """
+    terms = {}
     for indices in index_lists:
-        t = SkewPolynomial.one(a)
+        exps = [0] * a
         for i in indices:
-            t = t * x_tilde(a, i)
-        out = out + t
-    return out
+            exps[i - 1] += 1
+        terms[tuple(exps)] = (-1) ** (sum(indices) - len(indices))
+    return _from_normal(a, terms)
 
 
 @lru_cache(maxsize=None)

@@ -177,9 +177,12 @@ class OnhElement:
 
     def evaluate(self, p):
         """Apply the element to p by a depth-first walk of its suffix tree:
-        each shared suffix acts once, and a branch stops where p dies."""
+        each shared suffix acts once, and a branch stops where p dies.  The
+        action is linear, so a zero p gives zero with no walk."""
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
+        if not p.terms:
+            return _from_normal(self.strands, {})
         try:
             tree = self._tree
         except AttributeError:

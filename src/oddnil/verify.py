@@ -222,23 +222,33 @@ def check_eps_relations(params, rng):
 
     def fam(f, g, name, a):
         """The even- and odd-sum relations between the families f and g,
-        and f's doubling relation when g is f."""
+        and f's doubling relation when g is f.  The odd-sum instance at i
+        needs the two products of the one at i + 1, and the doubling
+        relation two of the odd-sum ones, so each product is formed once."""
+        products = {}
+
+        def mul(p, i, q, j):
+            key = (p, i, q, j)
+            if key not in products:
+                products[key] = p(i, a) * q(j, a)
+            return products[key]
+
         for m in range(1, params["m_max"] + 1):
             for i in range(1, 2 * m):
                 j = 2 * m - i
                 if 1 <= i <= a and 1 <= j <= a:
-                    sw.check((name + " even-sum", a, i, j), f(i, a) * g(j, a), g(j, a) * f(i, a))
+                    sw.check((name + " even-sum", a, i, j), mul(f, i, g, j), mul(g, j, f, i))
             for i in range(0, 2 * m + 1):
                 j = 2 * m + 1 - i
                 if 1 <= i <= a - 1 and 1 <= 2 * m - i <= a - 1:
-                    lhs = f(i, a) * g(j, a) + (g(j, a) * f(i, a)).scale((-1) ** i)
-                    rhs = (f(i + 1, a) * g(2 * m - i, a)).scale((-1) ** i) + g(2 * m - i, a) * f(i + 1, a)
+                    lhs = mul(f, i, g, j) + mul(g, j, f, i).scale((-1) ** i)
+                    rhs = mul(f, i + 1, g, 2 * m - i).scale((-1) ** i) + mul(g, 2 * m - i, f, i + 1)
                     sw.check((name + " odd-sum", a, i, j), lhs, rhs)
             if f is g and 1 < 2 * m <= a - 1:
                 sw.check(
                     (name + " doubling", a, m),
                     f(2 * m + 1, a).scale(2),
-                    f(1, a) * f(2 * m, a) + f(2 * m, a) * f(1, a),
+                    mul(f, 1, f, 2 * m) + mul(f, 2 * m, f, 1),
                 )
 
     for a in range(2, params["a_max"] + 1):

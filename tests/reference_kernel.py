@@ -12,11 +12,17 @@ are kept the same way.  ``_dd_mono`` is the recursive d_i on a monomial
 that the closed form in ``oddops`` replaced: it peels the first variable
 block off the left and forms two skew products per step, with its own memo
 ``_dd_cache``, so a wrong closed form cannot hide behind a shared image.  The memoized d_{i,j} images
-(``oddops._ddnj_mono``) are still shared with the library.
+(``oddops._ddnj_mono``) are still shared with the library.  ``elementary``,
+``complete`` and ``elementary_in_fewer_vars`` multiply the x~ factors of
+each index list out one skew product at a time, as ``oddsym`` did before it
+wrote each list's monomial and sign down directly.
 """
 
+import itertools
+
+
 from oddnil import combinat, oddops
-from oddnil.oddsym import NotOddSymmetricError, elementary_word_value
+from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
 from oddnil.onh import OnhElement
 from oddnil.qgrade import QLaurent
 from oddnil.skewpoly import SkewPolynomial, _from_normal
@@ -323,3 +329,36 @@ def element_mul(self, other):
     out.strands = self.strands
     out.combo = d
     return out
+
+
+def _x_tilde_sum(a, index_lists):
+    """oddsym._x_tilde_sum: the products x~_{i_1} ... x~_{i_k}, one factor
+    at a time."""
+    out = SkewPolynomial.zero(a)
+    for indices in index_lists:
+        t = SkewPolynomial.one(a)
+        for i in indices:
+            t = mul(t, x_tilde(a, i))
+        out = skew_add(out, t)
+    return out
+
+
+def elementary(k, a):
+    """oddsym.elementary."""
+    if k < 0:
+        return SkewPolynomial.zero(a)
+    return _x_tilde_sum(a, itertools.combinations(range(1, a + 1), k))
+
+
+def complete(k, a):
+    """oddsym.complete."""
+    if k < 0:
+        return SkewPolynomial.zero(a)
+    return _x_tilde_sum(a, itertools.combinations_with_replacement(range(1, a + 1), k))
+
+
+def elementary_in_fewer_vars(k, a):
+    """oddsym.elementary_in_fewer_vars."""
+    if k < 0:
+        return SkewPolynomial.zero(a)
+    return _x_tilde_sum(a, itertools.combinations(range(1, a), k))

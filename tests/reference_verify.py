@@ -6,14 +6,63 @@ The five family checks (``oval``, ``nil_orth``, ``identity_decomposition``,
 earlier code, unchanged: each writes its own loop over the Schubert basis.
 They reach ``onh`` through the module, so a test that patches an ``onh``
 function changes these bodies and ``verify``'s alike.
+
+``check_eps_relations`` is the body that formed every product of its
+relations afresh, before ``verify`` shared them between instances.  It
+reaches ``oddsym`` through the module in the same way.
 """
 
 from math import comb
 
-from oddnil import combinat, onh, qgrade
+from oddnil import combinat, oddsym, onh, qgrade
 from oddnil.combinat import DomainError
-from oddnil.skewpoly import SkewPolynomial
+from oddnil.skewpoly import SkewPolynomial, apply_w0
 from oddnil.verify import _Sweep, _triple
+
+
+def check_eps_relations(params, rng):
+    sw = _Sweep()
+
+    def fam(f, g, name, a):
+        """The even- and odd-sum relations between the families f and g,
+        and f's doubling relation when g is f."""
+        for m in range(1, params["m_max"] + 1):
+            for i in range(1, 2 * m):
+                j = 2 * m - i
+                if 1 <= i <= a and 1 <= j <= a:
+                    sw.check((name + " even-sum", a, i, j), f(i, a) * g(j, a), g(j, a) * f(i, a))
+            for i in range(0, 2 * m + 1):
+                j = 2 * m + 1 - i
+                if 1 <= i <= a - 1 and 1 <= 2 * m - i <= a - 1:
+                    lhs = f(i, a) * g(j, a) + (g(j, a) * f(i, a)).scale((-1) ** i)
+                    rhs = (f(i + 1, a) * g(2 * m - i, a)).scale((-1) ** i) + g(2 * m - i, a) * f(i + 1, a)
+                    sw.check((name + " odd-sum", a, i, j), lhs, rhs)
+            if f is g and 1 < 2 * m <= a - 1:
+                sw.check(
+                    (name + " doubling", a, m),
+                    f(2 * m + 1, a).scale(2),
+                    f(1, a) * f(2 * m, a) + f(2 * m, a) * f(1, a),
+                )
+
+    for a in range(2, params["a_max"] + 1):
+        fam(oddsym.elementary, oddsym.elementary, "eps", a)
+        fam(oddsym.complete, oddsym.complete, "h", a)
+        fam(oddsym.elementary, oddsym.complete, "mixed", a)
+        # variable reduction
+        for k in range(0, a + 1):
+            lhs = oddsym.elementary_in_fewer_vars(k, a)
+            rhs = SkewPolynomial.zero(a)
+            for j in range(0, k + 1):
+                rhs = rhs + (oddsym.elementary(k - j, a) * (oddsym.x_tilde(a, a) ** j)).scale((-1) ** j)
+            sw.check(("variable reduction", a, k), lhs, rhs)
+        # w_0 action
+        for k in range(0, a + 1):
+            sw.check(
+                ("w0 on eps", a, k),
+                oddsym.elementary(k, a).scale((-1) ** (comb(k, 2) + k * comb(a - 1, 2))),
+                apply_w0(oddsym.elementary(k, a)),
+            )
+    return sw
 
 
 def check_oval(params, rng):

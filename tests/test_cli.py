@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -320,3 +323,15 @@ def test_verify_all_json_and_instance_counts_match_the_golden_files(capsys, monk
     assert out == (DATA / "verify_all.json").read_text()
     counts = {r.check_id: r.instances for r in runs[0]}
     assert counts == json.loads((DATA / "verify_instances.json").read_text())
+
+
+def test_python_m_oddnil_runs_the_cli_from_a_source_checkout():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddnil", "verify", "e_h_relation", "--json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert [(r["check"], r["status"]) for r in payload] == [("e_h_relation", "pass")]

@@ -5,6 +5,8 @@ reference, which keeps its own memo, on every small monomial and on
 hypothesis polynomials, cold and on memo hits.  OnhElement.evaluate,
 which walks a suffix tree of the words, is compared with the per-word
 reference on words that share suffixes and on the sigma/lambda families.
+The closed-form eps_k, h_k and eps_k in fewer variables are compared with
+the x~ products multiplied out one factor at a time.
 
 Terms dicts are compared exactly, so a stored zero coefficient or a
 wrong-length key fails as surely as a wrong sign.
@@ -392,6 +394,28 @@ def test_tree_walk_applies_each_shared_suffix_once(monkeypatch):
     assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
     assert 0 < len(seen) <= edges
     assert sum(map(len, seen)) <= letters
+
+
+def test_zero_polynomial_evaluates_to_zero_with_no_walk(monkeypatch):
+    el = onh.sigma_seq((0, 1, 2), 4)
+    assert el.evaluate(onh.schubert_basis_list(4)[-1]).terms  # builds the tree; nonzero elsewhere
+    monkeypatch.setattr(onh, "apply_word", lambda w, p: pytest.fail("apply_word called on a zero polynomial"))
+    for element in (el, onh.sigma_seq((1, 0, 0), 4), onh.OnhElement.identity(4), onh.OnhElement.zero(4)):
+        assert normal(element.evaluate(SkewPolynomial.zero(4))) == (4, {})
+    # the strand count is checked before the zero case
+    with pytest.raises(ValueError, match="strand"):
+        el.evaluate(SkewPolynomial.zero(3))
+
+
+@pytest.mark.parametrize("cold", [False, True])
+def test_closed_form_elementary_and_complete_match_the_x_tilde_products(cold):
+    if cold:
+        oddops.clear_caches()
+    for a in range(1, 7):
+        for k in range(-1, 11):
+            for name in ("elementary", "complete", "elementary_in_fewer_vars"):
+                got, want = getattr(oddsym, name)(k, a), getattr(ref, name)(k, a)
+                assert normal(got) == normal(want), (name, k, a)
 
 
 def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_tree():

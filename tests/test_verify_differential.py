@@ -2,7 +2,10 @@
 (``reference_verify``): the same status, instance count, notes and
 multiset of failure triples, on the real sigma/lambda families, with one
 lambda negated (so the family checks fail), and with the sentinels'
-crossing and projector made trivial (so the sentinels find no witness)."""
+crossing and projector made trivial (so the sentinels find no witness).
+``eps_relations``, which now forms each product of its relations once, is
+compared with the body that formed them afresh: the same status, instance
+count and ordered failure list, at the defaults and with h_3 negated."""
 
 import random
 from collections import Counter
@@ -10,7 +13,7 @@ from collections import Counter
 import pytest
 
 import reference_verify as R
-from oddnil import onh
+from oddnil import oddsym, onh
 from oddnil import verify as V
 
 SMALL_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]
@@ -78,3 +81,19 @@ def test_check_matches_its_earlier_body(monkeypatch, check_id, params, variant):
         assert passed == (variant == "trivial sentinels")
     else:
         assert passed == (variant == "real")
+
+
+def _negate_h3(monkeypatch):
+    complete = oddsym.complete
+    monkeypatch.setattr(oddsym, "complete", lambda k, a: complete(k, a).scale(-1) if k == 3 else complete(k, a))
+
+
+@pytest.mark.parametrize("negate_h3", [False, True])
+def test_eps_relations_with_shared_products_matches_its_earlier_body(monkeypatch, negate_h3):
+    if negate_h3:
+        _negate_h3(monkeypatch)
+    params = V.default_params("eps_relations")
+    new, old = (fn(dict(params), random.Random(0)) for fn in (V.check_eps_relations, R.check_eps_relations))
+    assert (new.passed, new.instances, new.failures) == (old.passed, old.instances, old.failures)
+    assert new.instances > 0
+    assert new.passed == (not negate_h3)
