@@ -404,7 +404,8 @@ def odd_symmetric_rank(a, halfdeg):
     index = {key: t for t, key in enumerate((i, m) for i in range(1, a) for m in lower_monos)}
     rows = []
     for m in monos:
-        images = {(i, mm): c for i in range(1, a) for mm, c in oddops._dd_mono(i, a, m).terms.items()}
+        p = SkewPolynomial.monomial(a, m)
+        images = {(i, mm): c for i in range(1, a) for mm, c in oddops.divided_difference(i, p).terms.items()}
         rows.append(zlinalg.row(images, index))
     upper = len(monos) - zlinalg.int_rank(rows)
     words = combinat.partitions_of(halfdeg, maxpart=a)

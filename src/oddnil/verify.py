@@ -121,15 +121,25 @@ def _orthogonality(sw, label, sigmas, lambdas, basis, unit):
 def _matrix_units(sw, label, sigmas, lambdas, pairs, basis):
     """e_jk e_mn = delta_km e_jn for every two (j, k), (m, n) in pairs, with
     e_jk = sigma_j lambda_k; pairs must hold (j, n) whenever they hold
-    (j, k) and (k, n).  Returns each e_jk's values on the basis."""
+    (j, k) and (k, n).  Returns each e_jk's values on the basis.  Per (j, k),
+    e_jk(v) is memoized by v's terms (most e_mn values are equal): equal
+    inputs give equal outputs, so every instance still compares the same
+    value.  A zero v gives zero unhashed, since evaluation is linear."""
     zero = SkewPolynomial.zero(basis[0].nvars)
     lvals = {k: [lambdas[k].evaluate(p) for p in basis] for k in dict.fromkeys(k for _, k in pairs)}
     e = {(j, k): [sigmas[j].evaluate(v) for v in lvals[k]] for j, k in pairs}
     for j, k in pairs:
+        images = {}
         for (m, n), vals in e.items():
             for i, v in enumerate(vals):
                 want = e[j, n][i] if k == m else zero
-                sw.check(label(j, k, m, n, i), want, sigmas[j].evaluate(lambdas[k].evaluate(v)))
+                got = zero
+                if v:
+                    key = frozenset(v.terms.items())
+                    if key not in images:
+                        images[key] = sigmas[j].evaluate(lambdas[k].evaluate(v))
+                    got = images[key]
+                sw.check(label(j, k, m, n, i), want, got)
     return e
 
 

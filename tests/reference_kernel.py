@@ -11,17 +11,23 @@ the rebuild-per-step ``expand_in_elementary`` that ``lincomb`` replaced
 are kept the same way.  ``_dd_mono`` is the recursive d_i on a monomial
 that the closed form in ``oddops`` replaced: it peels the first variable
 block off the left and forms two skew products per step, with its own memo
-``_dd_cache``, so a wrong closed form cannot hide behind a shared image.  The memoized d_{i,j} images
-(``oddops._ddnj_mono``) are still shared with the library.  ``elementary``,
-``complete`` and ``elementary_in_fewer_vars`` multiply the x~ factors of
-each index list out one skew product at a time, as ``oddsym`` did before it
-wrote each list's monomial and sign down directly.
+``_dd_cache``, so a wrong closed form cannot hide behind a library image.
+``_dd_mono_closed`` and ``divided_difference_closed`` are the closed form
+as ``oddops`` first had it, with a memo of each (i, monomial) image
+(``_dd_closed_cache``) that ``divided_difference`` now writes straight
+into its result instead; they read the power table ``oddops._dd_block``.
+The memoized d_{i,j} images (``oddops._ddnj_mono``) are still shared with
+the library.  ``elementary``, ``complete`` and ``elementary_in_fewer_vars``
+multiply the x~ factors of each index list out one skew product at a time,
+as ``oddsym`` did before it wrote each list's monomial and sign down
+directly.
 """
 
 import itertools
 
 
 from oddnil import combinat, oddops
+from oddnil.lincomb import add_scaled
 from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
 from oddnil.onh import OnhElement
 from oddnil.qgrade import QLaurent
@@ -125,6 +131,35 @@ def divided_difference(i, p):
     for mono, c in p.terms.items():
         out = out + _dd_mono(i, p.nvars, mono).scale(c)
     return out
+
+
+_dd_closed_cache = {}
+
+
+def _dd_mono_closed(i, nvars, mono):
+    """d_i of the monomial x^mono (a tuple), memoized per (i, mono)."""
+    key = (i, mono)
+    hit = _dd_closed_cache.get(key)
+    if hit is not None:
+        return hit
+    head, tail = mono[: i - 1], mono[i + 1 :]
+    block = oddops._dd_block(mono[i - 1], mono[i])
+    if sum(head) & 1:
+        terms = {head + e + tail: -c for e, c in block}
+    else:
+        terms = {head + e + tail: c for e, c in block}
+    out = _dd_closed_cache[key] = _from_normal(nvars, terms)
+    return out
+
+
+def divided_difference_closed(i, p):
+    """The odd divided difference d_i applied to p."""
+    if not 1 <= i <= p.nvars - 1:
+        raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
+    d = {}
+    for mono, c in p.terms.items():
+        add_scaled(d, _dd_mono_closed(i, p.nvars, mono).terms, c)
+    return _from_normal(p.nvars, d)
 
 
 def dd_nonadjacent(i, j, p):

@@ -1,8 +1,9 @@
 """Differential tests: the fast skew-polynomial kernel against the
 straightforward implementation it replaced (tests/reference_kernel.py).
-The closed-form d_i on a monomial is compared with the recursive
-reference, which keeps its own memo, on every small monomial and on
-hypothesis polynomials, cold and on memo hits.  OnhElement.evaluate,
+The closed-form d_i is compared with the recursive reference, which keeps
+its own memo, on every small one-term polynomial and on hypothesis
+polynomials, and with the memoized closed form it replaced by terms and key
+order, cold and on that memo's hits.  OnhElement.evaluate,
 which walks a suffix tree of the words, is compared with the per-word
 reference on words that share suffixes and on the sigma/lambda families.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
@@ -92,11 +93,11 @@ def test_divided_difference_matches_reference(pair, data):
 
 @pytest.mark.parametrize("nvars", range(2, 7))
 def test_dd_on_every_small_monomial_matches_recursive_reference(nvars):
-    """Every monomial with exponents <= 6, every i.
+    """d_i of every one-term polynomial x^A with exponents <= 6, every i.
 
     The reference recursion reads the images of monomials with a zero
-    first exponent, so those stay in its memo while the rest of both memos
-    is dropped after each value of the first exponent.
+    first exponent, so those stay in its memo while the rest of it is
+    dropped after each value of the first exponent.
     """
     small = range(7)
     for i in range(1, nvars):
@@ -104,9 +105,8 @@ def test_dd_on_every_small_monomial_matches_recursive_reference(nvars):
         for first in small:
             for rest in itertools.product(small, repeat=nvars - 1):
                 mono = (first,) + rest
-                got = oddops._dd_mono(i, nvars, mono)
+                got = oddops.divided_difference(i, SkewPolynomial.monomial(nvars, mono))
                 assert normal(got) == normal(ref._dd_mono(i, nvars, mono)), (i, mono)
-            oddops._dd_cache.clear()
             if first == 0:
                 kept = dict(ref._dd_cache)
             else:
@@ -117,18 +117,42 @@ def test_dd_on_every_small_monomial_matches_recursive_reference(nvars):
 
 @settings(max_examples=100, deadline=None)
 @given(poly_pairs(min_vars=2), st.data())
-def test_divided_difference_cold_and_on_memo_hits(pair, data):
+def test_divided_difference_is_fresh_and_keeps_no_memo(pair, data):
     f, g = pair
     i = data.draw(st.integers(1, f.nvars - 1))
     # with g = f + h, f - g cancels every shared term
     polys = (f, g, f - g)
+    inputs = [list(p.terms.items()) for p in polys]
     ref._dd_cache.clear()
     want = [normal(ref.divided_difference(i, p)) for p in polys]
     oddops.clear_caches()
-    assert [normal(oddops.divided_difference(i, p)) for p in polys] == want
-    assert all((i, m) in oddops._dd_cache for p in polys for m in p.terms)
-    # the second pass reads only memo hits, which the first left unchanged
-    assert [normal(oddops.divided_difference(i, p)) for p in polys] == want
+    first = [oddops.divided_difference(i, p) for p in polys]
+    second = [oddops.divided_difference(i, p) for p in polys]
+    assert [normal(d) for d in first] == [normal(d) for d in second] == want
+    assert all(d.terms is not e.terms for d, e in zip(first, second))
+    assert [list(p.terms.items()) for p in polys] == inputs
+    assert not oddops._dd_cache
+
+
+def ordered(p):
+    normal(p)
+    return p.nvars, list(p.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(min_vars=2), st.data())
+def test_divided_difference_matches_memoized_closed_form_in_key_order(pair, data):
+    f, g = pair
+    i = data.draw(st.integers(1, f.nvars - 1))
+    polys = (f, g, f - g)
+    oddops.clear_caches()
+    ref._dd_closed_cache.clear()
+    got = [ordered(oddops.divided_difference(i, p)) for p in polys]
+    assert [ordered(ref.divided_difference_closed(i, p)) for p in polys] == got
+    # the second pass reads only memo hits on the reference side
+    assert [ordered(ref.divided_difference_closed(i, p)) for p in polys] == got
+    assert [ordered(oddops.divided_difference(i, p)) for p in polys] == got
+    ref._dd_closed_cache.clear()
 
 
 def test_zero_polynomial_through_every_kernel():

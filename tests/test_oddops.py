@@ -300,7 +300,7 @@ def test_kernel_equals_image(a):
             rows = []
             for m in monos:
                 row = [0] * len(lower)
-                for mm, c in O._dd_mono(i, a, m).terms.items():
+                for mm, c in O.divided_difference(i, SkewPolynomial.monomial(a, m)).terms.items():
                     row[li[mm]] = c
                 rows.append(row)
             upmonos = monomials_of_degree(a, hd + 1)
@@ -308,7 +308,7 @@ def test_kernel_equals_image(a):
             rows_up = []
             for m in upmonos:
                 row = [0] * len(monos)
-                for mm, c in O._dd_mono(i, a, m).terms.items():
+                for mm, c in O.divided_difference(i, SkewPolynomial.monomial(a, m)).terms.items():
                     row[mi[mm]] = c
                 rows_up.append(row)
             assert len(monos) - int_rank(rows) == int_rank(rows_up), (a, i, hd)

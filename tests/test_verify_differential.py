@@ -5,7 +5,10 @@ lambda negated (so the family checks fail), and with the sentinels'
 crossing and projector made trivial (so the sentinels find no witness).
 ``eps_relations``, which now forms each product of its relations once, is
 compared with the body that formed them afresh: the same status, instance
-count and ordered failure list, at the defaults and with h_3 negated."""
+count and ordered failure list, at the defaults and with h_3 negated.
+``matrix_iso``, whose matrix-unit sweep now evaluates each e_jk once per
+distinct input, is compared with the earlier loops in the same way, at the
+defaults and with one lambda negated."""
 
 import random
 from collections import Counter
@@ -97,3 +100,14 @@ def test_eps_relations_with_shared_products_matches_its_earlier_body(monkeypatch
     assert (new.passed, new.instances, new.failures) == (old.passed, old.instances, old.failures)
     assert new.instances > 0
     assert new.passed == (not negate_h3)
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_matrix_units_with_shared_evaluations_match_the_earlier_loops(monkeypatch, negate):
+    if negate:
+        _negate_one_lambda(monkeypatch)
+    params = V.default_params("matrix_iso")
+    new, old = (fn(dict(params), random.Random(0)) for fn in (V.check_matrix_iso, R.check_matrix_iso))
+    assert (new.passed, new.instances, new.failures) == (old.passed, old.instances, old.failures)
+    assert new.instances > 0
+    assert new.passed == (not negate)
