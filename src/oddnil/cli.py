@@ -110,6 +110,7 @@ def cmd_compute(args):
 
 
 def cmd_verify(args):
+    _require(args.parallel >= 1, "--parallel must be >= 1, got %d" % args.parallel)
     ids = args.checks
     if ids == ["all"]:
         ids = verify.check_ids()

@@ -123,10 +123,6 @@ def parse_partition(text):
 # permutations
 
 
-def identity_perm(a):
-    return tuple(range(1, a + 1))
-
-
 def longest_element(a):
     return tuple(range(a, 0, -1))
 
@@ -152,18 +148,6 @@ def perm_compose(u, v):
     return tuple(u[v[i] - 1] for i in range(len(v)))
 
 
-def simple_transposition(i, a):
-    w = list(range(1, a + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
-def transposition(i, j, a):
-    w = list(range(1, a + 1))
-    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    return tuple(w)
-
-
 def canonical_reduced_word(w):
     """Deterministic reduced word for w by the leftmost-descent scheme.
 
@@ -182,27 +166,6 @@ def canonical_reduced_word(w):
             break
     letters.reverse()
     return tuple(letters)
-
-
-def word_to_perm(word, a):
-    w = identity_perm(a)
-    for j in word:
-        w = perm_compose(w, simple_transposition(j, a))
-    return w
-
-
-def reduced_word_for_w0_starting_with(i, a):
-    """A reduced word for w_0 whose rightmost (first-acting) letter is s_i."""
-    w0 = longest_element(a)
-    v = perm_compose(w0, simple_transposition(i, a))
-    word = canonical_reduced_word(v) + (i,)
-    if len(word) != perm_length(w0) or word_to_perm(word, a) != w0:
-        raise RuntimeError("failed to build reduced word for w_0 ending in s_%d" % i)
-    return word
-
-
-def format_permutation(w):
-    return " ".join(str(v) for v in w)
 
 
 def parse_permutation(text):

@@ -4,7 +4,7 @@ Everything here is ordinary commutative algebra, implemented independently
 of the skew machinery so it can serve as a mod-2 cross-check: commutative
 polynomials as exponent-vector dicts, classical divided differences, even
 elementary/complete/Schur polynomials, and GF(2) ranks of the even
-Grassmannian quotient slices.
+Grassmannian quotient slices, computed on e-words.
 """
 
 from functools import lru_cache
@@ -65,34 +65,6 @@ class Gf2Poly:
 
 # ---------------------------------------------------------------------------
 # commutative polynomials over Z
-
-
-def zpoly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def zpoly_scale(p, c):
-    return {m: c * v for m, v in p.items()} if c else {}
-
-
-def zpoly_mul(p, q):
-    out = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            v = out.get(m, 0) + ca * cb
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
 
 
 def zpoly_mono(nvars, exps, coeff=1):
@@ -178,77 +150,49 @@ def to_gf2(p, nvars):
 # even Grassmannian quotient ranks over GF(2)
 
 
-def _gf2_rank(rows):
-    mat = [row[:] for row in rows if any(row)]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                mat[r] = [x ^ y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 @lru_cache(maxsize=None)
-def _even_eword(word, a):
-    out = {(0,) * a: 1}
-    for k in word:
-        out = zpoly_mul(out, even_elementary(k, a))
-    return out
-
-
-def _even_expand(p, a):
-    """Expand a symmetric even polynomial into sorted e-words (over Z)."""
-    from . import combinat
-
-    out = {}
-    residual = dict(p)
-    while residual:
-        exps = max(residual)
-        c = residual[exps]
-        if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-            raise ValueError("not symmetric: leading exponent %r" % (exps,))
-        lam = combinat.conjugate(tuple(e for e in exps if e))
-        word_poly = _even_eword(lam, a)
-        lead = max(word_poly)
-        q, r = divmod(c, word_poly[lead])
-        if r or lead != exps:
-            raise ValueError("even expansion failed")
-        out[lam] = out.get(lam, 0) + q
-        residual = zpoly_add(residual, zpoly_scale(word_poly, -q))
-    return out
+def _h_ewords(m, a):
+    """h_m over GF(2) in a variables, as the set of sorted e-words (partitions
+    with parts <= a) whose sum it is."""
+    if m == 0:
+        return frozenset([()])
+    out = set()
+    for k in range(1, min(a, m) + 1):
+        # e_k h_{m-k}: insert the letter k into each sorted word
+        out ^= {tuple(sorted(w + (k,), reverse=True)) for w in _h_ewords(m - k, a)}
+    return frozenset(out)
 
 
 def even_quotient_rank_gf2(a, n_param, halfdeg):
-    """dim over GF(2) of degree-2*halfdeg slice of Lambda_a / <h_m : m > N-a>."""
+    """dim over GF(2) of degree-2*halfdeg slice of Lambda_a / <h_m : m > N-a>.
+
+    Over GF(2), Lambda_a is the commutative polynomial ring Z/2[e_1..e_a],
+    so the sorted e-words e_nu (nu a partition with parts <= a) are a basis
+    and multiplying two of them is the sorted union of their letters.  A
+    two-sided generator e_lam h_m e_mu is then e_nu h_m with nu = lam + mu,
+    and every nu of size halfdeg - m arises (mu empty), so the slice of the
+    ideal is spanned by e_nu h_m with |nu| + m = halfdeg and m > N - a.  The
+    relation sum_k (-1)^k e_k h_{m-k} = 0 gives, mod 2,
+    h_m = sum_{k=1}^{min(a,m)} e_k h_{m-k}, so h_m is a memoized set of
+    e-words (_h_ewords), and e_nu h_m is that set with nu merged into each
+    word.  Each spanning vector is an integer bitset over the basis, and the
+    rank comes from GF(2) elimination on the bitsets.
+    """
     from . import combinat
 
     ambient = combinat.partitions_of(halfdeg, maxpart=a)
-    if not ambient:
-        return 0
-    index = {lam: i for i, lam in enumerate(ambient)}
-    rows = []
+    bit = {nu: 1 << i for i, nu in enumerate(ambient)}
+    pivots = {}
     for m in range(n_param - a + 1, halfdeg + 1):
-        hm = even_complete(m, a)
-        rest = halfdeg - m
-        for s1 in range(rest + 1):
-            for lam in combinat.partitions_of(s1, maxpart=a):
-                for mu in combinat.partitions_of(rest - s1, maxpart=a):
-                    gen = zpoly_mul(
-                        zpoly_mul(_even_eword(lam, a), hm), _even_eword(mu, a)
-                    )
-                    coeffs = _even_expand(gen, a)
-                    row = [0] * len(ambient)
-                    for nu, c in coeffs.items():
-                        row[index[nu]] = c % 2
-                    rows.append(row)
-    return len(ambient) - _gf2_rank(rows)
+        hm = _h_ewords(m, a)
+        for nu in combinat.partitions_of(halfdeg - m, maxpart=a):
+            row = 0
+            for w in hm:
+                row ^= bit[tuple(sorted(nu + w, reverse=True))]
+            while row:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+    return len(ambient) - len(pivots)

@@ -27,21 +27,12 @@ never re-derived from the permutation.
 
 from functools import lru_cache
 
-from .lincomb import add_scaled, collect
-from .skewpoly import (
-    SkewPolynomial,
-    _from_normal,
-    apply_permutation,
-    apply_simple_transposition,
-    apply_w0,
-    left_dot,
-    staircase,
-)
+from .lincomb import collect
+from .skewpoly import _from_normal, apply_w0, staircase
 from . import combinat
 
 # always empty: benchmarks/tracer.py reports its length as oddops.dd.memo_entries
 _dd_cache = {}
-_ddnj_cache = {}
 
 
 @lru_cache(maxsize=None)
@@ -78,53 +69,6 @@ def divided_difference(i, p):
     return _from_normal(p.nvars, d)
 
 
-def _ddnj_mono(i, j, nvars, mono):
-    """d_{i,j} on a monomial, peeling one letter at a time."""
-    key = (i, j, mono)
-    hit = _ddnj_cache.get(key)
-    if hit is not None:
-        return hit
-    for j0 in range(nvars):
-        if mono[j0]:
-            break
-    else:
-        out = SkewPolynomial.zero(nvars)
-        _ddnj_cache[key] = out
-        return out
-    var = j0 + 1
-    rest = list(mono)
-    rest[j0] -= 1
-    rest = tuple(rest)
-    out = SkewPolynomial.monomial(nvars, rest) if var in (i, j) else SkewPolynomial.zero(nvars)
-    # s_{i,j}(x_var) * d_{i,j}(rest)
-    if any(rest):
-        tail = _ddnj_mono(i, j, nvars, rest)
-        if tail:
-            svar = j if var == i else (i if var == j else var)
-            out = out - left_dot(svar, tail)
-    _ddnj_cache[key] = out
-    return out
-
-
-def dd_nonadjacent(i, j, p):
-    """d_{i,j} for the (possibly non-adjacent) transposition of i and j."""
-    if i == j:
-        raise ValueError("d_{i,j} needs i != j")
-    if i > j:
-        i, j = j, i
-    if not (1 <= i < j <= p.nvars):
-        raise ValueError("indices (%d, %d) out of range" % (i, j))
-    d = {}
-    for mono, c in p.terms.items():
-        add_scaled(d, _ddnj_mono(i, j, p.nvars, mono).terms, c)
-    return _from_normal(p.nvars, d)
-
-
-def apply_transposition(i, j, p):
-    """Signed action of the (possibly non-adjacent) transposition s_{i,j}."""
-    return apply_permutation(combinat.transposition(i, j, p.nvars), p)
-
-
 def dd_word(word, p):
     """Apply a word of adjacent operators; the leftmost letter acts last."""
     out = p
@@ -148,24 +92,6 @@ def longest_dd(a, p):
     return dd_word(da_word(a), p)
 
 
-def omission_word(word, xi):
-    """Subword of letters with xi = 0 (those acting through S_a)."""
-    return tuple(l for l, x in zip(word, xi) if x == 0)
-
-
-def generalized_action(word, xi, p):
-    """Hybrid action: letter j acts as s_{i_j} if xi[j] = 0, as d_{i_j} if 1."""
-    if len(word) != len(xi):
-        raise ValueError("selector length %d != word length %d" % (len(xi), len(word)))
-    out = p
-    for letter, x in zip(reversed(word), reversed(xi)):
-        if x:
-            out = divided_difference(letter, out)
-        else:
-            out = apply_simple_transposition(letter, out)
-    return out
-
-
 def odd_symmetrize(p):
     """S(f) = (-1)^{binom(a,3)} w_0 . D_a(f x^{delta_a}); projects onto the
     odd symmetric subring."""
@@ -179,12 +105,11 @@ def _binom3(a):
 
 
 def clear_caches():
-    """Empty the d_{i,j} memo here and every lru_cache in the library (the
-    d_i table _dd_block among them), so the next computation starts cold."""
+    """Empty every lru_cache in the library (the d_i table _dd_block among
+    them), so the next computation starts cold."""
     # imported here: oddsym and onh import this module
     from . import evenoracle, oddops, oddsym, onh
 
-    _ddnj_cache.clear()
     for mod in (combinat, evenoracle, oddops, oddsym, onh):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):

@@ -43,7 +43,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from . import combinat, oddops, zlinalg
+from . import combinat, oddops
 from .lincomb import add_scaled
 from .skewpoly import SkewPolynomial, _from_normal, apply_w0, staircase
 
@@ -118,12 +118,6 @@ def schubert(w, a):
     return oddops.dd_word(word, staircase(a))
 
 
-@lru_cache(maxsize=None)
-def schubert_basis(a):
-    """All odd Schubert polynomials, keyed by permutation."""
-    return {w: schubert(w, a) for w in combinat.all_permutations(a)}
-
-
 # ---------------------------------------------------------------------------
 # Schur polynomials
 
@@ -152,21 +146,6 @@ def schur(alpha, a):
         return SkewPolynomial.zero(a)
     exps = list(alpha) + [0] * (a - len(alpha))
     return oddops.odd_symmetrize(SkewPolynomial.monomial(a, exps))
-
-
-@lru_cache(maxsize=None)
-def schur_via_staircase(alpha, a):
-    """Second route: (-1)^{chi_alpha^a} w_0 . D_a(x^{delta_a + alpha}).
-
-    Must agree with schur(); the agreement is asserted in the test suite.
-    """
-    alpha = combinat.normalize_partition(alpha)
-    if len(alpha) > a:
-        return SkewPolynomial.zero(a)
-    padded = list(alpha) + [0] * (a - len(alpha))
-    exps = tuple(padded[j] + (a - 1 - j) for j in range(a))
-    sign = (-1) ** chi(alpha, a)
-    return apply_w0(oddops.longest_dd(a, SkewPolynomial.monomial(a, exps))).scale(sign)
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +343,7 @@ def mod2_reduction(f):
 
 
 # ---------------------------------------------------------------------------
-# graded ranks
+# monomials by degree
 
 
 def monomials_of_degree(a, halfdeg):
@@ -385,34 +364,3 @@ def monomials_of_degree(a, halfdeg):
         return [()] if halfdeg == 0 else []
     rec([], halfdeg, a)
     return out
-
-
-def odd_symmetric_rank(a, halfdeg):
-    """Exact rank of the odd symmetric slice of Z-degree 2*halfdeg.
-
-    Certificate: the slice is the kernel of the integer map
-    f -> (d_1 f, ..., d_{a-1} f) from the monomials of this degree to
-    a-1 copies of the monomials one degree down, so its rank is exactly
-    #monomials - rank of the map, with the rank taken exactly over Z
-    (``zlinalg.int_rank``).  The eps-words of this degree lie in the kernel
-    and are independent (distinct lex-leading monomials), so the kernel rank
-    is at least their number.  Returns the kernel rank after checking that
-    it equals the number of eps-words; raises if not.
-    """
-    monos = monomials_of_degree(a, halfdeg)
-    lower_monos = monomials_of_degree(a, halfdeg - 1)
-    index = {key: t for t, key in enumerate((i, m) for i in range(1, a) for m in lower_monos)}
-    rows = []
-    for m in monos:
-        p = SkewPolynomial.monomial(a, m)
-        images = {(i, mm): c for i in range(1, a) for mm, c in oddops.divided_difference(i, p).terms.items()}
-        rows.append(zlinalg.row(images, index))
-    upper = len(monos) - zlinalg.int_rank(rows)
-    words = combinat.partitions_of(halfdeg, maxpart=a)
-    lower = len(words)
-    if upper != lower:
-        raise RuntimeError(
-            "rank certificate failed at a=%d degree=%d: kernel %d, eps-words %d"
-            % (a, 2 * halfdeg, upper, lower)
-        )
-    return upper

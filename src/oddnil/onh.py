@@ -34,10 +34,9 @@ Thick calculus conventions (all signs downstream depend on these):
 * up_splitter(a, b) = (e_a (x) e_b) over the mirror crossing with bottom
   bundles (b, a) and top legs (a, b); the bottom e_{a+b} is absorbed.
   The two crossing orientations coincide whenever a bundle is thin.
-* merge(a, b) = e_{a+b}.
 * box(f, a) = e_a f e_a for odd symmetric f.
 * sigma/lambda elements as in the orthogonal-idempotent decompositions;
-  the parity ledgers chi, Omega, X live here.
+  the parity ledgers Omega and X live here (chi is oddsym.chi).
 """
 
 from functools import lru_cache
@@ -90,20 +89,6 @@ def apply_word(word, p):
 
 def format_word(word):
     return " ".join(("x%d" % l) if l > 0 else ("d%d" % -l) for l in word)
-
-
-def parse_word(text):
-    letters = []
-    for tok in text.split():
-        if tok.startswith("x"):
-            letters.append(int(tok[1:]))
-        elif tok.startswith("d"):
-            letters.append(-int(tok[1:]))
-        else:
-            raise ValueError("bad word letter %r" % tok)
-    if any(l == 0 for l in letters):
-        raise ValueError("bad word letter index 0")
-    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +399,6 @@ def up_splitter(a, b):
     return OnhElement.from_word(n, word)
 
 
-def merge(a, b):
-    """Merge legs (a, b) into a thick a+b strand; equals e_{a+b}."""
-    return idempotent_e(a + b)
-
-
 def box(f, a):
     """e_a f e_a for odd symmetric f."""
     if f.nvars != a:
@@ -440,11 +420,6 @@ def box_embedded(f, a, offset, n):
 
 # ---------------------------------------------------------------------------
 # parity ledgers
-
-
-def chi(alpha, a):
-    """Parity of the Schur normal-ordering sign (mod 2)."""
-    return oddsym.chi(alpha, a) % 2
 
 
 def omega(beta, b):
@@ -574,48 +549,8 @@ def staircase_element(a):
 
 
 # ---------------------------------------------------------------------------
-# serialization: signed sums of quoted words
+# display: signed sums of quoted words
 
 
 def format_element(element):
     return format_terms(sorted(element.combo.items()), lambda w: '"%s"' % format_word(w))
-
-
-def parse_element(text, strands):
-    s = text.strip()
-    if s == "0":
-        return OnhElement.zero(strands)
-    pairs = []
-    pos = 0
-    sign = 1
-    first = True
-    while pos < len(s):
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        if pos >= len(s):
-            break
-        if s[pos] in "+-":
-            sign = 1 if s[pos] == "+" else -1
-            pos += 1
-            continue
-        elif not first and s[pos] != '"' and not s[pos].isdigit():
-            raise ValueError("expected sign or term at %r" % s[pos:])
-        coeff = sign
-        if s[pos].isdigit():
-            end = pos
-            while end < len(s) and s[end].isdigit():
-                end += 1
-            coeff *= int(s[pos:end])
-            pos = end
-            if pos >= len(s) or s[pos] != "*":
-                raise ValueError("expected '*' after coefficient")
-            pos += 1
-        if pos >= len(s) or s[pos] != '"':
-            raise ValueError("expected quoted word at %r" % s[pos:])
-        end = s.index('"', pos + 1)
-        word = parse_word(s[pos + 1 : end])
-        pairs.append((word, coeff))
-        pos = end + 1
-        sign = 1
-        first = False
-    return OnhElement(strands, collect(pairs))

@@ -7,8 +7,6 @@ quotient [n]!/([k]![n-k]!).  Coefficients are arbitrary-precision ints and
 exponents are stored sparsely; nothing is ever truncated.
 """
 
-import re
-
 from .lincomb import add_scaled, coefficient, collect, convolve, exponent, format_terms, scaled
 
 
@@ -144,38 +142,6 @@ def _q_power_name(e):
     if e == 0:
         return ""
     return "q" if e == 1 else "q^%d" % e
-
-
-_QTERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(q)(?:\^(-?\d+))?|(\d+))\s*")
-
-
-def parse_qlaurent(text):
-    """Inverse of format_qlaurent (also accepts arbitrary term order)."""
-    s = text.strip()
-    if s == "0":
-        return QLaurent.zero()
-    pairs = []
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _QTERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError("bad q-Laurent text at %r" % s[pos:])
-        sign_s, cpart, qmark, qexp, bare = m.groups()
-        if sign_s is None and not first:
-            raise ValueError("missing sign between terms in %r" % text)
-        sign = -1 if sign_s == "-" else 1
-        if qmark:
-            coeff = int(cpart) if cpart else 1
-            e = int(qexp) if qexp is not None else 1
-        else:
-            if cpart is not None:
-                raise ValueError("bad q-Laurent term at %r" % s[pos:])
-            coeff, e = int(bare), 0
-        pairs.append((e, sign * coeff))
-        pos = m.end()
-        first = False
-    return QLaurent(collect(pairs))
 
 
 def q_int(n):

@@ -955,8 +955,8 @@ N_MAX = Axis(("N",), "one", "N <= %d" % _N, lambda n: n > _N)
 DEGREE = Axis(("dmax",), "one", "degree <= %d" % _DEG, lambda d: d > _DEG)
 M_MAX = Axis(("dmax",), "one")
 
-# the kind of each flag-bound parameter, by name; a check's "pairs" take
-# theirs from its REGISTRY row
+# the kind of each flag-bound parameter, by name; a check's REGISTRY row
+# declares the kind of its "pairs" and may override any other
 AXES = {
     "a": A_SCALAR, "a_max": A_MAX, "a_list": A_LIST, "total_max": ABC_TOTAL,
     "n_max": N_MAX, "quotient_pairs": AN_PAIRS, "m_max": M_MAX,
@@ -964,10 +964,16 @@ AXES = {
 }
 
 
+# matrix_iso compares all (a!)^4 products on a! polynomials: 39 s at a = 4,
+# a run of days at a = 5
+MATRIX_ISO_A = Axis(("a",), "list", "a <= 4 (the sweep is O((a!)^5))", lambda a_list: any(a > 4 for a in a_list),
+                    A_LIST.clamp)
+
+
 class Check(NamedTuple):
     fn: Callable
     defaults: dict
-    pairs: Axis = None  # the kind of its "pairs": AB_PAIRS or AN_PAIRS
+    axes: dict = {}  # per-check Axis overrides of AXES, e.g. the kind of "pairs"
 
 
 REGISTRY = {
@@ -982,23 +988,23 @@ REGISTRY = {
     "ea_standard": Check(check_ea_standard, {"a_max": 5, "random_boxes": 20}),
     "ea_idem": Check(check_ea_idem, {"a_max": 5}),
     "splitter_assoc": Check(check_splitter_assoc, {"total_max": 4}),
-    "oval": Check(check_oval, {"pairs": [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]}, AB_PAIRS),
-    "dapb": Check(check_dapb, {"pairs": [(1, 1), (2, 1), (2, 2), (2, 3)]}, AB_PAIRS),
+    "oval": Check(check_oval, {"pairs": [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]}, {"pairs": AB_PAIRS}),
+    "dapb": Check(check_dapb, {"pairs": [(1, 1), (2, 1), (2, 2), (2, 3)]}, {"pairs": AB_PAIRS}),
     "shuffle": Check(check_shuffle, {"m_max": 4, "k_max": 4}),
     "staircase_vanish": Check(check_staircase_vanish, {"a_max": 5}),
     "add_step": Check(check_add_step, {"a_max": 5}),
     "reorder_revstair": Check(check_reorder_revstair, {"a_max": 5}),
     "nil_orth": Check(check_nil_orth, {"a_list": [2, 3, 4]}),
     "identity_decomposition": Check(check_identity_decomposition, {"a_list": [2, 3, 4]}),
-    "eaeb_decomposition": Check(check_eaeb_decomposition, {"pairs": [(1, 1), (2, 1), (1, 2), (2, 2)]}, AB_PAIRS),
+    "eaeb_decomposition": Check(check_eaeb_decomposition, {"pairs": [(1, 1), (2, 1), (1, 2), (2, 2)]}, {"pairs": AB_PAIRS}),
     "ea_eone": Check(check_ea_eone, {"a_max": 4}),
     "center": Check(check_center, {"a_list": [2, 3]}),
     "jacobi_trudi_failure": Check(check_jacobi_trudi_failure, {"a": 6}),
     "schubert_basis": Check(check_schubert_basis, {"a_max": 4}),
-    "matrix_iso": Check(check_matrix_iso, {"a_list": [2, 3]}),
+    "matrix_iso": Check(check_matrix_iso, {"a_list": [2, 3]}, {"a_list": MATRIX_ISO_A}),
     "grassmann_recursion": Check(check_grassmann_recursion, {"a_max": 3, "n_max": 6}),
-    "oh_rank": Check(check_oh_rank, {"pairs": [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)]}, AN_PAIRS),
-    "schur_box": Check(check_schur_box, {"pairs": [(2, 3), (2, 4)]}, AN_PAIRS),
+    "oh_rank": Check(check_oh_rank, {"pairs": [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)]}, {"pairs": AN_PAIRS}),
+    "schur_box": Check(check_schur_box, {"pairs": [(2, 3), (2, 4)]}, {"pairs": AN_PAIRS}),
     "mod2": Check(check_mod2, {"a_max": 4, "deg_max": 8, "random_sweeps": 10, "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)]}),
     "sentinel_mirror_ea_slide": Check(check_sentinel_mirror_ea_slide, {"a_max": 4}),
     "sentinel_x1sq_central": Check(check_sentinel_x1sq_central, {"a": 2}),
@@ -1016,7 +1022,7 @@ def check_ids():
 
 def check_axes(check_id):
     """A check's flag-bound parameters, in REGISTRY order, each with its Axis."""
-    axes = dict(AXES, pairs=REGISTRY[check_id].pairs)
+    axes = dict(AXES, **REGISTRY[check_id].axes)
     return {name: axes[name] for name in default_params(check_id) if axes.get(name)}
 
 

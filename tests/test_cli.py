@@ -214,6 +214,14 @@ def test_verify_max_rank_below_one_is_usage_error(capsys):
     assert "--max-rank must be >= 1" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_verify_parallel_below_one_is_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "e_h_relation", "--parallel", n)
+    assert code == 2
+    assert out == ""
+    assert "--parallel must be >= 1" in err
+
+
 @pytest.mark.parametrize("flag", ["--b", "--seed", "--parallel"])
 def test_compute_has_no_flag_that_no_kind_reads(flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,10 @@
-import itertools
 from math import comb
 
 import pytest
 
+import reference_evenoracle as R
 from oddnil import combinat as C
+from oddnil import cyclotomic as CY
 from oddnil import evenoracle as E
 
 
@@ -35,13 +36,13 @@ def test_even_divided_difference_is_quotient():
         f = poly(a, (m, 1))
         sm = list(m)
         sm[i - 1], sm[i] = sm[i], sm[i - 1]
-        diff = E.zpoly_add(f, E.zpoly_scale(poly(a, (tuple(sm), 1)), -1))
+        diff = R.zpoly_add(f, R.zpoly_scale(poly(a, (tuple(sm), 1)), -1))
         xi = [0] * a
         xi[i - 1] = 1
         xi1 = [0] * a
         xi1[i] = 1
-        root = E.zpoly_add(poly(a, (tuple(xi), 1)), E.zpoly_scale(poly(a, (tuple(xi1), 1)), -1))
-        back = E.zpoly_mul(root, E.even_divided_difference(i, f, a))
+        root = R.zpoly_add(poly(a, (tuple(xi), 1)), R.zpoly_scale(poly(a, (tuple(xi1), 1)), -1))
+        back = R.zpoly_mul(root, E.even_divided_difference(i, f, a))
         assert back == diff, (a, i, m)
 
 
@@ -59,8 +60,8 @@ def test_even_e_h_alternating_identity():
         for m in range(1, 6):
             total = {}
             for k in range(0, m + 1):
-                term = E.zpoly_mul(E.even_elementary(k, a), E.even_complete(m - k, a))
-                total = E.zpoly_add(total, E.zpoly_scale(term, (-1) ** k))
+                term = R.zpoly_mul(E.even_elementary(k, a), E.even_complete(m - k, a))
+                total = R.zpoly_add(total, R.zpoly_scale(term, (-1) ** k))
             assert total == {}, (a, m)
 
 
@@ -77,8 +78,8 @@ def test_even_schur_examples():
 def test_even_schur_pieri_spot_check():
     # s_(1) * e_1 = s_(2) + s_(1,1) classically
     a = 3
-    lhs = E.zpoly_mul(E.even_schur((1,), a), E.even_elementary(1, a))
-    rhs = E.zpoly_add(E.even_schur((2,), a), E.even_schur((1, 1), a))
+    lhs = R.zpoly_mul(E.even_schur((1,), a), E.even_elementary(1, a))
+    rhs = R.zpoly_add(E.even_schur((2,), a), E.even_schur((1, 1), a))
     assert lhs == rhs
 
 
@@ -103,8 +104,37 @@ def test_even_quotient_ranks_match_box_counts():
 
 def test_even_expand_roundtrip():
     a = 3
-    f = E.zpoly_mul(E.even_elementary(2, a), E.even_elementary(1, a))
-    coeffs = E._even_expand(f, a)
+    f = R.zpoly_mul(E.even_elementary(2, a), E.even_elementary(1, a))
+    coeffs = R._even_expand(f, a)
     assert coeffs == {(2, 1): 1}
     with pytest.raises(ValueError):
-        E._even_expand({(0, 1, 0): 1}, a)
+        R._even_expand({(0, 1, 0): 1}, a)
+
+
+def test_h_ewords_are_complete_polynomials_mod_2():
+    # h_2 = e_1^2 - e_2 in two variables
+    assert E._h_ewords(2, 2) == {(1, 1), (2,)}
+    for a in (1, 2, 3, 4):
+        for m in range(0, 7):
+            expanded = R._even_expand(E.even_complete(m, a), a)
+            assert E._h_ewords(m, a) == {nu for nu, c in expanded.items() if c % 2}, (a, m)
+
+
+@pytest.mark.parametrize("a,n_param", [(a, n) for a in range(1, 5) for n in range(a, 7)])
+def test_eword_quotient_ranks_match_the_polynomial_reference(a, n_param):
+    # every slice up to two half-degrees above the top a(N - a)
+    for k in range(0, a * (n_param - a) + 3):
+        assert E.even_quotient_rank_gf2(a, n_param, k) == R.even_quotient_rank_gf2(a, n_param, k), (a, n_param, k)
+
+
+def test_eword_quotient_ranks_match_the_odd_chain_at_4_8():
+    top = 4 * 4
+    for sl in CY.h_ideal_slices(4, 8, 2 * (top + 2)):
+        assert E.even_quotient_rank_gf2(4, 8, sl.degree // 2) == sl.quotient_rank, sl.degree
+
+
+def test_eword_quotient_ranks_at_5_10_sum_to_the_binomial():
+    # the quotient is the cohomology of Gr(5, 10), of total rank C(10, 5)
+    ranks = [E.even_quotient_rank_gf2(5, 10, k) for k in range(0, 5 * 5 + 3)]
+    assert sum(ranks) == comb(10, 5) == 252
+    assert ranks[:26] == ranks[25::-1] and ranks[26:] == [0, 0]

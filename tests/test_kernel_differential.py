@@ -87,8 +87,6 @@ def test_divided_difference_matches_reference(pair, data):
     i = data.draw(st.integers(1, n - 1))
     for p in (f, g, f - g):
         assert normal(oddops.divided_difference(i, p)) == normal(ref.divided_difference(i, p))
-    j = data.draw(st.integers(1, n).filter(lambda j: j != i))
-    assert normal(oddops.dd_nonadjacent(i, j, f)) == normal(ref.dd_nonadjacent(i, j, f))
 
 
 @pytest.mark.parametrize("nvars", range(2, 7))

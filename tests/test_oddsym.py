@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import paper_identities as P
 from oddnil import combinat as C
 from oddnil import evenoracle as E
 from oddnil import oddsym as S
@@ -177,7 +178,7 @@ def test_chi_examples():
 @pytest.mark.parametrize("a", [2, 3])
 def test_schur_two_routes_agree(a):
     for alpha in C.partitions_in_box(a, 3):
-        assert S.schur(alpha, a) == S.schur_via_staircase(alpha, a), alpha
+        assert S.schur(alpha, a) == P.schur_via_staircase(alpha, a), alpha
 
 
 def test_schur_examples():
@@ -186,7 +187,7 @@ def test_schur_examples():
         for k in range(1, a + 1):
             assert S.schur((1,) * k, a) == S.elementary(k, a).scale((-1) ** comb(k, 2))
     # both defining routes at alpha = (2), a = 2
-    assert S.schur((2,), 2) == S.schur_via_staircase((2,), 2)
+    assert S.schur((2,), 2) == P.schur_via_staircase((2,), 2)
     # more rows than variables: zero by convention
     assert S.schur((1, 1, 1), 2).is_zero()
 
@@ -264,7 +265,7 @@ def test_mod2_reduction_matches_even_oracle():
 @pytest.mark.parametrize("a", [2, 3, 4])
 def test_graded_rank_certificate(a):
     for hd in range(0, 7):
-        assert S.odd_symmetric_rank(a, hd) == len(C.partitions_of(hd, maxpart=a))
+        assert P.odd_symmetric_rank(a, hd) == len(C.partitions_of(hd, maxpart=a))
 
 
 def test_jacobi_trudi_failure_at_rank_six():

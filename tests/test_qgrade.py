@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from oddnil.qgrade import (
     QLaurent,
     format_qlaurent,
-    parse_qlaurent,
     q_binomial,
     q_cardinality_box,
     q_factorial,
@@ -96,16 +95,10 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(small_laurents)
-def test_format_parse_roundtrip(p):
-    assert parse_qlaurent(format_qlaurent(p)) == p
-
-
 def test_format_examples():
     assert format_qlaurent(q_binomial(4, 2)) == "q^4 + q^2 + 2 + q^-2 + q^-4"
     assert format_qlaurent(QLaurent.zero()) == "0"
     assert format_qlaurent(QLaurent({1: -3, 0: 1})) == "-3*q + 1"
-    assert parse_qlaurent("q^4 + q^2 + 2 + q^-2 + q^-4") == q_binomial(4, 2)
 
 
 def test_exponent_multiset():

@@ -5,8 +5,9 @@ and the Smith form and rank against sympy."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import paper_identities
 import reference_linalg as ref
-from oddnil import combinat, cyclotomic, oddsym, zlinalg
+from oddnil import combinat, cyclotomic, zlinalg
 
 P = ref._RANK_PRIME
 
@@ -62,7 +63,7 @@ def test_int_rank_equals_mod_p_rank_on_divided_difference_matrices(monkeypatch):
     monkeypatch.setattr(zlinalg, "int_rank", spy)
     for a in (2, 3, 4, 5):
         for halfdeg in range(0, 7):
-            assert oddsym.odd_symmetric_rank(a, halfdeg) == len(combinat.partitions_of(halfdeg, maxpart=a))
+            assert paper_identities.odd_symmetric_rank(a, halfdeg) == len(combinat.partitions_of(halfdeg, maxpart=a))
     assert len(seen) == 4 * 7
     for rows in seen:
         assert exact(rows) == ref._rank_mod_p(rows)
