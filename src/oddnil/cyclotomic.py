@@ -272,7 +272,7 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
     return QLaurent(coeffs)
 
 
-def schur_box_images(a, n_param, d_max=None):
+def schur_box_images(a, n_param):
     """Check the Schur polynomial picture of the quotient basis.
 
     Returns a report dict: partitions in the a x (N-a) box stay linearly
@@ -284,13 +284,11 @@ def schur_box_images(a, n_param, d_max=None):
     span the same Z-module as its generators, so they have the same span
     over Q and give the same ranks from far fewer rows.
     """
-    if d_max is None:
-        d_max = default_dmax(a, n_param)
     b = n_param - a
     box = combinat.partitions_in_box(a, b)
     vanish = []
     independent = {}
-    for slice_ in h_ideal_slices(a, n_param, d_max):
+    for slice_ in h_ideal_slices(a, n_param, default_dmax(a, n_param)):
         d = slice_.degree
         halfdeg = d // 2
         inside = [lam for lam in box if sum(lam) == halfdeg]

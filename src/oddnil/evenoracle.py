@@ -67,8 +67,8 @@ class Gf2Poly:
 # commutative polynomials over Z
 
 
-def zpoly_mono(nvars, exps, coeff=1):
-    return {tuple(exps): coeff} if coeff else {}
+def zpoly_mono(nvars, exps):
+    return {tuple(exps): 1}
 
 
 def even_divided_difference(i, p, nvars):

@@ -375,7 +375,7 @@ def crossing_element(a, b, offset, n):
 
 
 @lru_cache(maxsize=None)
-def mirror_crossing_letters(a, b, offset=0):
+def mirror_crossing_letters(a, b):
     """The left-right mirror of crossing_word_letters(a, b): bottom bundles
     (b, a), top (a, b), with the left b-bundle sweeping right.
 
@@ -385,7 +385,7 @@ def mirror_crossing_letters(a, b, offset=0):
     n = a + b
     base = crossing_word_letters(a, b)
     # sigma image: crossing index i becomes n - i; letters are negative
-    return tuple(-((n + l) + offset) for l in base)
+    return tuple(-(n + l) for l in base)
 
 
 def up_splitter(a, b):
@@ -458,12 +458,11 @@ def bigX(alpha, a, b):
 # sigma/lambda families
 
 
-def sigma_seq(ell, a=None):
+def sigma_seq(ell):
     """sigma_l: nested splitters (nu+1) -> (nu, 1) from thickness a down,
     with an eps_{l_nu} box right above the thickness-nu leg."""
-    if a is None:
-        a = len(ell) + 1
-    if len(ell) != a - 1 or any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
+    a = len(ell) + 1
+    if any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
         raise ValueError("%r is not in Sq(%d)" % (ell, a))
     out = OnhElement.identity(a)
     for nu in range(1, a):
@@ -476,7 +475,7 @@ def sigma_seq(ell, a=None):
     return out
 
 
-def lambda_seq(ell, a=None):
+def lambda_seq(ell):
     """lambda_l = (-1)^{binom(a,3)} e_a x_a^{hat l_{a-1}} e_{a-1}
     x_{a-1}^{hat l_{a-2}} ... e_2 x_2^{hat l_1}, with hat l_nu = nu - l_nu.
 
@@ -485,9 +484,8 @@ def lambda_seq(ell, a=None):
     some diagonal signs and fails the orthogonality contract, so the
     intermediate merges are kept.
     """
-    if a is None:
-        a = len(ell) + 1
-    if len(ell) != a - 1 or any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
+    a = len(ell) + 1
+    if any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
         raise ValueError("%r is not in Sq(%d)" % (ell, a))
     hat = combinat.seq_hat(ell)
     word = []

@@ -37,8 +37,8 @@ class QLaurent:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, e, coeff=1):
-        return cls({e: coeff})
+    def q_power(cls, e):
+        return cls({e: 1})
 
     @classmethod
     def from_int(cls, n):

@@ -2,6 +2,11 @@
 scope, each producing a machine-readable pass/fail report with concrete
 counterexamples on failure.
 
+A check is a generator of instances (input, expected, actual), and a
+boolean statement is the instance (label, True, condition).  The check
+only states its instances: run_check counts them, compares expected with
+actual, keeps every counterexample and decides the status.
+
 Every check is deterministic given its params and seed; randomized sweeps
 draw from a generator seeded by (seed, check id), and the default sweeps
 always include exhaustive small cases so a pass never depends on luck.
@@ -38,14 +43,14 @@ class CheckReport:
     wall_time: float = 0.0
     instances: int = 0
 
-    def to_json_dict(self, deterministic=True):
+    def to_json_dict(self):
         return {
             "check": self.check_id,
             "params": self.params,
             "status": self.status,
             "seed": self.seed,
             "details": [list(t) for t in self.details],
-            "wall_time_s": 0.0 if deterministic else round(self.wall_time, 6),
+            "wall_time_s": 0.0,
         }
 
 
@@ -53,31 +58,27 @@ def _triple(inp, expected, actual):
     return (str(inp), str(expected), str(actual))
 
 
-class _Sweep:
-    """Collects instance results; keeps every counterexample triple."""
+class _Note(NamedTuple):
+    """An informational triple in a check's stream, shown even on pass (e.g.
+    object counts); it is not an instance."""
 
-    def __init__(self):
-        self.instances = 0
-        self.failures = []
-        self.notes = []
+    inp: object
+    expected: object
+    actual: object
 
-    def check(self, inp, expected, actual):
-        self.instances += 1
+
+def _tally(stream):
+    """Consume a check's stream: (instances, failure triples, note triples)."""
+    instances, failures, notes = 0, [], []
+    for item in stream:
+        if type(item) is _Note:
+            notes.append(_triple(*item))
+            continue
+        instances += 1
+        inp, expected, actual = item
         if expected != actual:
-            self.failures.append(_triple(inp, expected, actual))
-
-    def require(self, inp, condition, expected="True", actual="False"):
-        self.instances += 1
-        if not condition:
-            self.failures.append(_triple(inp, expected, actual))
-
-    def note(self, inp, expected, actual):
-        """Informational triple shown even on pass (e.g. object counts)."""
-        self.notes.append(_triple(inp, expected, actual))
-
-    @property
-    def passed(self):
-        return not self.failures
+            failures.append(_triple(inp, expected, actual))
+    return instances, failures, notes
 
 
 def _monomials_up_to(a, maxhalf):
@@ -107,7 +108,7 @@ def _part_family(a, b):
     return sig, {al: onh.lambda_part(al, a, b) for al in parts}, onh.schubert_basis_list(a + b)
 
 
-def _orthogonality(sw, label, sigmas, lambdas, basis, unit):
+def _orthogonality(label, sigmas, lambdas, basis, unit):
     """lambda_k sigma_j = delta_jk unit; each sigma_j is evaluated once per
     basis polynomial."""
     zero = SkewPolynomial.zero(basis[0].nvars)
@@ -115,10 +116,10 @@ def _orthogonality(sw, label, sigmas, lambdas, basis, unit):
         svals = [sigma.evaluate(p) for p in basis]
         for k, lam in lambdas.items():
             for i, v in enumerate(svals):
-                sw.check(label(j, k, i), unit[i] if j == k else zero, lam.evaluate(v))
+                yield label(j, k, i), unit[i] if j == k else zero, lam.evaluate(v)
 
 
-def _matrix_units(sw, label, sigmas, lambdas, pairs, basis):
+def _matrix_units(label, sigmas, lambdas, pairs, basis):
     """e_jk e_mn = delta_km e_jn for every two (j, k), (m, n) in pairs, with
     e_jk = sigma_j lambda_k; pairs must hold (j, n) whenever they hold
     (j, k) and (k, n).  Returns each e_jk's values on the basis.  Per (j, k),
@@ -139,29 +140,30 @@ def _matrix_units(sw, label, sigmas, lambdas, pairs, basis):
                     if key not in images:
                         images[key] = sigmas[j].evaluate(lambdas[k].evaluate(v))
                     got = images[key]
-                sw.check(label(j, k, m, n, i), want, got)
+                yield label(j, k, m, n, i), want, got
     return e
 
 
-def _decomposition(sw, label, sum_label, sigmas, lambdas, basis, unit):
+def _decomposition(label, sum_label, sigmas, lambdas, basis, unit):
     """The e_kk = sigma_k lambda_k are orthogonal idempotents (the
     matrix-unit sweep on the diagonal, named label(j, m, i) for e_jj e_mm)
     and sum_k e_kk = unit."""
     diagonal = [(k, k) for k in sigmas]
-    e = _matrix_units(sw, lambda j, _, m, __, i: label(j, m, i), sigmas, lambdas, diagonal, basis)
+    e = yield from _matrix_units(lambda j, _, m, __, i: label(j, m, i), sigmas, lambdas, diagonal, basis)
     zero = SkewPolynomial.zero(basis[0].nvars)
     for i, want in enumerate(unit):
-        sw.check(sum_label(i), want, sum((e[k, k][i] for k in sigmas), zero))
+        yield sum_label(i), want, sum((e[k, k][i] for k in sigmas), zero)
 
 
-def _witness(sw, label, want, got):
+def _witness(label, want, got):
     """One sentinel instance, failed by the first Schubert polynomial on
     which the elements want and got differ."""
     for i, p in enumerate(onh.schubert_basis_list(want.strands)):
         vw, vg = want.evaluate(p), got.evaluate(p)
         if vw != vg:
-            return sw.check(label + (i,), vw, vg)
-    sw.require(label, True)
+            yield label + (i,), vw, vg
+            return
+    yield label, True, True
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,6 @@ def _witness(sw, label, want, got):
 
 
 def check_defining_relations(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         monos = _monomials_up_to(a, params["dmax"] // 2)
         xs = [SkewPolynomial.variable(a, i) for i in range(1, a + 1)]
@@ -177,58 +178,54 @@ def check_defining_relations(params, rng):
             p = SkewPolynomial.monomial(a, m)
             dd = {i: oddops.divided_difference(i, p) for i in range(1, a)}
             for i in range(1, a):
-                sw.check(("d%d^2" % i, a, m), SkewPolynomial.zero(a), oddops.divided_difference(i, dd[i]))
+                yield ("d%d^2" % i, a, m), SkewPolynomial.zero(a), oddops.divided_difference(i, dd[i])
                 if i + 1 < a:
                     lhs = oddops.dd_word((i, i + 1, i), p)
                     rhs = oddops.dd_word((i + 1, i, i + 1), p)
-                    sw.check(("braid", a, i, m), lhs, rhs)
-                sw.check(
+                    yield ("braid", a, i, m), lhs, rhs
+                yield (
                     ("x_i d_i + d_i x_{i+1}", a, i, m),
                     p,
                     xs[i - 1] * dd[i] + oddops.divided_difference(i, xs[i] * p),
                 )
-                sw.check(
+                yield (
                     ("d_i x_i + x_{i+1} d_i", a, i, m),
                     p,
                     oddops.divided_difference(i, xs[i - 1] * p) + xs[i] * dd[i],
                 )
                 for j in range(1, a + 1):
                     if j not in (i, i + 1):
-                        sw.check(
+                        yield (
                             ("x_j d_i + d_i x_j", a, i, j, m),
                             SkewPolynomial.zero(a),
                             xs[j - 1] * dd[i] + oddops.divided_difference(i, xs[j - 1] * p),
                         )
                 for j in range(i + 2, a):
-                    sw.check(
+                    yield (
                         ("d_i d_j + d_j d_i", a, i, j, m),
                         SkewPolynomial.zero(a),
                         oddops.divided_difference(i, dd[j]) + oddops.divided_difference(j, dd[i]),
                     )
             for i in range(1, a + 1):
                 for j in range(i + 1, a + 1):
-                    sw.check(
+                    yield (
                         ("x_i x_j + x_j x_i", a, i, j, m),
                         SkewPolynomial.zero(a),
                         xs[i - 1] * (xs[j - 1] * p) + xs[j - 1] * (xs[i - 1] * p),
                     )
-    return sw
 
 
 def check_e_h_relation(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         for m in range(1, params["m_max"] + 1):
             tot = SkewPolynomial.zero(a)
             for k in range(0, m + 1):
                 term = oddsym.elementary(k, a) * oddsym.complete(m - k, a)
                 tot = tot + term.scale((-1) ** (k * (k + 1) // 2))
-            sw.check(("e-h relation", a, m), SkewPolynomial.zero(a), tot)
-    return sw
+            yield ("e-h relation", a, m), SkewPolynomial.zero(a), tot
 
 
 def check_eps_relations(params, rng):
-    sw = _Sweep()
 
     def fam(f, g, name, a):
         """The even- and odd-sum relations between the families f and g,
@@ -247,43 +244,41 @@ def check_eps_relations(params, rng):
             for i in range(1, 2 * m):
                 j = 2 * m - i
                 if 1 <= i <= a and 1 <= j <= a:
-                    sw.check((name + " even-sum", a, i, j), mul(f, i, g, j), mul(g, j, f, i))
+                    yield (name + " even-sum", a, i, j), mul(f, i, g, j), mul(g, j, f, i)
             for i in range(0, 2 * m + 1):
                 j = 2 * m + 1 - i
                 if 1 <= i <= a - 1 and 1 <= 2 * m - i <= a - 1:
                     lhs = mul(f, i, g, j) + mul(g, j, f, i).scale((-1) ** i)
                     rhs = mul(f, i + 1, g, 2 * m - i).scale((-1) ** i) + mul(g, 2 * m - i, f, i + 1)
-                    sw.check((name + " odd-sum", a, i, j), lhs, rhs)
+                    yield (name + " odd-sum", a, i, j), lhs, rhs
             if f is g and 1 < 2 * m <= a - 1:
-                sw.check(
+                yield (
                     (name + " doubling", a, m),
                     f(2 * m + 1, a).scale(2),
                     mul(f, 1, f, 2 * m) + mul(f, 2 * m, f, 1),
                 )
 
     for a in range(2, params["a_max"] + 1):
-        fam(oddsym.elementary, oddsym.elementary, "eps", a)
-        fam(oddsym.complete, oddsym.complete, "h", a)
-        fam(oddsym.elementary, oddsym.complete, "mixed", a)
+        yield from fam(oddsym.elementary, oddsym.elementary, "eps", a)
+        yield from fam(oddsym.complete, oddsym.complete, "h", a)
+        yield from fam(oddsym.elementary, oddsym.complete, "mixed", a)
         # variable reduction
         for k in range(0, a + 1):
             lhs = oddsym.elementary_in_fewer_vars(k, a)
             rhs = SkewPolynomial.zero(a)
             for j in range(0, k + 1):
                 rhs = rhs + (oddsym.elementary(k - j, a) * (oddsym.x_tilde(a, a) ** j)).scale((-1) ** j)
-            sw.check(("variable reduction", a, k), lhs, rhs)
+            yield ("variable reduction", a, k), lhs, rhs
         # w_0 action
         for k in range(0, a + 1):
-            sw.check(
+            yield (
                 ("w0 on eps", a, k),
                 oddsym.elementary(k, a).scale((-1) ** (comb(k, 2) + k * comb(a - 1, 2))),
                 apply_w0(oddsym.elementary(k, a)),
             )
-    return sw
 
 
 def check_pieri(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         for alpha in combinat.partitions_in_box(params["rows"], params["cols"]):
             for k in range(1, params["k_max"] + 1):
@@ -293,12 +288,10 @@ def check_pieri(params, rng):
                 rhs = SkewPolynomial.zero(a)
                 for sign, mu in oddsym.pieri_expected(alpha, k, a):
                     rhs = rhs + oddsym.schur(mu, a).scale(sign)
-                sw.check(("pieri", a, alpha, k), rhs, lhs)
-    return sw
+                yield ("pieri", a, alpha, k), rhs, lhs
 
 
 def check_owl_corollary(params, rng):
-    sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         eps_words = [
             lam
@@ -311,7 +304,7 @@ def check_owl_corollary(params, rng):
             fw0 = apply_w0(f)
             for m in monos:
                 g = SkewPolynomial.monomial(a, m)
-                sw.check(
+                yield (
                     ("D(fg) = f^w0 D(g)", a, lam, m),
                     fw0 * oddops.longest_dd(a, g),
                     oddops.longest_dd(a, f * g),
@@ -322,32 +315,28 @@ def check_owl_corollary(params, rng):
             f = SkewPolynomial.zero(a)
             for m in rng.sample(allm, min(4, len(allm))):
                 f = f + SkewPolynomial.monomial(a, m, rng.randint(-3, 3))
-            sw.check(
+            yield (
                 ("D(f)^w0 = (-1)^C(a,2) D(f^w0)", a, str(f)),
                 oddops.longest_dd(a, apply_w0(f)).scale((-1) ** comb(a, 2)),
                 apply_w0(oddops.longest_dd(a, f)),
             )
-    return sw
 
 
 def check_da_values(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
-        sw.check(
+        yield (
             ("D_a(staircase)", a),
             SkewPolynomial.constant(a, (-1) ** comb(a, 3)),
             oddops.longest_dd(a, staircase(a)),
         )
-        sw.check(
+        yield (
             ("D_a(psi staircase)", a),
             SkewPolynomial.constant(a, (-1) ** comb(a + 1, 4)),
             oddops.longest_dd(a, psi_staircase(a)),
         )
-    return sw
 
 
 def check_crossing_slide(params, rng):
-    sw = _Sweep()
     for a in range(3, params["a_max"] + 1):
         lhs = onh.OnhElement.from_word(
             a, tuple(-i for i in list(range(a - 2, 0, -1)) + list(range(a - 1, 0, -1)))
@@ -355,19 +344,18 @@ def check_crossing_slide(params, rng):
         rhs = onh.OnhElement.from_word(
             a, tuple(-i for i in list(range(a - 1, 0, -1)) + list(range(a - 1, 1, -1)))
         )
-        sw.require(("crossing slide", a), lhs == rhs)
-    return sw
+        yield ("crossing slide", a), True, lhs == rhs
 
 
 def check_da_slide(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         n = a + 1
         chain = onh.OnhElement.from_word(n, tuple(-i for i in range(a, 0, -1)))
         d_lo = onh.embed(onh.d_element(a), 0, n)
         d_hi = onh.embed(onh.d_element(a), 1, n)
-        sw.require(
+        yield (
             ("D_a slide", a),
+            True,
             d_lo * chain == (chain * d_hi).scale((-1) ** comb(a, 3)),
         )
         # alternative definition of D_a
@@ -375,20 +363,20 @@ def check_da_slide(params, rng):
             alt = onh.embed(onh.d_element(a - 1), 1, a) * onh.OnhElement.from_word(
                 a, tuple(-i for i in range(1, a))
             )
-            sw.require(("alt def D_a", a), alt == onh.d_element(a))
+            yield ("alt def D_a", a), True, alt == onh.d_element(a)
         # sigma invariance
-        sw.require(
+        yield (
             ("sigma(D_a) = D_a", a),
+            True,
             onh.automorphism_apply("sigma", onh.d_element(a)) == onh.d_element(a),
         )
-    return sw
 
 
 def check_ea_standard(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
-        sw.require(
+        yield (
             ("e_a = (-1)^C(a,3) x^delta D_a", a),
+            True,
             onh.idempotent_e(a)
             == (onh.staircase_element(a) * onh.d_element(a)).scale((-1) ** comb(a, 3)),
         )
@@ -402,30 +390,29 @@ def check_ea_standard(params, rng):
                 deg += 2 * k
                 if rng.random() < 0.4:
                     break
-            sw.require(
+            yield (
                 ("e_a f e_a = e_a f", a, t),
+                True,
                 onh.box(f, a) == onh.idempotent_e(a) * onh.from_polynomial(f),
             )
-    return sw
 
 
 def check_ea_idem(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         ea = onh.idempotent_e(a)
-        sw.require(("e_a^2 = e_a", a), ea * ea == ea)
-        sw.require(("D_a e_a = D_a", a), onh.d_element(a) * ea == onh.d_element(a))
+        yield ("e_a^2 = e_a", a), True, ea * ea == ea
+        yield ("D_a e_a = D_a", a), True, onh.d_element(a) * ea == onh.d_element(a)
     # 0-Hecke relations
     for a in range(2, min(params["a_max"], 4) + 1):
         for r in range(1, a):
             z = onh.zero_hecke(a, r)
-            sw.require(("0-Hecke idempotent", a, r), z * z == z)
+            yield ("0-Hecke idempotent", a, r), True, z * z == z
             if r + 1 < a:
                 z2 = onh.zero_hecke(a, r + 1)
-                sw.require(("0-Hecke braid", a, r), z * z2 * z == z2 * z * z2)
+                yield ("0-Hecke braid", a, r), True, z * z2 * z == z2 * z * z2
             for s in range(r + 2, a):
                 z2 = onh.zero_hecke(a, s)
-                sw.require(("0-Hecke distant", a, r, s), z * z2 == z2 * z)
+                yield ("0-Hecke distant", a, r, s), True, z * z2 == z2 * z
     # absorption of embedded projectors
     for (a, b, c) in [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)]:
         n = a + b + c
@@ -433,17 +420,17 @@ def check_ea_idem(params, rng):
             continue
         e_n = onh.idempotent_e(n)
         mid = onh.e_embedded(b, a, n)
-        sw.require(("absorb above", a, b, c), mid * e_n == e_n)
-        sw.require(("absorb below", a, b, c), e_n * mid == e_n)
+        yield ("absorb above", a, b, c), True, mid * e_n == e_n
+        yield ("absorb below", a, b, c), True, e_n * mid == e_n
     # e_a slide (positive direction)
     for a in range(2, min(params["a_max"], 4) + 1):
         n = a + 1
         chain = onh.OnhElement.from_word(n, tuple(-i for i in range(a, 0, -1)))
-        sw.require(
+        yield (
             ("e_a slide", a),
+            True,
             onh.e_embedded(a, 0, n) * chain == chain * onh.e_embedded(a, 1, n),
         )
-    return sw
 
 
 def check_splitter_assoc(params, rng):
@@ -464,7 +451,6 @@ def check_splitter_assoc(params, rng):
     e_{b+c} absorbs e_c (x) e_b, leaving up_splitter(a, b+c).  The sign is
     first -1 at (a, b, c) = (2, 1, 2), above the default total_max = 4.
     """
-    sw = _Sweep()
     total = params["total_max"]
     for a in range(1, total - 1):
         for b in range(1, total - a):
@@ -473,10 +459,10 @@ def check_splitter_assoc(params, rng):
                 lhs = onh.embed(onh.up_splitter(a, b), 0, n) * onh.up_splitter(a + b, c)
                 rhs = onh.embed(onh.up_splitter(b, c), a, n) * onh.up_splitter(a, b + c)
                 sign = (-1) ** ((a * b * comb(c, 2)) % 2)
-                sw.require(("up-splitter assoc", a, b, c), lhs == rhs.scale(sign))
+                yield ("up-splitter assoc", a, b, c), True, lhs == rhs.scale(sign)
                 e_n = onh.idempotent_e(n)
-                sw.require(("merge assoc left", a, b, c), e_n * onh.embed(onh.idempotent_e(a + b), 0, n) == e_n)
-                sw.require(("merge assoc right", a, b, c), e_n * onh.embed(onh.idempotent_e(b + c), a, n) == e_n)
+                yield ("merge assoc left", a, b, c), True, e_n * onh.embed(onh.idempotent_e(a + b), 0, n) == e_n
+                yield ("merge assoc right", a, b, c), True, e_n * onh.embed(onh.idempotent_e(b + c), a, n) == e_n
                 # triangle: crossing a c-strand under a splitter
                 tcross = onh.OnhElement.from_word(
                     n,
@@ -486,19 +472,21 @@ def check_splitter_assoc(params, rng):
                 )
                 lhs_t = onh.embed(onh.idempotent_e(b + c), a, n) * tcross * onh.embed(onh.up_splitter(a, b), c, n)
                 rhs_t = onh.up_splitter(a, b + c) * onh.idempotent_e(n)
-                sw.require(("triangle", a, b, c), lhs_t == rhs_t.scale((-1) ** (comb(a, 2) * comb(c, 2) % 2)))
+                yield ("triangle", a, b, c), True, lhs_t == rhs_t.scale((-1) ** (comb(a, 2) * comb(c, 2) % 2))
     # merge identities for plain crossings
     for (a, b, c) in [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 3)]:
         n = a + b + c
         if n > total + 1:
             continue
-        sw.require(
+        yield (
             ("crossings combine flat", a, b, c),
+            True,
             onh.crossing_element(a, b + c, 0, n)
             == onh.crossing_element(a, c, b, n) * onh.crossing_element(a, b, 0, n),
         )
-        sw.require(
+        yield (
             ("crossings combine signed", a, b, c),
+            True,
             onh.crossing_element(a + b, c, 0, n)
             == (
                 onh.crossing_element(a, c, 0, n) * onh.crossing_element(b, c, a, n)
@@ -512,32 +500,29 @@ def check_splitter_assoc(params, rng):
         lhs = onh.embed(onh.d_element(a), 0, n) * onh.embed(onh.d_element(b), a, n) * onh.OnhElement.from_word(
             n, onh.crossing_word_letters(b, a)
         )
-        sw.require(
+        yield (
             ("D_a D_b over crossing", a, b),
+            True,
             lhs == onh.d_element(n).scale((-1) ** ((comb(a, 2) * comb(b, 2)) % 2)),
         )
         lhs_m = onh.embed(onh.d_element(a), 0, n) * onh.embed(onh.d_element(b), a, n) * onh.OnhElement.from_word(
             n, onh.mirror_crossing_letters(a, b)
         )
-        sw.require(("D_a D_b over mirror crossing", a, b), lhs_m == onh.d_element(n))
-    return sw
+        yield ("D_a D_b over mirror crossing", a, b), True, lhs_m == onh.d_element(n)
 
 
 def check_oval(params, rng):
-    sw = _Sweep()
     pairs = params["pairs"]
     for (a, b) in pairs:
         en = onh.idempotent_e(a + b)
         sig, lam, basis = _part_family(a, b)
         for alpha, s in sig.items():
-            sw.check(("deg sigma_alpha", a, b, alpha), [2 * sum(alpha) - 2 * a * b], s.degrees())
-        _orthogonality(sw, lambda al, be, i: ("lambda_beta sigma_alpha", a, b, al, be, i),
-                       sig, lam, basis, [en.evaluate(p) for p in basis])
-    return sw
+            yield ("deg sigma_alpha", a, b, alpha), [2 * sum(alpha) - 2 * a * b], s.degrees()
+        yield from _orthogonality(lambda al, be, i: ("lambda_beta sigma_alpha", a, b, al, be, i),
+                                  sig, lam, basis, [en.evaluate(p) for p in basis])
 
 
 def check_dapb(params, rng):
-    sw = _Sweep()
     for (a, b) in params["pairs"]:
         for alpha in combinat.partitions_in_box(a, b):
             pa = list(alpha) + [0] * (a - len(alpha))
@@ -554,12 +539,10 @@ def check_dapb(params, rng):
                     )
                 else:
                     want = SkewPolynomial.zero(a + b)
-                sw.check(("D_{a+b} dotted", a, b, alpha, beta), want, val)
-    return sw
+                yield ("D_{a+b} dotted", a, b, alpha, beta), want, val
 
 
 def check_shuffle(params, rng):
-    sw = _Sweep()
     for a in (2, 3):
         for i in range(1, a):
             for m in range(0, params["m_max"] + 1):
@@ -581,96 +564,82 @@ def check_shuffle(params, rng):
                             - oddops.divided_difference(i, mono(m + k - 1, m + 1))
                             + oddops.divided_difference(i, mono(m + 1, m + k - 1)).scale((-1) ** m)
                         )
-                    sw.check(("shuffle", a, i, m, k), want, lhs)
+                    yield ("shuffle", a, i, m, k), want, lhs
                     if k % 2 == 1:
                         big = oddops.divided_difference(i, mono(m + k, m)).scale((-1) ** m)
                         for j in range(1, k // 2 + 1):
                             big = big - oddops.divided_difference(i, mono(m + k - j, m + j)).scale(
                                 2 * (-1) ** ((m * (j + 1)) % 2)
                             )
-                        sw.check(("big odd shuffle", a, i, m, k), big, lhs)
-    return sw
+                        yield ("big odd shuffle", a, i, m, k), big, lhs
 
 
 def check_staircase_vanish(params, rng):
-    sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         for m in range(2, a + 1):
             for p in range(a - (m - 1), a):
                 exps = tuple([a - 1 - j for j in range(m - 1)] + [p])
-                sw.check(
+                yield (
                     ("partial staircase", a, m, p),
                     SkewPolynomial.zero(m),
                     oddops.longest_dd(m, SkewPolynomial.monomial(m, exps)),
                 )
-    return sw
 
 
 def check_add_step(params, rng):
-    sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         exps = tuple([a - 2 - j for j in range(a - 1)] + [a - 1])
-        sw.check(
+        yield (
             ("add step", a),
             SkewPolynomial.constant(a, (-1) ** comb(a - 1, 2)),
             oddops.longest_dd(a, SkewPolynomial.monomial(a, exps)),
         )
-    return sw
 
 
 def check_reorder_revstair(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
-        sw.check(
+        yield (
             ("reverse staircase", a),
             oddops.longest_dd(a, staircase(a)).scale((-1) ** comb(a, 4)),
             oddops.longest_dd(a, reverse_staircase(a)),
         )
-    return sw
 
 
 def check_nil_orth(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         ea = onh.idempotent_e(a)
         sig, lam, basis = _seq_family(a)
-        _orthogonality(sw, lambda l, lp, i: ("lambda sigma", a, lp, l, i),
-                       sig, lam, basis, [ea.evaluate(p) for p in basis])
-    return sw
+        yield from _orthogonality(lambda l, lp, i: ("lambda sigma", a, lp, l, i),
+                                  sig, lam, basis, [ea.evaluate(p) for p in basis])
 
 
 def check_identity_decomposition(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         sig, lam, basis = _seq_family(a)
-        sw.note(("idempotents at a=%d" % a), factorial(a), len(sig))
+        yield _Note("idempotents at a=%d" % a, factorial(a), len(sig))
         # the unit is the identity: its values are the basis itself
-        _decomposition(sw, lambda l, lp, i: ("e_l e_l'", a, l, lp, i),
-                       lambda i: ("sum e_l = 1", a, i), sig, lam, basis, basis)
-    return sw
+        yield from _decomposition(lambda l, lp, i: ("e_l e_l'", a, l, lp, i),
+                                  lambda i: ("sum e_l = 1", a, i), sig, lam, basis, basis)
 
 
 def check_eaeb_decomposition(params, rng):
-    sw = _Sweep()
     for (a, b) in params["pairs"]:
         n = a + b
         sig, lam, basis = _part_family(a, b)
-        sw.note(("idempotents at (a,b)=(%d,%d)" % (a, b)), comb(n, a), len(sig))
+        yield _Note("idempotents at (a,b)=(%d,%d)" % (a, b), comb(n, a), len(sig))
         eab = onh.e_embedded(a, 0, n) * onh.e_embedded(b, a, n)
-        _decomposition(sw, lambda be, al, i: ("e_beta e_alpha", a, b, al, be, i),
-                       lambda i: ("sum e_alpha = e_a x e_b", a, b, i),
-                       sig, lam, basis, [eab.evaluate(p) for p in basis])
+        yield from _decomposition(lambda be, al, i: ("e_beta e_alpha", a, b, al, be, i),
+                                  lambda i: ("sum e_alpha = e_a x e_b", a, b, i),
+                                  sig, lam, basis, [eab.evaluate(p) for p in basis])
         ms = sorted(2 * sum(al) - a * b for al in sig)
-        sw.check(
+        yield (
             ("degree multiset", a, b),
             qgrade.q_binomial(a + b, a).exponent_multiset(),
             ms,
         )
-    return sw
 
 
 def check_ea_eone(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         n = a + 1
         lhs = onh.e_embedded(a, 0, n)
@@ -683,12 +652,10 @@ def check_ea_eone(params, rng):
                 * onh.OnhElement.from_word(n, (n,) * s)
             )
             tot = tot + term
-        sw.require(("e_a x 1 expansion", a), lhs == tot.scale((-1) ** comb(a, 2)))
-    return sw
+        yield ("e_a x 1 expansion", a), True, lhs == tot.scale((-1) ** comb(a, 2))
 
 
 def check_center(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         gens = [onh.dot(a, r) for r in range(1, a + 1)] + [onh.cross(a, r) for r in range(1, a)]
         for k in range(1, a + 1):
@@ -700,11 +667,9 @@ def check_center(params, rng):
                 f = f + SkewPolynomial.monomial(a, e)
             F = onh.from_polynomial(f)
             for t, g in enumerate(gens):
-                sw.require(("central e_k(x^2)", a, k, t), F * g == g * F)
+                yield ("central e_k(x^2)", a, k, t), True, F * g == g * F
         # power sums of squares, degree <= 8
-        for k in (1, 2, 3, 4):
-            if 4 * k > 8:
-                continue
+        for k in (1, 2):
             f = SkewPolynomial.zero(a)
             for i in range(1, a + 1):
                 e = [0] * a
@@ -712,12 +677,10 @@ def check_center(params, rng):
                 f = f + SkewPolynomial.monomial(a, e)
             F = onh.from_polynomial(f)
             for t, g in enumerate(gens):
-                sw.require(("central p_k(x^2)", a, k, t), F * g == g * F)
-    return sw
+                yield ("central p_k(x^2)", a, k, t), True, F * g == g * F
 
 
 def check_jacobi_trudi_failure(params, rng):
-    sw = _Sweep()
     a = params["a"]
     if a < 4:
         raise DomainError("jacobi_trudi_failure needs a >= 4: its target eps_4 has degree 4, "
@@ -746,43 +709,37 @@ def check_jacobi_trudi_failure(params, rng):
     target = zlinalg.row({(4,): 1}, bidx)
     r1 = zlinalg.int_rank(rows)
     r2 = zlinalg.int_rank(rows + [target])
-    sw.check(("rank jump certifies eps_4 not in span", a), r1 + 1, r2)
-    sw.require(("eps_4 not in lattice", a), not zlinalg.in_row_lattice(rows, target))
-    return sw
+    yield ("rank jump certifies eps_4 not in span", a), r1 + 1, r2
+    yield ("eps_4 not in lattice", a), True, not zlinalg.in_row_lattice(rows, target)
 
 
 def check_schubert_basis(params, rng):
-    sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         monos = sorted(itertools.product(*[range(a - i) for i in range(a)]))
         idx = {m: t for t, m in enumerate(monos)}
         mat = [zlinalg.row(oddsym.schubert(w, a).terms, idx) for w in combinat.all_permutations(a)]
         factors = zlinalg.smith_invariant_factors(mat)
-        sw.check(("unimodular Schubert matrix", a), [1] * len(monos), factors)
-    return sw
+        yield ("unimodular Schubert matrix", a), [1] * len(monos), factors
 
 
 def check_matrix_iso(params, rng):
-    sw = _Sweep()
     for a in params["a_list"]:
         sig, lam, basis = _seq_family(a)
-        _matrix_units(sw, lambda *idx: ("matrix units", a) + idx,
-                      sig, lam, list(itertools.product(sig, sig)), basis)
-    return sw
+        yield from _matrix_units(lambda *idx: ("matrix units", a) + idx,
+                                 sig, lam, list(itertools.product(sig, sig)), basis)
 
 
 def check_grassmann_recursion(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         mat = cyclotomic.grassmann_matrix(a)
         for j in range(1, a + 1):
-            sw.check(
+            yield (
                 ("first column", a, j),
                 oddsym.elementary(j, a).scale((-1) ** comb(j - 1, 2)),
                 mat[j - 1][0],
             )
         for k in range(0, params["n_max"] + 1):
-            sw.check(
+            yield (
                 ("z_k", a, k),
                 oddsym.complete(k, a).scale((-1) ** comb(k + 1, 2)),
                 cyclotomic.z_poly(k, a),
@@ -790,7 +747,7 @@ def check_grassmann_recursion(params, rng):
         for n_param in range(a, params["n_max"] + 1):
             col = cyclotomic.grassmann_power_column(a, n_param)
             if n_param - a >= 1:
-                sw.check(
+                yield (
                     ("f_1 vanishes", a, n_param),
                     SkewPolynomial.zero(a),
                     cyclotomic.series_relation(a, n_param, 1),
@@ -799,20 +756,18 @@ def check_grassmann_recursion(params, rng):
                 want = cyclotomic.series_relation(a, n_param, n_param - a + j).scale(
                     (-1) ** comb(n_param - a + j - 1, 2)
                 )
-                sw.check(("M^{N-a+1} v entry", a, n_param, j), want, col[j - 1])
-    return sw
+                yield ("M^{N-a+1} v entry", a, n_param, j), want, col[j - 1]
 
 
 def check_oh_rank(params, rng):
-    sw = _Sweep()
     for (a, n_param) in params["pairs"]:
         d_max = cyclotomic.default_dmax(a, n_param)
         slices = cyclotomic.h_ideal_slices(a, n_param, d_max)
         q = cyclotomic.quotient_graded_rank(a, n_param, d_max, slices)
-        sw.check(("total rank", a, n_param), comb(n_param, a), q.at_one())
+        yield ("total rank", a, n_param), comb(n_param, a), q.at_one()
         centered = q * qgrade.QLaurent.q_power(-a * (n_param - a))
-        sw.require(("palindromic", a, n_param), centered.is_bar_invariant())
-        sw.check(
+        yield ("palindromic", a, n_param), True, centered.is_bar_invariant()
+        yield (
             ("matches balanced q-binomial", a, n_param),
             qgrade.q_cardinality_box(a, n_param - a),
             centered,
@@ -821,44 +776,41 @@ def check_oh_rank(params, rng):
         columns = cyclotomic.column_ideal_slices(a, n_param, d_max) if a == 2 and n_param <= 5 else None
         for i, sl in enumerate(slices):
             d = sl.degree
-            sw.require(("torsion-free slice", a, n_param, d), sl.is_torsion_free())
+            yield ("torsion-free slice", a, n_param, d), True, sl.is_torsion_free()
             if columns:
-                sw.check(("h-ideal = column ideal", a, n_param, d), sl.hermite, columns[i].hermite)
-    return sw
+                yield ("h-ideal = column ideal", a, n_param, d), sl.hermite, columns[i].hermite
 
 
 def check_schur_box(params, rng):
-    sw = _Sweep()
     for (a, n_param) in params["pairs"]:
         rep = cyclotomic.schur_box_images(a, n_param)
         for lam, okv in rep["vanishing"]:
-            sw.require(("outside Schur vanishes", a, n_param, lam), okv)
+            yield ("outside Schur vanishes", a, n_param, lam), True, okv
         for d, oki in rep["independent_per_degree"].items():
-            sw.require(("box Schurs independent", a, n_param, d), oki)
-        sw.require(
+            yield ("box Schurs independent", a, n_param, d), True, oki
+        yield (
             ("s_empty nonzero", a, n_param),
+            True,
             cyclotomic.ideal_degree_slice(a, n_param, 0).quotient_rank == 1,
         )
-    return sw
 
 
 def check_mod2(params, rng):
-    sw = _Sweep()
     for a in range(1, params["a_max"] + 1):
         for k in range(0, min(a, 4) + 1):
-            sw.check(
+            yield (
                 ("eps_k mod 2", a, k),
                 evenoracle.to_gf2(evenoracle.even_elementary(k, a), a),
                 oddsym.mod2_reduction(oddsym.elementary(k, a)),
             )
         for k in range(0, params["deg_max"] // 2 + 1):
-            sw.check(
+            yield (
                 ("h_k mod 2", a, k),
                 evenoracle.to_gf2(evenoracle.even_complete(k, a), a),
                 oddsym.mod2_reduction(oddsym.complete(k, a)),
             )
         for alpha in combinat.partitions_in_box(min(a, 2), 2):
-            sw.check(
+            yield (
                 ("schur mod 2", a, alpha),
                 evenoracle.to_gf2(evenoracle.even_schur(alpha, a), a),
                 oddsym.mod2_reduction(oddsym.schur(alpha, a)),
@@ -874,38 +826,33 @@ def check_mod2(params, rng):
                 g = g + SkewPolynomial.monomial(a, m, rng.randint(-2, 2))
             lhs = oddsym.mod2_reduction(f * g)
             rhs = oddsym.mod2_reduction(f) * oddsym.mod2_reduction(g)
-            sw.check(("multiply mod 2", a, str(f), str(g)), rhs, lhs)
+            yield ("multiply mod 2", a, str(f), str(g)), rhs, lhs
     for (a, n_param) in params["quotient_pairs"]:
         for sl in cyclotomic.h_ideal_slices(a, n_param, 2 * a * (n_param - a)):
-            sw.check(
+            yield (
                 ("OH rank mod 2 oracle", a, n_param, sl.degree),
                 evenoracle.even_quotient_rank_gf2(a, n_param, sl.degree // 2),
                 sl.quotient_rank,
             )
-    return sw
 
 
 def check_sentinel_mirror_ea_slide(params, rng):
-    sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         n = a + 1
         chain = onh.OnhElement.from_word(n, tuple(-i for i in range(a, 0, -1)))
         lhs = onh.e_embedded(a, 1, n) * chain
         rhs = chain * onh.e_embedded(a, 0, n)
         # this SHOULD differ; finding a witness makes the sentinel "fail"
-        _witness(sw, ("mirror slide witness", a), rhs, lhs)
-    return sw
+        yield from _witness(("mirror slide witness", a), rhs, lhs)
 
 
 def check_sentinel_x1sq_central(params, rng):
-    sw = _Sweep()
     a = params["a"]
     if a < 2:
         raise DomainError("sentinel_x1sq_central needs a >= 2: its witness crosses strands 1 and 2")
     F = onh.from_polynomial(SkewPolynomial.monomial(a, tuple([2] + [0] * (a - 1))))
     d1 = onh.cross(a, 1)
-    _witness(sw, ("x_1^2 commutator witness", a), F * d1, d1 * F)
-    return sw
+    yield from _witness(("x_1^2 commutator witness", a), F * d1, d1 * F)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,15 +1043,14 @@ def run_check(check_id, params=None, seed=DEFAULT_SEED):
     if reason is not None:
         return CheckReport(check_id, merged, "skipped", [_triple("envelope", "within limits", reason)], seed)
     rng = random.Random("%s:%s" % (seed, check_id))
-    sweep = fn(merged, rng)
+    instances, failures, notes = _tally(fn(merged, rng))
     wall = time.perf_counter() - start
-    if not sweep.instances:
+    if not instances:
         # a sweep that checked nothing proves nothing, so it never passes
         details = [_triple("sweep", "at least 1 instance", "empty sweep: 0 instances")]
         return CheckReport(check_id, merged, "skipped", details, seed, wall)
-    status = "pass" if sweep.passed else "fail"
-    details = sweep.failures[:32] if sweep.failures else list(sweep.notes)
-    return CheckReport(check_id, merged, status, details, seed, wall, sweep.instances)
+    status = "fail" if failures else "pass"
+    return CheckReport(check_id, merged, status, failures[:32] or notes, seed, wall, instances)
 
 
 def _run_one(args):
@@ -1130,9 +1076,5 @@ def all_match_expected(reports):
     return all(r.status == EXPECTED_STATUS.get(r.check_id, "pass") for r in reports)
 
 
-def reports_to_json(reports, deterministic=True):
-    return json.dumps(
-        [r.to_json_dict(deterministic=deterministic) for r in reports],
-        indent=2,
-        sort_keys=True,
-    )
+def reports_to_json(reports):
+    return json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True)

@@ -17,7 +17,36 @@ from math import comb
 from oddnil import combinat, oddsym, onh, qgrade
 from oddnil.combinat import DomainError
 from oddnil.skewpoly import SkewPolynomial, apply_w0
-from oddnil.verify import _Sweep, _triple
+from oddnil.verify import _triple
+
+
+class _Sweep:
+    """Collects instance results; keeps every counterexample triple.  The
+    accumulator these bodies were written against, before ``verify``'s
+    checks became generators of instances."""
+
+    def __init__(self):
+        self.instances = 0
+        self.failures = []
+        self.notes = []
+
+    def check(self, inp, expected, actual):
+        self.instances += 1
+        if expected != actual:
+            self.failures.append(_triple(inp, expected, actual))
+
+    def require(self, inp, condition, expected="True", actual="False"):
+        self.instances += 1
+        if not condition:
+            self.failures.append(_triple(inp, expected, actual))
+
+    def note(self, inp, expected, actual):
+        """Informational triple shown even on pass (e.g. object counts)."""
+        self.notes.append(_triple(inp, expected, actual))
+
+    @property
+    def passed(self):
+        return not self.failures
 
 
 def check_eps_relations(params, rng):

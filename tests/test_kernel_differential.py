@@ -379,9 +379,9 @@ def _sigma_lambda_families():
     for a in (1, 2, 3):
         sq = combinat.enumerate_sq(a)
         for l in sq:
-            yield onh.sigma_seq(l, a)
-            yield onh.lambda_seq(l, a)
-        yield onh.lambda_seq(sq[-1], a) * onh.sigma_seq(sq[0], a)
+            yield onh.sigma_seq(l)
+            yield onh.lambda_seq(l)
+        yield onh.lambda_seq(sq[-1]) * onh.sigma_seq(sq[0])
     for n in (2, 3, 4):
         for a in range(1, n):
             b = n - a
@@ -399,7 +399,7 @@ def test_sigma_lambda_families_match_per_word_reference_on_schubert_basis():
 
 
 def test_tree_walk_applies_each_shared_suffix_once(monkeypatch):
-    el = onh.sigma_seq((0, 1, 2), 4)
+    el = onh.sigma_seq((0, 1, 2))
     tree = onh._suffix_tree(el.combo)
     edges, letters, stack = 0, 0, [tree]
     while stack:
@@ -419,10 +419,10 @@ def test_tree_walk_applies_each_shared_suffix_once(monkeypatch):
 
 
 def test_zero_polynomial_evaluates_to_zero_with_no_walk(monkeypatch):
-    el = onh.sigma_seq((0, 1, 2), 4)
+    el = onh.sigma_seq((0, 1, 2))
     assert el.evaluate(onh.schubert_basis_list(4)[-1]).terms  # builds the tree; nonzero elsewhere
     monkeypatch.setattr(onh, "apply_word", lambda w, p: pytest.fail("apply_word called on a zero polynomial"))
-    for element in (el, onh.sigma_seq((1, 0, 0), 4), onh.OnhElement.identity(4), onh.OnhElement.zero(4)):
+    for element in (el, onh.sigma_seq((1, 0, 0)), onh.OnhElement.identity(4), onh.OnhElement.zero(4)):
         assert normal(element.evaluate(SkewPolynomial.zero(4))) == (4, {})
     # the strand count is checked before the zero case
     with pytest.raises(ValueError, match="strand"):
@@ -442,8 +442,8 @@ def test_closed_form_elementary_and_complete_match_the_x_tilde_products(cold):
 
 def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_tree():
     n = 3
-    f = onh.sigma_seq((0, 1), n)
-    g = onh.lambda_seq((1, 0), n)
+    f = onh.sigma_seq((0, 1))
+    g = onh.lambda_seq((1, 0))
     basis = onh.schubert_basis_list(n)
     for p in basis:
         f.evaluate(p)

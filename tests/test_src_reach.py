@@ -7,12 +7,20 @@ import or a reference such as a registry entry) outside a definition of
 the same name, so recursion alone does not count.  Names are matched
 without their module, so dead code that shares a name with live code goes
 unnoticed.
+
+In the same way, every defaulted parameter of a public ``src/`` function
+or method is set by some call in ``src/`` or ``benchmarks/``: an option
+that no caller sets has one value, which belongs in the body.  A call sets
+a parameter by keyword, by enough positional arguments, or through ``*``
+or ``**``; a call by class name counts for ``__init__``.  Calls are
+matched to definitions by name alone, like references above.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "oddnil"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oddnil"
 
 # public definitions kept without a caller in src/, each with its reason
 ALLOWED = {
@@ -70,3 +78,59 @@ def test_the_allowlist_names_only_unreached_definitions():
     for qualified in ALLOWED:
         assert qualified in defs, qualified
         assert defs[qualified] not in refs, "%s now has a caller; drop it from ALLOWED" % qualified
+
+
+# defaulted parameters that no call in src/ or benchmarks/ sets, each with its reason
+UNSET_ALLOWED = {
+    "cyclotomic.ideal_degree_slice(below)": "_chain sets it through slice_fn, a name no definition has",
+    "cyclotomic.first_column_degree_slice(below)": "_chain sets it through slice_fn, a name no definition has",
+}
+
+
+def _defaulted_parameters():
+    """{name a call uses: [(qualified name, positional parameters a call
+    fills, defaulted parameters)]} for every public function and method in
+    src/, and every __init__ under its class's name."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [(node, node.name, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for sub in cls.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                    called = cls.name if sub.name == "__init__" else sub.name
+                    found.append((sub, "%s.%s" % (cls.name, sub.name), called, 0 if static else 1))
+        for fn, qualified, called, bound in found:
+            if fn.name.startswith("_") and fn.name != "__init__":
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if defaulted:
+                out.setdefault(called, []).append(("%s.%s" % (path.stem, qualified), positional[bound:], defaulted))
+    return out
+
+
+def _unset_parameters():
+    """Every defaulted parameter that no call in src/ or benchmarks/ sets,
+    named "module.function(parameter)"."""
+    defs = _defaulted_parameters()
+    unset = {(q, p) for entries in defs.values() for q, _, defaulted in entries for p in defaulted}
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            for qualified, positional, defaulted in defs.get(name, ()):
+                given = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+                unset -= {(qualified, p) for p in defaulted if spread or p in given}
+    return {"%s(%s)" % pair for pair in unset}
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    unset = _unset_parameters()
+    assert sorted(unset - set(UNSET_ALLOWED)) == []
+    assert sorted(set(UNSET_ALLOWED) - unset) == [], "set by a call now; drop it from UNSET_ALLOWED"

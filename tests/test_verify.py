@@ -52,6 +52,21 @@ def test_sentinels_fail_by_design_with_counterexamples():
         assert len(r.details[0]) == 3  # a concrete (input, expected, actual)
 
 
+def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
+    """A statement is the instance (label, True, condition); when it fails,
+    its triple is (str(label), "True", "False")."""
+    from oddnil import onh
+
+    monkeypatch.setattr(onh, "staircase_element", lambda a: onh.OnhElement.zero(a))
+    r = V.run_check("ea_standard", {"a_max": 2})
+    assert r.status == "fail"
+    assert r.instances == 2 + 20  # the e_a statements and the random boxes at a = 2
+    assert r.details == [
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 1)", "True", "False"),
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 2)", "True", "False"),
+    ]
+
+
 def test_envelope_exceeded_is_skipped_with_reason():
     r = V.run_check("da_values", {"a_max": 9})
     assert r.status == "skipped"
