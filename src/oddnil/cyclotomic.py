@@ -173,11 +173,6 @@ def _check_pair(a, n_param):
         raise DomainError("need 0 <= a <= N")
 
 
-def _check_degree(degree):
-    if degree % 2 or degree < 0:
-        raise DomainError("Z-degree must be even and nonnegative")
-
-
 def h_ideal_slices(a, n_param, d_max):
     """Slices of <h_m : m > N-a> in Z-degrees 0, 2, ..., d_max."""
     return _chain(ideal_degree_slice, a, n_param, d_max)
@@ -188,27 +183,21 @@ def column_ideal_slices(a, n_param, d_max):
     return _chain(first_column_degree_slice, a, n_param, d_max)
 
 
-def ideal_degree_slice(a, n_param, degree, below=None):
+def ideal_degree_slice(a, n_param, degree, below):
     """Degree slice of <h_m : m > N-a> expressed in the eps-word basis.
 
     ``below`` holds the Hermite rows of the slices 1, ..., a half-degrees
-    down, as h_ideal_slices passes them; without it they are built first.
+    down, as h_ideal_slices passes them.
     """
-    _check_degree(degree)
-    if below is None:
-        return h_ideal_slices(a, n_param, degree)[-1]
     n = degree // 2
     seeds = [oddsym.complete_in_elementary(a, n)] if n >= max(n_param - a + 1, 1) else []
     return _slice(a, degree, seeds, below)
 
 
-def first_column_degree_slice(a, n_param, degree, below=None):
+def first_column_degree_slice(a, n_param, degree, below):
     """Degree slice of the ideal generated by the first column of
     M^{N-a+1}, whose entry j has half-degree N-a+j; used to compare against
     the h-ideal.  ``below`` is as for ideal_degree_slice."""
-    _check_degree(degree)
-    if below is None:
-        return column_ideal_slices(a, n_param, degree)[-1]
     j = degree // 2 - (n_param - a)
     seeds = [oddsym.expand_in_elementary(grassmann_power_column(a, n_param)[j - 1])] if 1 <= j <= a else []
     return _slice(a, degree, seeds, below)

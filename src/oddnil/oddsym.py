@@ -313,10 +313,12 @@ def pieri_expected(alpha, k, a):
     mu runs over partitions obtained by adding one box each to rows
     i_1 < ... < i_k (indices <= a); the sign is the parity of
     |alpha after row i_1| + ... + |alpha after row i_k|.  Compositions that
-    are not partitions are discarded.
+    are not partitions are discarded.  The sum is empty when k > a or alpha
+    has more than a rows (then eps_k or s_alpha is zero), and is s_alpha
+    itself when k = 0.
     """
     alpha = combinat.normalize_partition(alpha)
-    if k > a or k < 1:
+    if not 0 <= k <= a or len(alpha) > a:
         return []
     out = []
     for rows in itertools.combinations(range(1, a + 1), k):

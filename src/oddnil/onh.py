@@ -28,9 +28,12 @@ Thick calculus conventions (all signs downstream depend on these):
 
 * e_a is the 0-Hecke product (x_r d_r) along the canonical reduced word
   of w_0.
-* crossing_element(a, b, offset, n): the t-th of the b right strands
+* embed(element, offset, n) places a diagram on strands offset+1 ..
+  offset+k of n; a thick diagram is a product of embedded projectors,
+  boxes, dots and bundle crossings.
+* crossing_element(a, b) on a+b strands: the t-th of the b right strands
   crosses leftward over all a left strands, for t = 1..b in order; ab
-  crossings.
+  crossings.  Its sigma image is the mirror crossing.
 * up_splitter(a, b) = (e_a (x) e_b) over the mirror crossing with bottom
   bundles (b, a) and top legs (a, b); the bottom e_{a+b} is absorbed.
   The two crossing orientations coincide whenever a bundle is thin.
@@ -350,53 +353,40 @@ def idempotent_e(a):
     return OnhElement.from_word(a, e_word(a))
 
 
-def e_embedded(a, offset, n):
-    """e_a on strands offset+1 .. offset+a inside n strands."""
-    if offset < 0 or offset + a > n:
-        raise ValueError("embedding of e_%d at offset %d does not fit in %d strands" % (a, offset, n))
-    return OnhElement.from_word(n, shift_word(e_word(a), offset))
+def embed(element, offset, n):
+    """element on strands offset+1 .. offset+strands inside n strands."""
+    if offset < 0 or offset + element.strands > n:
+        raise ValueError("embedding of %d strands at offset %d does not fit in %d strands"
+                         % (element.strands, offset, n))
+    return _element(n, {shift_word(w, offset): c for w, c in element.combo.items()})
 
 
 @lru_cache(maxsize=None)
-def crossing_word_letters(a, b, offset=0):
+def crossing_word_letters(a, b):
     """Crossing word for bundles (a, b): each right strand crosses leftward
     over all a left strands; degree -2ab."""
     word = []
     for t in range(b, 0, -1):
-        word.extend(range(-(t + offset), -(t + offset + a), -1))
+        word.extend(range(-t, -(t + a), -1))
     # letters were appended as -(t), -(t+1), ..., -(t+a-1)
     return tuple(word)
 
 
-def crossing_element(a, b, offset, n):
-    if offset < 0 or offset + a + b > n:
-        raise ValueError("crossing of (%d, %d) at offset %d does not fit in %d strands" % (a, b, offset, n))
-    return OnhElement.from_word(n, crossing_word_letters(a, b, offset))
-
-
-@lru_cache(maxsize=None)
-def mirror_crossing_letters(a, b):
-    """The left-right mirror of crossing_word_letters(a, b): bottom bundles
-    (b, a), top (a, b), with the left b-bundle sweeping right.
-
-    The splitter diagrams use this orientation; the plain crossing uses
-    crossing_word_letters.  The two coincide when either bundle is thin.
-    """
-    n = a + b
-    base = crossing_word_letters(a, b)
-    # sigma image: crossing index i becomes n - i; letters are negative
-    return tuple(-(n + l) for l in base)
+def crossing_element(a, b):
+    """The bundle crossing of (a, b) on a+b strands."""
+    return OnhElement.from_word(a + b, crossing_word_letters(a, b))
 
 
 def up_splitter(a, b):
     """Split a thick a+b strand into legs (a, b); the bottom projector is
-    absorbed.  The crossing inside is the mirror orientation: the unique
-    choice under which associativity carries the sign (-1)^{ab binom(c,2)}
-    and the sign bookkeeping of bigX makes the sigma/lambda contractions
-    close."""
+    absorbed.  The crossing inside is the mirror orientation, the sigma
+    image of crossing_element(a, b): bottom bundles (b, a), top (a, b), with
+    the left b-bundle sweeping right.  It is the unique choice under which
+    associativity carries the sign (-1)^{ab binom(c,2)} and the sign
+    bookkeeping of bigX makes the sigma/lambda contractions close."""
     n = a + b
-    word = shift_word(e_word(a), 0) + shift_word(e_word(b), a) + mirror_crossing_letters(a, b)
-    return OnhElement.from_word(n, word)
+    mirror = automorphism_apply("sigma", crossing_element(a, b))
+    return embed(idempotent_e(a), 0, n) * embed(idempotent_e(b), a, n) * mirror
 
 
 def box(f, a):
@@ -407,15 +397,6 @@ def box(f, a):
         raise oddsym.NotOddSymmetricError("box label must be odd symmetric")
     ea = e_word(a)
     return OnhElement(a, collect((ea + dots_word(mono) + ea, c) for mono, c in f.terms.items()))
-
-
-def embed(element, offset, n):
-    """element on strands offset+1 .. offset+strands inside n strands."""
-    return OnhElement(n, {shift_word(w, offset): c for w, c in element.combo.items()})
-
-
-def box_embedded(f, a, offset, n):
-    return embed(box(f, a), offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +447,8 @@ def sigma_seq(ell):
         raise ValueError("%r is not in Sq(%d)" % (ell, a))
     out = OnhElement.identity(a)
     for nu in range(1, a):
-        split_nu = OnhElement.from_word(
-            a, shift_word(e_word(nu), 0) + shift_word(e_word(1), nu) + crossing_word_letters(1, nu)
-        )
-        boxed = box_embedded(oddsym.elementary(ell[nu - 1], nu), nu, 0, a)
+        split_nu = embed(up_splitter(nu, 1), 0, a)
+        boxed = embed(box(oddsym.elementary(ell[nu - 1], nu), nu), 0, a)
         # the thickness-(nu+1) split acts below everything built so far
         out = out * (boxed * split_nu)
     return out
@@ -499,7 +478,7 @@ def sigma_part(alpha, a, b):
     """sigma_alpha = (box(s_alpha, a) (x) e_b) . up_splitter(a, b)."""
     alpha = combinat.check_box(alpha, a, b)
     n = a + b
-    top = box_embedded(oddsym.schur(alpha, a), a, 0, n) * e_embedded(b, a, n)
+    top = embed(box(oddsym.schur(alpha, a), a), 0, n) * embed(idempotent_e(b), a, n)
     return top * up_splitter(a, b)
 
 
@@ -508,7 +487,7 @@ def lambda_part(alpha, a, b):
     alpha = combinat.check_box(alpha, a, b)
     n = a + b
     ahat = combinat.hat_partition(alpha, a, b)
-    bottom = e_embedded(a, 0, n) * box_embedded(oddsym.dual_schur(ahat, b), b, a, n)
+    bottom = embed(idempotent_e(a), 0, n) * embed(box(oddsym.dual_schur(ahat, b), b), a, n)
     out = idempotent_e(n) * bottom
     return out.scale((-1) ** bigX(alpha, a, b))
 

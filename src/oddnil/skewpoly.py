@@ -27,6 +27,7 @@ with A = e_r: only the x_r letter moves, past the x_j^{A_j} with j < r.
 x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 """
 
+import re
 from operator import add
 
 from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, scaled
@@ -302,7 +303,8 @@ def parse_skew(text, nvars):
     if s == "0":
         return SkewPolynomial.zero(nvars)
     s = s.replace("- ", "-").replace("+ ", "+")
-    tokens = s.replace("-", " -").replace("+", " +").split()
+    # a sign starts a term unless it follows "^", where it signs an exponent
+    tokens = re.sub(r"(?<!\^)([+-])", r" \1", s).split()
     pairs = []
     for tok in tokens:
         sign = 1
@@ -317,17 +319,18 @@ def parse_skew(text, nvars):
             if not factor:
                 raise ValueError("empty factor in term %r" % tok)
             if factor[0] == "x":
-                if "^" in factor:
-                    idx_s, exp_s = factor[1:].split("^")
-                    idx, exp = int(idx_s), int(exp_s)
-                else:
-                    idx, exp = int(factor[1:]), 1
+                idx_s, caret, exp_s = factor[1:].partition("^")
+                idx, exp = int(idx_s), 1
+                if caret:
+                    if not exp_s.removeprefix("-").isdecimal():
+                        raise ValueError("malformed exponent %r in %r" % (exp_s, tok))
+                    exp = int(exp_s)
                 if not 1 <= idx <= nvars:
                     raise ValueError("variable x%d out of range" % idx)
                 if idx <= last_idx:
                     raise ValueError("variables must be in strictly increasing order in %r" % tok)
                 if exp < 0:
-                    raise ValueError("negative exponent in %r" % tok)
+                    raise ValueError("negative exponent %d in %r" % (exp, tok))
                 last_idx = idx
                 exps[idx - 1] += exp
             else:

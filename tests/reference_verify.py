@@ -169,7 +169,7 @@ def check_eaeb_decomposition(params, rng):
         sw.note(("idempotents at (a,b)=(%d,%d)" % (a, b)), comb(n, a), len(parts))
         sig = {al: onh.sigma_part(al, a, b) for al in parts}
         lam = {al: onh.lambda_part(al, a, b) for al in parts}
-        eab = onh.e_embedded(a, 0, n) * onh.e_embedded(b, a, n)
+        eab = onh.embed(onh.idempotent_e(a), 0, n) * onh.embed(onh.idempotent_e(b), a, n)
         evals = {al: [sig[al].evaluate(lam[al].evaluate(p)) for p in basis] for al in parts}
         for i, p in enumerate(basis):
             tot = SkewPolynomial.zero(n)
@@ -221,9 +221,9 @@ def check_sentinel_mirror_ea_slide(params, rng):
     sw = _Sweep()
     for a in range(2, params["a_max"] + 1):
         n = a + 1
-        chain = onh.OnhElement.from_word(n, tuple(-i for i in range(a, 0, -1)))
-        lhs = onh.e_embedded(a, 1, n) * chain
-        rhs = chain * onh.e_embedded(a, 0, n)
+        chain = onh.crossing_element(1, a)
+        lhs = onh.embed(onh.idempotent_e(a), 1, n) * chain
+        rhs = chain * onh.embed(onh.idempotent_e(a), 0, n)
         # this SHOULD differ; finding a witness makes the sentinel "fail"
         basis = onh.schubert_basis_list(n)
         for i, p in enumerate(basis):

@@ -58,6 +58,30 @@ def test_compute_pieri(capsys):
     assert out.strip() == "-s(2,1) + s(1,1,1)"
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["--partition", "2,1", "--k", "0", "--vars", "3"], "s(2,1)"),
+    # s_(1,1,1) is zero in 2 variables, so the sum is empty
+    (["--partition", "1,1,1", "--k", "1", "--vars", "2"], "0"),
+])
+def test_compute_pieri_at_k_zero_and_outside_the_rows(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "compute", "pieri", *argv)
+    assert (code, out.strip()) == (0, want)
+
+
+@pytest.mark.parametrize("left,fault", [
+    ("x1^-1", "negative exponent -1 in 'x1^-1'"),
+    ("x2 - x1^-2", "negative exponent -2 in 'x1^-2'"),
+    ("x1^x", "malformed exponent 'x' in 'x1^x'"),
+    ("x1^2^3", "malformed exponent '2^3' in 'x1^2^3'"),
+    ("x1^1_0", "malformed exponent '1_0' in 'x1^1_0'"),
+    ("x1^-x", "malformed exponent '-x' in 'x1^-x'"),
+])
+def test_compute_product_names_a_bad_exponent(capsys, left, fault):
+    code, out, err = run_cli(capsys, "compute", "product", "--left", left, "--right", "1", "--vars", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read %r: %s\n" % (left, fault)
+
+
 def test_compute_grassmann_matrix(capsys):
     code, out, _ = run_cli(capsys, "compute", "grassmann-matrix", "--a", "2")
     assert code == 0

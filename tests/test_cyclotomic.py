@@ -165,12 +165,12 @@ def test_grassmann_recursion(a):
 
 
 def test_degree_slice_structure():
-    sl = CY.ideal_degree_slice(2, 4, 6)
+    sl = CY.h_ideal_slices(2, 4, 6)[-1]
     assert sl.ambient_basis == C.partitions_of(3, maxpart=2)
     assert sl.rank + sl.quotient_rank == len(sl.ambient_basis)
     assert sl.is_torsion_free()
     with pytest.raises(ValueError):
-        CY.ideal_degree_slice(2, 4, 3)
+        CY.h_ideal_slices(2, 4, 3)
 
 
 def test_quotient_rank_edge_cases():
@@ -192,8 +192,8 @@ def test_quotient_matches_balanced_binomial(a, n_param):
 
 @pytest.mark.parametrize("a,n_param", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)])
 def test_slices_torsion_free(a, n_param):
-    for d in range(0, CY.default_dmax(a, n_param) + 1, 2):
-        assert CY.ideal_degree_slice(a, n_param, d).is_torsion_free(), d
+    for sl in CY.h_ideal_slices(a, n_param, CY.default_dmax(a, n_param)):
+        assert sl.is_torsion_free(), sl.degree
 
 
 def test_sum_of_quotient_ranks_cross_checked_against_qgrade():
@@ -204,10 +204,9 @@ def test_sum_of_quotient_ranks_cross_checked_against_qgrade():
 @pytest.mark.parametrize("n_param", [2, 3, 4, 5])
 def test_first_column_generates_same_ideal(n_param):
     a = 2
-    for d in range(0, CY.default_dmax(a, n_param) + 1, 2):
-        s1 = CY.ideal_degree_slice(a, n_param, d)
-        s2 = CY.first_column_degree_slice(a, n_param, d)
-        assert s1.hermite == s2.hermite, (n_param, d)
+    d_max = CY.default_dmax(a, n_param)
+    for s1, s2 in zip(CY.h_ideal_slices(a, n_param, d_max), CY.column_ideal_slices(a, n_param, d_max)):
+        assert s1.hermite == s2.hermite, (n_param, s1.degree)
 
 
 def test_schur_box_images():
@@ -220,7 +219,7 @@ def test_schur_box_images():
     assert ((2,), True) in rep["vanishing"]
     assert rep["vanishing_ok"] and rep["independent_ok"]
     # s_empty is never zero
-    assert CY.ideal_degree_slice(2, 3, 0).quotient_rank == 1
+    assert CY.h_ideal_slices(2, 3, 0)[0].quotient_rank == 1
 
 
 def test_incomplete_certification_error():
@@ -241,8 +240,5 @@ def test_incomplete_certification_error():
 
 @pytest.mark.parametrize("a,n_param", [(1, 3), (2, 3), (2, 4), (3, 4)])
 def test_quotient_ranks_match_even_oracle(a, n_param):
-    for d in range(0, 2 * a * (n_param - a) + 1, 2):
-        assert (
-            CY.ideal_degree_slice(a, n_param, d).quotient_rank
-            == E.even_quotient_rank_gf2(a, n_param, d // 2)
-        ), (a, n_param, d)
+    for sl in CY.h_ideal_slices(a, n_param, 2 * a * (n_param - a)):
+        assert sl.quotient_rank == E.even_quotient_rank_gf2(a, n_param, sl.degree // 2), (a, n_param, sl.degree)

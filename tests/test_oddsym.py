@@ -238,6 +238,20 @@ def test_pieri_expected_examples():
     assert S.pieri_expected((1,), 1, 3) == [(1, (2,)), (1, (1, 1))]
     assert S.pieri_expected((1, 1), 1, 3) == [(-1, (2, 1)), (1, (1, 1, 1))]
     assert S.pieri_expected((1,), 5, 3) == []
+    assert S.pieri_expected((2, 1), 0, 3) == [(1, (2, 1))]
+    assert S.pieri_expected((1, 1, 1), 1, 2) == []
+
+
+def test_pieri_rule_in_every_box_at_every_k():
+    # k = 0 and alpha with more than a rows included: s_alpha = 0 there
+    for alpha in C.partitions_in_box(3, 3):
+        for a in range(1, 5):
+            for k in range(0, 5):
+                lhs = S.schur(alpha, a) * S.elementary(k, a).scale((-1) ** comb(k, 2))
+                rhs = SkewPolynomial.zero(a)
+                for sign, mu in S.pieri_expected(alpha, k, a):
+                    rhs = rhs + S.schur(mu, a).scale(sign)
+                assert lhs == rhs, (alpha, a, k)
 
 
 @pytest.mark.parametrize("a", [3, 4])

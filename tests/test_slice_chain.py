@@ -50,11 +50,18 @@ def test_chain_of_a_principal_ideal_matches_triple_products(a, word):
         assert sl.hermite == CY.DegreeLattice(sl.degree, ambient, rows).hermite, (a, word, sl.degree)
 
 
+def _rows_below(chain, a):
+    """The Hermite rows of the a slices under the chain's top, nearest first."""
+    return tuple(tuple(map(tuple, sl.hermite)) for sl in reversed(chain[-a - 1:-1]))
+
+
 def test_single_slices_are_the_chain_tops():
-    assert CY.ideal_degree_slice(3, 5, 10).hermite == CY.h_ideal_slices(3, 5, 10)[-1].hermite
-    assert CY.first_column_degree_slice(2, 4, 8).hermite == CY.column_ideal_slices(2, 4, 8)[-1].hermite
-    assert CY.ideal_degree_slice(0, 3, 0).quotient_rank == 1
-    assert CY.ideal_degree_slice(0, 3, 4).ambient_basis == []
+    chain = CY.h_ideal_slices(3, 5, 10)
+    assert CY.ideal_degree_slice(3, 5, 10, _rows_below(chain, 3)).hermite == chain[-1].hermite
+    chain = CY.column_ideal_slices(2, 4, 8)
+    assert CY.first_column_degree_slice(2, 4, 8, _rows_below(chain, 2)).hermite == chain[-1].hermite
+    assert CY.h_ideal_slices(0, 3, 0)[0].quotient_rank == 1
+    assert CY.h_ideal_slices(0, 3, 4)[-1].ambient_basis == []
     assert CY.h_ideal_slices(2, 3, -2) == []
     with pytest.raises(C.DomainError, match="need 0 <= a <= N"):
         CY.h_ideal_slices(3, 2, -2)

@@ -81,10 +81,7 @@ def test_the_allowlist_names_only_unreached_definitions():
 
 
 # defaulted parameters that no call in src/ or benchmarks/ sets, each with its reason
-UNSET_ALLOWED = {
-    "cyclotomic.ideal_degree_slice(below)": "_chain sets it through slice_fn, a name no definition has",
-    "cyclotomic.first_column_degree_slice(below)": "_chain sets it through slice_fn, a name no definition has",
-}
+UNSET_ALLOWED = {}
 
 
 def _defaulted_parameters():

@@ -148,8 +148,10 @@ def test_splitter_triangle_carries_its_sign_at_total_five():
     # at (2, 1, 2) the unsigned triangle fails: the sides differ by -1
     a, b, c = 2, 1, 2
     n = a + b + c
-    tcross = onh.OnhElement.from_word(
-        n, onh.shift_word(onh.e_word(a), 0) + onh.shift_word(onh.e_word(c), a) + onh.crossing_word_letters(c, a)
+    tcross = (
+        onh.embed(onh.idempotent_e(a), 0, n)
+        * onh.embed(onh.idempotent_e(c), a, n)
+        * onh.embed(onh.crossing_element(c, a), 0, n)
     )
     lhs = onh.embed(onh.idempotent_e(b + c), a, n) * tcross * onh.embed(onh.up_splitter(a, b), c, n)
     rhs = onh.up_splitter(a, b + c) * onh.idempotent_e(n)

@@ -57,7 +57,7 @@ def _negate_one_lambda(monkeypatch):
 
 def _trivial_sentinel_parts(monkeypatch):
     monkeypatch.setattr(onh, "cross", lambda strands, r: onh.OnhElement.identity(strands))
-    monkeypatch.setattr(onh, "e_embedded", lambda a, offset, n: onh.OnhElement.identity(n))
+    monkeypatch.setattr(onh, "idempotent_e", onh.OnhElement.identity)
 
 
 VARIANTS = {"real": None, "one lambda negated": _negate_one_lambda, "trivial sentinels": _trivial_sentinel_parts}

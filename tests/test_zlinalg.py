@@ -113,8 +113,7 @@ def test_reduce_leaves_a_reduced_remainder_in_the_same_coset(mat, data):
 
 @pytest.mark.parametrize("a,n_param", [(2, 3), (2, 4), (3, 5)])
 def test_reduce_sends_every_slice_generator_to_zero(a, n_param):
-    for d in range(0, cyclotomic.default_dmax(a, n_param) + 1, 2):
-        sl = cyclotomic.ideal_degree_slice(a, n_param, d)
+    for sl in cyclotomic.h_ideal_slices(a, n_param, cyclotomic.default_dmax(a, n_param)):
         zero = [0] * len(sl.ambient_basis)
         for g in sl.generators:
             assert sl.reduce({lam: c for lam, c in zip(sl.ambient_basis, g) if c}) == zero
