@@ -105,8 +105,9 @@ def _binom3(a):
 
 
 def clear_caches():
-    """Empty every lru_cache in the library (the d_i table _dd_block among
-    them), so the next computation starts cold."""
+    """Empty every cache in the library, so the next computation starts
+    cold: each lru_cache (the d_i table _dd_block among them) and onh's
+    memo of word-segment images."""
     # imported here: oddsym and onh import this module
     from . import evenoracle, oddops, oddsym, onh
 
@@ -114,3 +115,4 @@ def clear_caches():
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+    onh._segment_images.clear()

@@ -77,17 +77,43 @@ def shift_word(word, offset):
     return tuple((l + offset) if l > 0 else (l - offset) for l in word)
 
 
+# word -> {monomial: its image under the word, as (monomial, coeff) pairs}
+_segment_images = {}
+
+
 def apply_word(word, p):
-    """Apply a word to a polynomial; rightmost letter acts first."""
-    out = p
+    """Apply a word to a polynomial; rightmost letter acts first.  Each
+    monomial's image is read from the word's memo, or computed once."""
+    images = _segment_images.get(word)
+    if images is None:
+        images = _segment_images[word] = {}
+    d = {}
+    for mono, c in p.terms.items():
+        image = images.get(mono)
+        if image is None:
+            image = images[mono] = _word_image(word, mono)
+        # add_scaled inlined over the pairs
+        for m, b in image:
+            s = d.get(m, 0) + c * b
+            if s:
+                d[m] = s
+            else:
+                del d[m]
+    return _from_normal(p.nvars, d)
+
+
+def _word_image(word, mono):
+    """The image of the monomial x^mono under word, letter by letter, as a
+    tuple of (monomial, coeff) pairs; () when it dies."""
+    out = _from_normal(len(mono), {mono: 1})
     for l in reversed(word):
         if not out.terms:
-            return out
+            return ()
         if l > 0:
             out = left_dot(l, out)
         else:
             out = oddops.divided_difference(-l, out)
-    return out
+    return tuple(out.terms.items())
 
 
 def format_word(word):

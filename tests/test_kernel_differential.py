@@ -5,7 +5,9 @@ its own memo, on every small one-term polynomial and on hypothesis
 polynomials, and with the memoized closed form it replaced by terms and key
 order, cold and on that memo's hits.  OnhElement.evaluate,
 which walks a suffix tree of the words, is compared with the per-word
-reference on words that share suffixes and on the sigma/lambda families.
+reference on words that share suffixes and on the sigma/lambda families;
+onh.apply_word, which memoizes each monomial's image under a word, is
+compared with the reference letter loop both cold and on memo hits.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
 
@@ -191,9 +193,37 @@ def words_and_polys(draw):
 @given(words_and_polys())
 def test_apply_word_and_evaluate_match_reference(case):
     el, p = case
-    for w in el.combo:
-        assert normal(onh.apply_word(w, p)) == normal(ref.apply_word(w, p))
-    assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+    want = {w: normal(ref.apply_word(w, p)) for w in el.combo}
+    want_el = normal(ref.evaluate(el, p))
+    oddops.clear_caches()
+    # cold: every image is computed; warm: the same calls read only memo hits
+    for _ in ("cold", "warm"):
+        assert normal(el.evaluate(p)) == want_el
+        assert {w: normal(onh.apply_word(w, p)) for w in el.combo} == want
+
+
+def test_results_share_no_dict_with_the_segment_memo():
+    """Clearing or changing a returned polynomial's terms leaves later
+    results alone: each image is copied into a fresh dict."""
+    oddops.clear_caches()
+    basis = onh.schubert_basis_list(3)
+    el = onh.sigma_seq((1, 0))
+    words = [(-1,), (2, -2, -1), (1, 1, 3), ()] + list(el.combo)
+    for p in basis + [basis[-1] + basis[0].scale(3)]:
+        for w in words:
+            want = normal(ref.apply_word(w, p))
+            for spoil in (dict.clear, lambda d: d.update({k: 7 * v for k, v in d.items()}, junk=1)):
+                got = onh.apply_word(w, p)
+                assert normal(got) == want
+                assert got.terms is not p.terms
+                spoil(got.terms)
+            assert normal(onh.apply_word(w, p)) == want
+        want = normal(ref.evaluate(el, p))
+        el.evaluate(p).terms.clear()
+        got = el.evaluate(p)
+        assert normal(got) == want
+        got.terms[(9, 9, 9)] = 1
+        assert normal(el.evaluate(p)) == want
 
 
 def combo_of(el):

@@ -338,3 +338,19 @@ def test_clear_caches_empties_every_lru_cache():
     O.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     assert not O._dd_cache
+
+
+def test_clear_caches_empties_the_segment_image_memo():
+    from oddnil import onh
+
+    basis = onh.schubert_basis_list(4)
+    onh.sigma_seq((0, 1, 2)).evaluate(basis[0])
+    assert onh._segment_images
+    O.clear_caches()
+    assert not onh._segment_images
+    el = onh.sigma_seq((0, 1, 2))
+    cold = [el.evaluate(p).terms for p in onh.schubert_basis_list(4)]
+    assert onh._segment_images
+    # the second pass reads every image from the memo
+    warm = [el.evaluate(p).terms for p in onh.schubert_basis_list(4)]
+    assert cold == warm and any(cold)

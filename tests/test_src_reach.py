@@ -24,7 +24,7 @@ SRC = ROOT / "src" / "oddnil"
 
 # public definitions kept without a caller in src/, each with its reason
 ALLOWED = {
-    "oddops.clear_caches": "empties every lru_cache so a test or a timing starts cold; no result needs it",
+    "oddops.clear_caches": "empties every lru_cache and the segment-image memo so a test or a timing starts cold; no result needs it",
     "onh.word_super_degree": "the parity of a word, for the parity shifts of ROADMAP item 4",
     "onh.OnhElement.normalize": "the standard-basis form of an element, for the ONH_a^N check of ROADMAP item 5",
 }
