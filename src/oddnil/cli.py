@@ -144,9 +144,9 @@ def cmd_verify(args):
             if r.status == "fail":
                 for t in r.details[:3]:
                     print("    counterexample: input=%s expected=%s actual=%s" % t)
-            elif r.status == "skipped":
+            elif r.status in ("skipped", "error"):
                 for t in r.details[:1]:
-                    print("    skipped: %s" % (t[2],))
+                    print("    %s: %s" % (r.status, t[2]))
             elif r.details:
                 for t in r.details[:3]:
                     print("    %s: expected=%s actual=%s" % t)
@@ -198,13 +198,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
-        # one line instead of a traceback, naming where the fault was raised;
-        # imported here to keep it off the start-up path
-        import traceback
-
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print("internal error: %s: %s (%s:%d in %s)" % (type(exc).__name__, exc, os.path.basename(where.filename),
-                                                         where.lineno, where.name), file=sys.stderr)
+        # one line instead of a traceback
+        print("internal error: %s" % verify.error_line(exc), file=sys.stderr)
         return 1
 
 

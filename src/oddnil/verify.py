@@ -5,7 +5,10 @@ counterexamples on failure.
 A check is a generator of instances (input, expected, actual), and a
 boolean statement is the instance (label, True, condition).  The check
 only states its instances: run_check counts them, compares expected with
-actual, keeps every counterexample and decides the status.
+actual, keeps every counterexample and decides the status.  A check that
+raises reports status "error" with the exception in one line, and the
+checks after it still run; an input outside a check's domain
+(DomainError, BoxViolationError) still raises, as a usage error.
 
 Every check is deterministic given its params and seed; randomized sweeps
 draw from a generator seeded by (seed, check id), and the default sweeps
@@ -16,6 +19,7 @@ x_1^2) fail by design; harnesses assert their status is "fail".
 
 import itertools
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -37,7 +41,7 @@ class UnknownCheckError(ValueError):
 class CheckReport:
     check_id: str
     params: dict
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     details: list = field(default_factory=list)
     seed: int = DEFAULT_SEED
     wall_time: float = 0.0
@@ -1031,7 +1035,14 @@ def run_check(check_id, params=None, seed=DEFAULT_SEED):
     if reason is not None:
         return CheckReport(check_id, merged, "skipped", [_triple("envelope", "within limits", reason)], seed)
     rng = random.Random("%s:%s" % (seed, check_id))
-    instances, failures, notes = _tally(fn(merged, rng))
+    try:
+        instances, failures, notes = _tally(fn(merged, rng))
+    except (DomainError, combinat.BoxViolationError):
+        raise  # the input is outside the check's domain: a usage error
+    except Exception as exc:
+        # a fault in the library ends this check only; the rest still report
+        details = [_triple("internal error", "no exception", error_line(exc))]
+        return CheckReport(check_id, merged, "error", details, seed, time.perf_counter() - start)
     wall = time.perf_counter() - start
     if not instances:
         # a sweep that checked nothing proves nothing, so it never passes
@@ -1039,6 +1050,16 @@ def run_check(check_id, params=None, seed=DEFAULT_SEED):
         return CheckReport(check_id, merged, "skipped", details, seed, wall)
     status = "fail" if failures else "pass"
     return CheckReport(check_id, merged, status, failures[:32] or notes, seed, wall, instances)
+
+
+def error_line(exc):
+    """An exception in one line, naming where it was raised."""
+    # imported here to keep it off the start-up path
+    import traceback
+
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return "%s: %s (%s:%d in %s)" % (type(exc).__name__, exc, os.path.basename(where.filename), where.lineno,
+                                     where.name)
 
 
 def _run_one(args):

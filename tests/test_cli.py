@@ -321,6 +321,29 @@ def test_internal_error_exits_one_not_as_usage_error(capsys, monkeypatch):
     assert err.endswith(" in broken)\n") and err.count("\n") == 1
 
 
+def test_a_check_that_raises_reports_error_and_the_rest_still_run(capsys, monkeypatch):
+    def broken(params, rng):
+        yield ("first", 1), True, True
+        raise ZeroDivisionError("broken on purpose")
+
+    monkeypatch.setitem(verify.REGISTRY, "e_h_relation", verify.REGISTRY["e_h_relation"]._replace(fn=broken))
+    ids = ["e_h_relation", "sentinel_x1sq_central", "da_values"]
+    code, out, err = run_cli(capsys, "verify", *ids, "--parallel", "1", "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert [(r["check"], r["status"]) for r in payload] == list(zip(ids, ["error", "fail", "pass"]))
+    ((inp, expected, actual),) = payload[0]["details"]
+    assert (inp, expected) == ("internal error", "no exception")
+    assert actual.startswith("ZeroDivisionError: broken on purpose (test_cli.py:")
+    assert actual.endswith(" in broken)")
+    code, out, err = run_cli(capsys, "verify", *ids, "--parallel", "1")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("e_h_relation") and "error   [UNEXPECTED]" in lines[0]
+    assert lines[1].startswith("    error: ZeroDivisionError: broken on purpose")
+    assert out.count("[ok]") == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "center", "--a", "-1"],
     ["verify", "oval", "--a", "-1", "--b", "1"],
