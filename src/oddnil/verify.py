@@ -721,20 +721,18 @@ def check_matrix_iso(params, rng):
 
 
 def check_grassmann_recursion(params, rng):
+    """The first column of the Grassmann matrix satisfies the companion
+    relation x~_1^a = sum_j M_{j1} x~_1^{a-j} in OPol_a, with M_{j1} =
+    (-1)^{binom(j-1,2)} eps_j on the left; the series relation f_m = 0
+    holds untruncated (N - a >= m) for every m >= 1, so eps(t) z(t) = 1;
+    and the column M^{N-a+1} v has the truncated f_m as its entries."""
     for a in range(1, params["a_max"] + 1):
         mat = cyclotomic.grassmann_matrix(a)
-        for j in range(1, a + 1):
-            yield (
-                ("first column", a, j),
-                oddsym.elementary(j, a).scale((-1) ** comb(j - 1, 2)),
-                mat[j - 1][0],
-            )
-        for k in range(0, params["n_max"] + 1):
-            yield (
-                ("z_k", a, k),
-                oddsym.complete(k, a).scale((-1) ** comb(k + 1, 2)),
-                cyclotomic.z_poly(k, a),
-            )
+        x1 = oddsym.x_tilde(a, 1)
+        companion = sum((mat[j - 1][0] * x1 ** (a - j) for j in range(1, a + 1)), SkewPolynomial.zero(a))
+        yield ("companion relation", a), x1 ** a, companion
+        for m in range(1, params["n_max"] + 1):
+            yield ("eps z series", a, m), SkewPolynomial.zero(a), cyclotomic.series_relation(a, a + m, m)
         for n_param in range(a, params["n_max"] + 1):
             col = cyclotomic.grassmann_power_column(a, n_param)
             if n_param - a >= 1:
