@@ -24,6 +24,19 @@ kept; this relies on one rule: an element's ``combo`` is never mutated
 after construction (every operation returns a new element, which builds
 its own tree).
 
+Each edge of the walk is one apply_word call, and apply_word remembers,
+per word segment, the image of every monomial it has carried: an image
+depends only on the word and the monomial, since the length of the
+exponent tuple fixes the strand count.  Images are immutable tuples of
+(monomial, coeff) pairs, a zero image the shared (); a call sums c *
+image per term into a fresh dict, so no result shares a dict with the
+memo.  The memo is unbounded, like the library's lru_caches, and
+oddops.clear_caches empties it.  Most images are zero, and recomputing
+each in the letter loop was most of the walk's work.  The suffix tree
+stays: without it the memo is keyed by whole words, which repeat less
+than segments do, and on the thick-calculus benchmark such a memo ran
+slower than the tree with no memo at all.
+
 Thick calculus conventions (all signs downstream depend on these):
 
 * e_a is the 0-Hecke product (x_r d_r) along the canonical reduced word
