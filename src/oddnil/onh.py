@@ -31,8 +31,9 @@ exponent tuple fixes the strand count.  Images are immutable tuples of
 (monomial, coeff) pairs, a zero image the shared (); a call sums c *
 image per term into a fresh dict, so no result shares a dict with the
 memo.  The memo is unbounded, like the library's lru_caches, and
-oddops.clear_caches empties it.  Most images are zero, and recomputing
-each in the letter loop was most of the walk's work.  The suffix tree
+oddops.clear_caches empties it.  Most images are zero, and most
+(segment, monomial) pairs recur within a sweep, so the memo skips most
+of the letter loop's work.  The suffix tree
 stays: without it the memo is keyed by whole words, which repeat less
 than segments do, and on the thick-calculus benchmark such a memo ran
 slower than the tree with no memo at all.
