@@ -17,7 +17,9 @@ s_i(L) = (-1)^{|A_<i|} L and d_i(R) = 0, so
 in closed form.  d_i(B) is d_1(x_1^p x_2^q) shifted to x_i, x_{i+1}, a
 cached table keyed by (p, q); its terms sit between L and R in normal
 order, so no factor needs reordering.  divided_difference writes each
-monomial's image straight into the result, with no per-monomial memo.
+monomial's image straight into the result, with no per-monomial memo,
+through a loop unrolled once per (number of variables, i)
+(skewpoly._kernel).
 
 A word of operator letters composes right-to-left: the leftmost letter acts
 last.  D_a is the fixed word [1, 2,1, 3,2,1, ..., a-1,...,1]; every sign
@@ -28,7 +30,7 @@ never re-derived from the permutation.
 from functools import lru_cache
 
 from .lincomb import collect
-from .skewpoly import _from_normal, apply_w0, staircase
+from .skewpoly import _from_normal, _kernel, apply_w0, staircase
 from . import combinat
 
 # always empty: benchmarks/tracer.py reports its length as oddops.dd.memo_entries
@@ -53,20 +55,9 @@ def divided_difference(i, p):
     c (-1)^{|A_<i|} L d_i(B) R (see above) to the result."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
-    d = {}
-    for mono, c in p.terms.items():
-        head, tail = mono[: i - 1], mono[i + 1 :]
-        if sum(head) & 1:
-            c = -c
-        # add_scaled inlined: a dict per image would make d_i 1.7x slower
-        for e, b in _dd_block(mono[i - 1], mono[i]):
-            key = head + e + tail
-            s = d.get(key, 0) + c * b
-            if s:
-                d[key] = s
-            else:
-                del d[key]
-    return _from_normal(p.nvars, d)
+    # the kernel unrolled for (nvars, i) writes each image straight into
+    # the result: a dict per image would make d_i 1.7x slower
+    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, _dd_block))
 
 
 def dd_word(word, p):
@@ -107,7 +98,9 @@ def _binom3(a):
 def clear_caches():
     """Empty every cache in the library, so the next computation starts
     cold: each lru_cache (the d_i table _dd_block among them) and onh's
-    memo of word-segment images."""
+    memo of word-segment images.  The compiled kernels (skewpoly._kernel,
+    bound here by name) go too and are compiled again on their next call;
+    they hold no results, so the terms come out the same."""
     # imported here: oddsym and onh import this module
     from . import evenoracle, oddops, oddsym, onh
 

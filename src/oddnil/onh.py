@@ -183,6 +183,8 @@ class OnhElement:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
+        if not isinstance(other, OnhElement):
+            return NotImplemented
         if self.strands != other.strands:
             raise ValueError("strand mismatch")
         return _element(self.strands, add_scaled(dict(self.combo), other.combo, sign))
@@ -199,6 +201,8 @@ class OnhElement:
         """Lazy concatenation of words."""
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, OnhElement):
+            return NotImplemented
         if self.strands != other.strands:
             raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
         return _element(self.strands, convolve(self.combo, other.combo))

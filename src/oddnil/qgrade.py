@@ -74,11 +74,15 @@ class QLaurent:
     def _plus(self, other, sign):
         if isinstance(other, int):
             other = QLaurent.from_int(other)
+        elif not isinstance(other, QLaurent):
+            return NotImplemented
         return QLaurent(add_scaled(dict(self.coeffs), other.coeffs, sign))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return QLaurent(scaled(self.coeffs, other))
+        if not isinstance(other, QLaurent):
+            return NotImplemented
         return QLaurent(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__

@@ -17,18 +17,22 @@ where |A| = sum(A) and s_i swaps the i-th and (i+1)-st entries.  The
 transposition s_i is the ring endomorphism sending x_i -> -x_{i+1},
 x_{i+1} -> -x_i and x_j -> -x_j for j != i, i+1.
 
-The product sign is computed from parity masks.  Mod 2 the exponent is
-sum_j B_j (A_{j+1} + ... + A_a), and a term contributes only when B_j and
-the suffix sum are both odd, so it is the parity of
-popcount(S(A) & P(B)), where bit j of P(B) is B_j mod 2 and bit j of S(A)
-is (A_{j+1} + ... + A_a) mod 2.  The left-dot sign is the product sign
-with A = e_r: only the x_r letter moves, past the x_j^{A_j} with j < r.
+The kernels that carry these signs (the product, x_r * and d_i of
+oddops) are generated once per arity, the number of variables plus the
+index of x_r or d_i, unrolled over the exponent vector: a monomial
+unpacks into locals a0, ..., a{n-1} and the product key is the tuple
+display (a0 + b0, ...).  Mod 2 the product exponent is
+sum_j B_j (A_{j+1} + ... + A_a), so the generated sign test is
+(b0 & s0 ^ b1 & s1 ^ ...) & 1, where s_j = a_{j+1} ^ ... ^ a_{n-1} is
+the suffix parity, computed once per left term.  The left-dot sign is the
+product sign with A = e_r: only the x_r letter moves, past the x_j^{A_j}
+with j < r, so its test is (a0 ^ ... ^ a{r-2}) & 1.
 
 x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 """
 
 import re
-from operator import add
+from functools import lru_cache
 
 from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, scaled
 
@@ -128,6 +132,8 @@ class SkewPolynomial:
     def _plus(self, other, sign):
         if isinstance(other, int):
             other = SkewPolynomial.constant(self.nvars, other)
+        elif not isinstance(other, SkewPolynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
         return _from_normal(self.nvars, add_scaled(dict(self.terms), other.terms, sign))
@@ -143,21 +149,11 @@ class SkewPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, SkewPolynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
-        right = [(mb, cb, _parity_mask(mb)) for mb, cb in other.terms.items()]
-        d = {}
-        for ma, ca in self.terms.items():
-            sa = _suffix_parity_mask(ma)
-            for mb, cb, pb in right:
-                m = tuple(map(add, ma, mb))
-                c = -ca * cb if (sa & pb).bit_count() & 1 else ca * cb
-                v = d.get(m, 0) + c
-                if v:
-                    d[m] = v
-                else:
-                    del d[m]
-        return _from_normal(self.nvars, d)
+        return _from_normal(self.nvars, _kernel("mul", self.nvars, 0)(self.terms, other.terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -183,35 +179,115 @@ def _from_normal(nvars, terms):
     return out
 
 
-def _parity_mask(m):
-    """Bit j is m[j] mod 2."""
-    mask = 0
-    for j, e in enumerate(m):
-        if e & 1:
-            mask |= 1 << j
-    return mask
-
-
-def _suffix_parity_mask(m):
-    """Bit j is (m[j+1] + ... + m[-1]) mod 2."""
-    mask = 0
-    parity = 0
-    for j in range(len(m) - 1, -1, -1):
-        if parity:
-            mask |= 1 << j
-        parity ^= m[j] & 1
-    return mask
-
-
 def left_dot(r, p):
     """x_r * p (1-based r), term by term: x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
     if not 1 <= r <= p.nvars:
         raise ValueError("variable index %d out of range" % r)
-    k = r - 1
+    return _from_normal(p.nvars, _kernel("dot", p.nvars, r)(p.terms))
+
+
+# ---------------------------------------------------------------------------
+# kernels unrolled per arity
+
+
+@lru_cache(maxsize=None)
+def _kernel(kind, nvars, index):
+    """The kernel of _kernel_source(kind, nvars, index), compiled on the
+    first call for the key.  Every caller passes the three arguments
+    positionally, so one key is one cache entry."""
+    namespace = {}
+    exec(_kernel_source(kind, nvars, index), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(kind, nvars, index):
+    """Source of a function ``kernel`` that returns a fresh normal terms
+    dict:
+
+      "mul", index 0   kernel(left, right), the skew product;
+      "dot", index r   kernel(terms), x_r times the terms;
+      "dd", index i    kernel(terms, block), d_i of the terms, where
+                       block(p, q) is oddops._dd_block.
+
+    Each kernel is the plain loop over exponent tuples (kept as the oracle
+    in tests/reference_kernel.py) with the tuple work written out for nvars
+    variables; it visits terms and inserts and deletes keys in the same
+    order, so its dict has the same key order too.
+    """
+    a = ["a%d" % j for j in range(nvars)]
+    if kind == "mul":
+        b = ["b%d" % j for j in range(nvars)]
+        suffix = "".join(
+            "        s%d = %s\n" % (j, a[j + 1] if j == nvars - 2 else "s%d ^ %s" % (j + 1, a[j + 1]))
+            for j in range(nvars - 2, -1, -1)
+        )
+        sign = " ^ ".join("b%d & s%d" % (j, j) for j in range(nvars - 1))
+        return _MUL % {
+            "a": _tuple(a),
+            "b": _tuple(b),
+            "row": ", ".join(b + ["cb"]),
+            "suffix": suffix,
+            "key": _tuple(["%s + %s" % ab for ab in zip(a, b)]),
+            "coeff": "-ca * cb if (%s) & 1 else ca * cb" % sign if sign else "ca * cb",
+        }
+    k = index - 1
+    odd_head = "(%s) & 1" % " ^ ".join(a[:k]) if k else ""
+    if kind == "dot":
+        return _DOT % {
+            "a": _tuple(a),
+            "key": _tuple(a[:k] + [a[k] + " + 1"] + a[index:]),
+            "coeff": "-c if %s else c" % odd_head if odd_head else "c",
+        }
+    return _DD % {
+        "a": _tuple(a),
+        "negate": "        if %s:\n            c = -c\n" % odd_head if odd_head else "",
+        "block": "%s, %s" % (a[k], a[index]),
+        "key": _tuple(a[:k] + ["e0", "e1"] + a[index + 1 :]),
+    }
+
+
+def _tuple(exprs):
+    return "(%s,)" % exprs[0] if len(exprs) == 1 else "(%s)" % ", ".join(exprs)
+
+
+_MUL = """\
+def kernel(left, right):
+    rows = [(%(row)s) for %(b)s, cb in right.items()]
     d = {}
-    for m, c in p.terms.items():
-        d[m[:k] + (m[k] + 1,) + m[r:]] = -c if sum(m[:k]) & 1 else c
-    return _from_normal(p.nvars, d)
+    get = d.get
+    for %(a)s, ca in left.items():
+%(suffix)s        for %(row)s in rows:
+            m = %(key)s
+            c = %(coeff)s
+            v = get(m, 0) + c
+            if v:
+                d[m] = v
+            else:
+                del d[m]
+    return d
+"""
+
+# d_i(c x^A) = c (-1)^{|A_<i|} L d_i(B) R; see the oddops docstring
+_DD = """\
+def kernel(terms, block):
+    d = {}
+    get = d.get
+    for %(a)s, c in terms.items():
+%(negate)s        for (e0, e1), b in block(%(block)s):
+            m = %(key)s
+            v = get(m, 0) + c * b
+            if v:
+                d[m] = v
+            else:
+                del d[m]
+    return d
+"""
+
+# x_r permutes the monomials, so no two terms collide
+_DOT = """\
+def kernel(terms):
+    return {%(key)s: %(coeff)s for %(a)s, c in terms.items()}
+"""
 
 
 # ---------------------------------------------------------------------------

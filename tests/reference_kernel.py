@@ -21,18 +21,21 @@ the library no longer has: the recursion peels one letter per level with no
 memo.  ``elementary``, ``complete`` and ``elementary_in_fewer_vars``
 multiply the x~ factors of each index list out one skew product at a time,
 as ``oddsym`` did before it wrote each list's monomial and sign down
-directly.
+directly.  ``mul_loop``, ``left_dot_loop`` and ``divided_difference_loop``
+are the generic loops over exponent tuples that ``skewpoly._kernel``
+unrolls per arity: the product with its parity masks, x_r times a
+polynomial, and the memo-free closed-form d_i.
 """
 
 import itertools
-
+from operator import add
 
 from oddnil import combinat, oddops
 from oddnil.lincomb import add_scaled
 from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
 from oddnil.onh import OnhElement
 from oddnil.qgrade import QLaurent
-from oddnil.skewpoly import SkewPolynomial, _from_normal, left_dot
+from oddnil.skewpoly import SkewPolynomial, _from_normal
 
 
 def mul(self, other):
@@ -60,6 +63,79 @@ def mul(self, other):
     out.nvars = self.nvars
     out.terms = d
     return out
+
+
+def _parity_mask(m):
+    """Bit j is m[j] mod 2."""
+    mask = 0
+    for j, e in enumerate(m):
+        if e & 1:
+            mask |= 1 << j
+    return mask
+
+
+def _suffix_parity_mask(m):
+    """Bit j is (m[j+1] + ... + m[-1]) mod 2."""
+    mask = 0
+    parity = 0
+    for j in range(len(m) - 1, -1, -1):
+        if parity:
+            mask |= 1 << j
+        parity ^= m[j] & 1
+    return mask
+
+
+def mul_loop(self, other):
+    """SkewPolynomial.__mul__: the sign is the parity of
+    popcount(S(A) & P(B)), from the two masks above."""
+    if isinstance(other, int):
+        return self.scale(other)
+    if self.nvars != other.nvars:
+        raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
+    right = [(mb, cb, _parity_mask(mb)) for mb, cb in other.terms.items()]
+    d = {}
+    for ma, ca in self.terms.items():
+        sa = _suffix_parity_mask(ma)
+        for mb, cb, pb in right:
+            m = tuple(map(add, ma, mb))
+            c = -ca * cb if (sa & pb).bit_count() & 1 else ca * cb
+            v = d.get(m, 0) + c
+            if v:
+                d[m] = v
+            else:
+                del d[m]
+    return _from_normal(self.nvars, d)
+
+
+def left_dot_loop(r, p):
+    """skewpoly.left_dot: x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
+    if not 1 <= r <= p.nvars:
+        raise ValueError("variable index %d out of range" % r)
+    k = r - 1
+    d = {}
+    for m, c in p.terms.items():
+        d[m[:k] + (m[k] + 1,) + m[r:]] = -c if sum(m[:k]) & 1 else c
+    return _from_normal(p.nvars, d)
+
+
+def divided_difference_loop(i, p):
+    """oddops.divided_difference: each term c x^A adds
+    c (-1)^{|A_<i|} L d_i(B) R to the result."""
+    if not 1 <= i <= p.nvars - 1:
+        raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
+    d = {}
+    for mono, c in p.terms.items():
+        head, tail = mono[: i - 1], mono[i + 1 :]
+        if sum(head) & 1:
+            c = -c
+        for e, b in oddops._dd_block(mono[i - 1], mono[i]):
+            key = head + e + tail
+            s = d.get(key, 0) + c * b
+            if s:
+                d[key] = s
+            else:
+                del d[key]
+    return _from_normal(p.nvars, d)
 
 
 _dd_cache = {}
@@ -180,7 +256,7 @@ def _ddnj_mono(i, j, nvars, mono):
         tail = _ddnj_mono(i, j, nvars, rest)
         if tail:
             svar = j if var == i else (i if var == j else var)
-            out = out - left_dot(svar, tail)
+            out = out - left_dot_loop(svar, tail)
     return out
 
 

@@ -1,10 +1,15 @@
 """lincomb against a Counter oracle: the same sums, and never a stored 0."""
 
+import operator
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddnil.lincomb import add_scaled, collect, convolve, format_terms, scaled
+from oddnil.onh import OnhElement
+from oddnil.qgrade import QLaurent
+from oddnil.skewpoly import SkewPolynomial
 
 # small key spaces make keys repeat and sums cancel
 int_keys = st.integers(-3, 3)
@@ -84,3 +89,25 @@ def test_format_terms():
     assert format_terms([(0, -3)], name) == "-3"
     assert format_terms([(2, 1), (1, -2), (0, 1)], name) == "q^2 - 2*q + 1"
     assert format_terms([(1, -1), (0, -1)], name) == "-q - 1"
+
+
+
+VALUES = {
+    "SkewPolynomial": SkewPolynomial(2, {(1, 0): 1}),
+    "OnhElement": OnhElement(2, {(1,): 1}),
+    "QLaurent": QLaurent({1: 2}),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_an_operand_of_another_type_is_a_type_error(cls, op):
+    # each class returns NotImplemented for an operand that is neither an
+    # int nor its own class, so Python raises TypeError on either side
+    # instead of an AttributeError from inside the method
+    value = VALUES[cls]
+    others = [2.5, "x"] + [v for name, v in VALUES.items() if name != cls]
+    for other in others:
+        for left, right in ((value, other), (other, value)):
+            with pytest.raises(TypeError):
+                op(left, right)
