@@ -283,7 +283,7 @@ def kernel(terms, block):
     return d
 """
 
-# x_r permutes the monomials, so no two terms collide
+# x_r sends distinct monomials to distinct monomials, so no two terms collide
 _DOT = """\
 def kernel(terms):
     return {%(key)s: %(coeff)s for %(a)s, c in terms.items()}
