@@ -112,7 +112,8 @@ def cmd_compute(args):
 def cmd_verify(args):
     _require(args.parallel >= 1, "--parallel must be >= 1, got %d" % args.parallel)
     ids = args.checks
-    if ids == ["all"]:
+    if "all" in ids:
+        _require(ids == ["all"], '"all" cannot be combined with check ids')
         ids = verify.check_ids()
     else:
         for cid in ids:

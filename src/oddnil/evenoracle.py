@@ -67,10 +67,6 @@ class Gf2Poly:
 # commutative polynomials over Z
 
 
-def zpoly_mono(nvars, exps):
-    return {tuple(exps): 1}
-
-
 def even_divided_difference(i, p, nvars):
     """Classical d_i(f) = (f - s_i f)/(x_i - x_{i+1}) on exponent dicts."""
     out = {}
@@ -135,15 +131,11 @@ def even_schur(alpha, a):
         return {}
     padded = list(alpha) + [0] * (a - len(alpha))
     exps = tuple(padded[j] + (a - 1 - j) for j in range(a))
-    p = zpoly_mono(a, exps)
+    p = {exps: 1}
     w0 = combinat.longest_element(a)
     for i in reversed(combinat.canonical_reduced_word(w0)):
         p = even_divided_difference(i, p, a)
     return p
-
-
-def to_gf2(p, nvars):
-    return Gf2Poly(nvars, p)
 
 
 # ---------------------------------------------------------------------------

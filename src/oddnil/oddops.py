@@ -21,16 +21,18 @@ monomial's image straight into the result, with no per-monomial memo,
 through a loop unrolled once per (number of variables, i)
 (skewpoly._kernel).
 
-A word of operator letters composes right-to-left: the leftmost letter acts
-last.  D_a is the fixed word [1, 2,1, 3,2,1, ..., a-1,...,1]; every sign
-downstream depends on this exact word, so it is a stored constant and is
-never re-derived from the permutation.
+A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
+(left multiplication), -r is the crossing d_r.  It composes right-to-left:
+the leftmost letter acts last.  D_a is the fixed crossing word
+[d_1, d_2 d_1, d_3 d_2 d_1, ..., d_{a-1} ... d_1]; every sign downstream
+depends on this exact word, so it is a stored constant and is never
+re-derived from the permutation.
 """
 
 from functools import lru_cache
 
 from .lincomb import collect
-from .skewpoly import _from_normal, _kernel, apply_w0, staircase
+from .skewpoly import _from_normal, _kernel, apply_w0, left_dot, staircase
 from . import combinat
 
 # always empty: benchmarks/tracer.py reports its length as oddops.dd.memo_entries
@@ -60,19 +62,21 @@ def divided_difference(i, p):
     return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, _dd_block))
 
 
-def dd_word(word, p):
-    """Apply a word of adjacent operators; the leftmost letter acts last."""
-    out = p
-    for i in reversed(word):
-        out = divided_difference(i, out)
-    return out
+def apply_letters(word, p):
+    """Apply a word of dots (+r) and crossings (-r) to p, the rightmost
+    letter first; once p is zero the later letters are not applied."""
+    for l in reversed(word):
+        if not p.terms:
+            break
+        p = left_dot(l, p) if l > 0 else divided_difference(-l, p)
+    return p
 
 
 def da_word(a):
-    """The fixed word for D_a: [1] + [2,1] + ... + [a-1, ..., 1]."""
+    """The fixed crossing word of D_a: [-1] + [-2,-1] + ... + [-(a-1), ..., -1]."""
     word = []
     for k in range(1, a):
-        word.extend(range(k, 0, -1))
+        word.extend(range(-k, 0))
     return tuple(word)
 
 
@@ -80,7 +84,7 @@ def longest_dd(a, p):
     """D_a applied to p."""
     if p.nvars != a:
         raise ValueError("longest_dd(%d, .) needs a polynomial in %d variables" % (a, a))
-    return dd_word(da_word(a), p)
+    return apply_letters(da_word(a), p)
 
 
 def odd_symmetrize(p):

@@ -114,8 +114,8 @@ def schubert(w, a):
     if len(w) != a:
         raise ValueError("permutation %r is not on %d letters" % (w, a))
     u = combinat.perm_compose(combinat.perm_inverse(w), combinat.longest_element(a))
-    word = combinat.canonical_reduced_word(u)
-    return oddops.dd_word(word, staircase(a))
+    word = tuple(-l for l in combinat.canonical_reduced_word(u))
+    return oddops.apply_letters(word, staircase(a))
 
 
 # ---------------------------------------------------------------------------

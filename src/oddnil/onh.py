@@ -61,7 +61,7 @@ from math import comb
 
 from . import combinat, oddops, oddsym
 from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
-from .skewpoly import SkewPolynomial, _from_normal, left_dot
+from .skewpoly import SkewPolynomial, _from_normal
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,8 @@ def apply_word(word, p):
     for mono, c in p.terms.items():
         image = images.get(mono)
         if image is None:
-            image = images[mono] = _word_image(word, mono)
+            one = _from_normal(len(mono), {mono: 1})
+            image = images[mono] = tuple(oddops.apply_letters(word, one).terms.items())
         # add_scaled inlined over the pairs
         for m, b in image:
             s = d.get(m, 0) + c * b
@@ -114,20 +115,6 @@ def apply_word(word, p):
             else:
                 del d[m]
     return _from_normal(p.nvars, d)
-
-
-def _word_image(word, mono):
-    """The image of the monomial x^mono under word, letter by letter, as a
-    tuple of (monomial, coeff) pairs; () when it dies."""
-    out = _from_normal(len(mono), {mono: 1})
-    for l in reversed(word):
-        if not out.terms:
-            return ()
-        if l > 0:
-            out = left_dot(l, out)
-        else:
-            out = oddops.divided_difference(-l, out)
-    return tuple(out.terms.items())
 
 
 def format_word(word):
@@ -334,8 +321,8 @@ def _unit_value(w, a):
     on the Schubert polynomial of w is d_w itself (the inverse-free index
     is forced by the composition convention).
     """
-    word = combinat.canonical_reduced_word(w)
-    val = oddops.dd_word(word, oddsym.schubert(w, a))
+    word = tuple(-l for l in combinat.canonical_reduced_word(w))
+    val = oddops.apply_letters(word, oddsym.schubert(w, a))
     c = val.constant_term()
     if val != SkewPolynomial.constant(a, c) or c not in (1, -1):
         raise RuntimeError("Schubert unit evaluation failed for %r" % (w,))
@@ -429,8 +416,7 @@ def up_splitter(a, b):
     associativity carries the sign (-1)^{ab binom(c,2)} and the sign
     bookkeeping of bigX makes the sigma/lambda contractions close."""
     n = a + b
-    mirror = automorphism_apply("sigma", crossing_element(a, b))
-    return embed(idempotent_e(a), 0, n) * embed(idempotent_e(b), a, n) * mirror
+    return embed(idempotent_e(a), 0, n) * embed(idempotent_e(b), a, n) * mirror(crossing_element(a, b))
 
 
 def box(f, a):
@@ -537,32 +523,20 @@ def lambda_part(alpha, a, b):
 
 
 # ---------------------------------------------------------------------------
-# diagram automorphisms
+# the mirror automorphism
 
 
-def automorphism_apply(kind, element):
-    """kind in {"sigma", "psi", "sigma.psi"}: reflect across the vertical
-    axis (sigma, an automorphism), the horizontal axis (psi, an
-    anti-automorphism reversing words), or both."""
+def mirror(element):
+    """sigma: the reflection of a diagram across the vertical axis, an
+    automorphism sending x_r to x_{a+1-r} and d_r to d_{a-r}."""
     a = element.strands
-
-    def sigma_word(word):
-        return tuple((a + 1 - l) if l > 0 else -(a + l) for l in word)
-
-    if kind == "sigma":
-        combo = {sigma_word(w): c for w, c in element.combo.items()}
-    elif kind == "psi":
-        combo = {tuple(reversed(w)): c for w, c in element.combo.items()}
-    elif kind in ("sigma.psi", "psi.sigma"):
-        combo = {tuple(reversed(sigma_word(w))): c for w, c in element.combo.items()}
-    else:
-        raise ValueError("unknown automorphism %r" % kind)
+    combo = {tuple((a + 1 - l) if l > 0 else -(a + l) for l in w): c for w, c in element.combo.items()}
     return OnhElement(a, combo)
 
 
 def d_element(a):
     """D_a as an element (the fixed word of oddops.da_word)."""
-    return OnhElement.from_word(a, tuple(-l for l in oddops.da_word(a)))
+    return OnhElement.from_word(a, oddops.da_word(a))
 
 
 def staircase_element(a):

@@ -184,8 +184,8 @@ def check_defining_relations(params, rng):
             for i in range(1, a):
                 yield ("d%d^2" % i, a, m), SkewPolynomial.zero(a), oddops.divided_difference(i, dd[i])
                 if i + 1 < a:
-                    lhs = oddops.dd_word((i, i + 1, i), p)
-                    rhs = oddops.dd_word((i + 1, i, i + 1), p)
+                    lhs = oddops.apply_letters((-i, -i - 1, -i), p)
+                    rhs = oddops.apply_letters((-i - 1, -i, -i - 1), p)
                     yield ("braid", a, i, m), lhs, rhs
                 yield (
                     ("x_i d_i + d_i x_{i+1}", a, i, m),
@@ -367,7 +367,7 @@ def check_da_slide(params, rng):
         yield (
             ("sigma(D_a) = D_a", a),
             True,
-            onh.automorphism_apply("sigma", onh.d_element(a)) == onh.d_element(a),
+            onh.mirror(onh.d_element(a)) == onh.d_element(a),
         )
 
 
@@ -498,7 +498,7 @@ def check_splitter_assoc(params, rng):
             True,
             d_ab * onh.crossing_element(b, a) == onh.d_element(n).scale((-1) ** ((comb(a, 2) * comb(b, 2)) % 2)),
         )
-        mirror = onh.automorphism_apply("sigma", onh.crossing_element(a, b))
+        mirror = onh.mirror(onh.crossing_element(a, b))
         yield ("D_a D_b over mirror crossing", a, b), True, d_ab * mirror == onh.d_element(n)
 
 
@@ -789,19 +789,19 @@ def check_mod2(params, rng):
         for k in range(0, min(a, 4) + 1):
             yield (
                 ("eps_k mod 2", a, k),
-                evenoracle.to_gf2(evenoracle.even_elementary(k, a), a),
+                evenoracle.Gf2Poly(a, evenoracle.even_elementary(k, a)),
                 oddsym.mod2_reduction(oddsym.elementary(k, a)),
             )
         for k in range(0, params["deg_max"] // 2 + 1):
             yield (
                 ("h_k mod 2", a, k),
-                evenoracle.to_gf2(evenoracle.even_complete(k, a), a),
+                evenoracle.Gf2Poly(a, evenoracle.even_complete(k, a)),
                 oddsym.mod2_reduction(oddsym.complete(k, a)),
             )
         for alpha in combinat.partitions_in_box(min(a, 2), 2):
             yield (
                 ("schur mod 2", a, alpha),
-                evenoracle.to_gf2(evenoracle.even_schur(alpha, a), a),
+                evenoracle.Gf2Poly(a, evenoracle.even_schur(alpha, a)),
                 oddsym.mod2_reduction(oddsym.schur(alpha, a)),
             )
         # skew multiplication reduces to commutative multiplication mod 2

@@ -10,12 +10,15 @@ rule; ``schur_via_staircase`` is the second route to the odd Schur
 polynomials; and ``odd_symmetric_rank`` certifies the graded rank of the
 odd symmetric slices.  The bodies are the earlier library functions,
 except that ``transposition`` stands in for the identity permutation and
-the simple transpositions, which only these used.  The non-adjacent
-d_{i,j} is ``reference_kernel.dd_nonadjacent``.
+the simple transpositions, which only these used.  ``reverse_words`` is
+the anti-automorphism psi of ONH_a, the reflection of a diagram across the
+horizontal axis.  The non-adjacent d_{i,j} is
+``reference_kernel.dd_nonadjacent``.
 """
 
 from oddnil import combinat, oddops, zlinalg
 from oddnil.oddsym import chi, monomials_of_degree
+from oddnil.onh import OnhElement
 from oddnil.skewpoly import SkewPolynomial, apply_permutation, apply_simple_transposition, apply_w0
 
 
@@ -63,6 +66,11 @@ def generalized_action(word, xi, p):
         else:
             out = apply_simple_transposition(letter, out)
     return out
+
+
+def reverse_words(element):
+    """psi: reverse every word of element, keeping its coefficient."""
+    return OnhElement(element.strands, {tuple(reversed(w)): c for w, c in element.combo.items()})
 
 
 def schur_via_staircase(alpha, a):

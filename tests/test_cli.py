@@ -124,6 +124,13 @@ def test_verify_unknown_check_exits_2(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", [("all", "mod2"), ("mod2", "all")])
+def test_verify_all_with_check_ids_exits_2(capsys, checks):
+    code, _, err = run_cli(capsys, "verify", *checks)
+    assert code == 2
+    assert "cannot be combined" in err and "unknown check" not in err
+
+
 def test_unrecognized_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "schur", "--partition", "1", "--vars", "2", "--bogus"])

@@ -21,7 +21,7 @@ def same_words(new, old):
 
 
 def mirror(a, b):
-    return H.automorphism_apply("sigma", H.crossing_element(a, b))
+    return H.mirror(H.crossing_element(a, b))
 
 
 @pytest.mark.parametrize("a", range(1, 6))

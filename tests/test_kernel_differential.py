@@ -6,8 +6,10 @@ polynomials, and with the memoized closed form it replaced by terms and key
 order, cold and on that memo's hits.  OnhElement.evaluate,
 which walks a suffix tree of the words, is compared with the per-word
 reference on words that share suffixes and on the sigma/lambda families;
-onh.apply_word, which memoizes each monomial's image under a word, is
-compared with the reference letter loop both cold and on memo hits.
+oddops.apply_letters, the library's one letter loop, is compared with the
+reference letter loop on signed words of dots and crossings, and
+onh.apply_word, which memoizes each monomial's image under a word, both
+cold and on memo hits.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
 
@@ -162,6 +164,8 @@ def test_zero_polynomial_through_every_kernel():
         assert normal(z * p) == normal(p * z) == normal(ref.mul(z, p)) == (n, {})
         assert normal(left_dot(n, z)) == (n, {})
         assert normal(onh.apply_word((n,), z)) == normal(ref.apply_word((n,), z))
+        word = (n,) + tuple(-r for r in range(1, n))
+        assert normal(oddops.apply_letters(word, z)) == normal(ref.apply_word(word, z)) == (n, {})
         if n > 1:
             assert normal(oddops.divided_difference(1, z)) == (n, {})
         el = onh.OnhElement(n, {(1,): 1, (1, 1): -2})
@@ -178,6 +182,40 @@ def test_cancelling_terms_leave_no_zero_coefficient():
     el = onh.OnhElement(2, {(-1, 1): 1, (-1, 2): -1})
     one = SkewPolynomial.one(2)
     assert normal(el.evaluate(one)) == normal(ref.evaluate(el, one)) == (2, {})
+
+
+@st.composite
+def letters_and_polys(draw):
+    n = draw(st.integers(1, 6))
+    letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
+    return tuple(draw(st.lists(st.sampled_from(letters), max_size=6))), draw(polys(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters_and_polys())
+def test_apply_letters_matches_reference_letter_loop(case):
+    word, p = case
+    assert normal(oddops.apply_letters(word, p)) == normal(ref.apply_word(word, p))
+
+
+@pytest.mark.parametrize(
+    "word,mono,applied",
+    [
+        ((1, -1, -1), (1, 0), 2),  # d_1 d_1 x_1 = d_1 1 = 0
+        ((-3, -1, -1), (2, 0, 0, 0), 2),  # d_1(x_1^2) = x_1 - x_2, which d_1 kills
+        ((2, 3, -2, -1), (0, 0, 0), 1),  # d_1 1 = 0
+        ((-1, -1), (2, 0), 2),  # dies at the last letter
+    ],
+)
+def test_apply_letters_stops_where_the_polynomial_dies(monkeypatch, word, mono, applied):
+    p = SkewPolynomial.monomial(len(mono), mono, 3)
+    want = normal(ref.apply_word(word, p))
+    seen = []
+    for name in ("divided_difference", "left_dot"):
+        real = getattr(oddops, name)
+        monkeypatch.setattr(oddops, name, lambda l, q, real=real: seen.append(l) or real(l, q))
+    assert normal(oddops.apply_letters(word, p)) == want == (len(mono), {})
+    assert len(seen) == applied
 
 
 @st.composite

@@ -30,6 +30,11 @@ def monomials(a, maxhalf):
     ]
 
 
+def crossings(indices):
+    """The crossing word d_{i_1} ... d_{i_k} of a word of operator indices."""
+    return tuple(-i for i in indices)
+
+
 def leibniz_oracle_dd(i, mono, a):
     """Letter-by-letter Leibniz oracle for d_i, independent of the block
     recursion used in the implementation."""
@@ -105,7 +110,7 @@ def test_defining_relations_on_span(a):
             assert x(a, i) * di + O.divided_difference(i, x(a, i + 1) * p) == p
             assert O.divided_difference(i, x(a, i) * p) + x(a, i + 1) * di == p
             if i + 1 < a:
-                assert O.dd_word((i, i + 1, i), p) == O.dd_word((i + 1, i, i + 1), p)
+                assert O.apply_letters((-i, -i - 1, -i), p) == O.apply_letters((-i - 1, -i, -i - 1), p)
             for j in range(i + 2, a):
                 assert (
                     O.divided_difference(i, O.divided_difference(j, p))
@@ -196,9 +201,9 @@ def test_composite_annihilates_symmetric(a):
 
 def test_da_word_is_the_fixed_constant():
     assert O.da_word(1) == ()
-    assert O.da_word(2) == (1,)
-    assert O.da_word(3) == (1, 2, 1)
-    assert O.da_word(4) == (1, 2, 1, 3, 2, 1)
+    assert O.da_word(2) == (-1,)
+    assert O.da_word(3) == (-1, -2, -1)
+    assert O.da_word(4) == (-1, -2, -1, -3, -2, -1)
 
 
 def test_longest_dd_values():
@@ -216,7 +221,7 @@ def test_da_sign_constants(a):
 def test_generalized_action_extremes():
     word = (1, 2, 1)
     p = SkewPolynomial.monomial(3, (1, 2, 0))
-    assert P.generalized_action(word, (1, 1, 1), p) == O.dd_word(word, p)
+    assert P.generalized_action(word, (1, 1, 1), p) == O.apply_letters(crossings(word), p)
     w0 = C.longest_element(3)
     from oddnil.skewpoly import apply_permutation
 
@@ -233,10 +238,10 @@ def test_generalized_leibniz():
     for f, g in cases:
         total = SkewPolynomial.zero(a)
         for xi in itertools.product((0, 1), repeat=len(word)):
-            total = total + P.generalized_action(word, xi, f) * O.dd_word(
-                P.omission_word(word, xi), g
+            total = total + P.generalized_action(word, xi, f) * O.apply_letters(
+                crossings(P.omission_word(word, xi)), g
             )
-        assert total == O.dd_word(word, f * g), (f, g)
+        assert total == O.apply_letters(crossings(word), f * g), (f, g)
 
 
 def test_omission_word():

@@ -268,12 +268,12 @@ def test_pieri_rule_polynomial_identity(a):
 def test_mod2_reduction_matches_even_oracle():
     for a in (1, 2, 3, 4):
         for k in range(0, a + 1):
-            assert S.mod2_reduction(S.elementary(k, a)) == E.to_gf2(E.even_elementary(k, a), a)
+            assert S.mod2_reduction(S.elementary(k, a)) == E.Gf2Poly(a, E.even_elementary(k, a))
         for k in range(0, 5):
-            assert S.mod2_reduction(S.complete(k, a)) == E.to_gf2(E.even_complete(k, a), a)
+            assert S.mod2_reduction(S.complete(k, a)) == E.Gf2Poly(a, E.even_complete(k, a))
     a = 3
     for alpha in C.partitions_in_box(2, 2):
-        assert S.mod2_reduction(S.schur(alpha, a)) == E.to_gf2(E.even_schur(alpha, a), a)
+        assert S.mod2_reduction(S.schur(alpha, a)) == E.Gf2Poly(a, E.even_schur(alpha, a))
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])

@@ -178,8 +178,7 @@ def test_d_through_crossing():
         d_ab = H.embed(H.d_element(a), 0, n) * H.embed(H.d_element(b), a, n)
         sign = (-1) ** ((comb(a, 2) * comb(b, 2)) % 2)
         assert d_ab * H.crossing_element(b, a) == H.d_element(n).scale(sign), (a, b)
-        mirror = H.automorphism_apply("sigma", H.crossing_element(a, b))
-        assert d_ab * mirror == H.d_element(n), (a, b)
+        assert d_ab * H.mirror(H.crossing_element(a, b)) == H.d_element(n), (a, b)
 
 
 def test_crossing_slide_lemma():
@@ -296,23 +295,28 @@ def test_evaluate_matches_operator_composition():
 @pytest.mark.parametrize("a", range(2, 6))
 def test_automorphism_contracts(a):
     D = H.d_element(a)
-    assert H.automorphism_apply("sigma", D) == D
+    assert H.mirror(D) == D
     # psi reverses words; the sign on D_a is pinned by evaluation (a = 4
     # already needs one distant swap, so the exponent is binom(a,4))
-    assert H.automorphism_apply("psi", D) == D.scale((-1) ** comb(a, 4))
+    assert P.reverse_words(D) == D.scale((-1) ** comb(a, 4))
     st = H.staircase_element(a)
-    assert st == H.automorphism_apply("psi", st).scale((-1) ** comb(a, 4))
-    assert H.automorphism_apply("sigma", H.cross(2, 1)) == H.cross(2, 1)
-    with pytest.raises(ValueError):
-        H.automorphism_apply("bogus", D)
+    assert st == P.reverse_words(st).scale((-1) ** comb(a, 4))
+    assert H.mirror(H.cross(2, 1)) == H.cross(2, 1)
 
 
 def test_automorphism_psi_is_antihomomorphism_on_words():
     el = H.OnhElement.from_word(3, (1, -2, 2))
-    psi = H.automorphism_apply("psi", el)
+    psi = P.reverse_words(el)
     assert list(psi.combo) == [(2, -2, 1)]
-    both = H.automorphism_apply("sigma.psi", el)
-    assert list(both.combo) == [(2, -1, 3)]
+    assert list(P.reverse_words(H.mirror(el)).combo) == [(2, -1, 3)]
+    assert list(H.mirror(P.reverse_words(el)).combo) == [(2, -1, 3)]
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_d_element_acts_as_longest_dd_on_the_schubert_basis(a):
+    D = H.d_element(a)
+    for p in H.schubert_basis_list(a):
+        assert D.evaluate(p) == O.longest_dd(a, p)
 
 
 def test_parity_ledgers():
