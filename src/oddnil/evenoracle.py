@@ -10,6 +10,8 @@ Grassmannian quotient slices, computed on e-words.
 from functools import lru_cache
 import itertools
 
+from . import combinat
+
 
 class Gf2Poly:
     """Commutative polynomial over Z/2 (dict of exponent vectors)."""
@@ -124,8 +126,6 @@ def even_complete(k, a):
 def even_schur(alpha, a):
     """Even Schur polynomial via the classical divided-difference chain
     applied to x^{delta + alpha}."""
-    from . import combinat
-
     alpha = combinat.normalize_partition(alpha)
     if len(alpha) > a:
         return {}
@@ -170,8 +170,6 @@ def even_quotient_rank_gf2(a, n_param, halfdeg):
     word.  Each spanning vector is an integer bitset over the basis, and the
     rank comes from GF(2) elimination on the bitsets.
     """
-    from . import combinat
-
     ambient = combinat.partitions_of(halfdeg, maxpart=a)
     bit = {nu: 1 << i for i, nu in enumerate(ambient)}
     pivots = {}

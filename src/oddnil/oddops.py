@@ -30,6 +30,7 @@ re-derived from the permutation.
 """
 
 from functools import lru_cache
+from math import comb
 
 from .lincomb import collect
 from .skewpoly import _from_normal, _kernel, apply_w0, left_dot, staircase
@@ -72,6 +73,12 @@ def apply_letters(word, p):
     return p
 
 
+def d_word(w):
+    """The crossing word of d_w: w's canonical reduced word, each letter
+    r read as the crossing -r."""
+    return tuple(-l for l in combinat.canonical_reduced_word(w))
+
+
 def da_word(a):
     """The fixed crossing word of D_a: [-1] + [-2,-1] + ... + [-(a-1), ..., -1]."""
     word = []
@@ -91,12 +98,8 @@ def odd_symmetrize(p):
     """S(f) = (-1)^{binom(a,3)} w_0 . D_a(f x^{delta_a}); projects onto the
     odd symmetric subring."""
     a = p.nvars
-    sign = -1 if _binom3(a) % 2 else 1
+    sign = -1 if comb(a, 3) % 2 else 1
     return apply_w0(longest_dd(a, p * staircase(a))).scale(sign)
-
-
-def _binom3(a):
-    return a * (a - 1) * (a - 2) // 6
 
 
 def clear_caches():

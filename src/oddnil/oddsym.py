@@ -43,7 +43,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from . import combinat, oddops
+from . import combinat, evenoracle, oddops
 from .lincomb import add_scaled
 from .skewpoly import SkewPolynomial, _from_normal, apply_w0, staircase
 
@@ -114,8 +114,7 @@ def schubert(w, a):
     if len(w) != a:
         raise ValueError("permutation %r is not on %d letters" % (w, a))
     u = combinat.perm_compose(combinat.perm_inverse(w), combinat.longest_element(a))
-    word = tuple(-l for l in combinat.canonical_reduced_word(u))
-    return oddops.apply_letters(word, staircase(a))
+    return oddops.apply_letters(oddops.d_word(u), staircase(a))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +338,6 @@ def pieri_expected(alpha, k, a):
 def mod2_reduction(f):
     """Forget signs and reduce coefficients mod 2 (lands in the commutative
     polynomial ring over Z/2)."""
-    from . import evenoracle
-
     return evenoracle.Gf2Poly(f.nvars, {m: c % 2 for m, c in f.terms.items()})
 
 

@@ -10,8 +10,9 @@ the picture.
 Equality is decided by evaluation on the odd Schubert basis: an element
 is zero iff it kills every Schubert polynomial (the representation is
 faithful and the action is right-linear over the odd symmetric subring,
-which is why the a! Schubert polynomials suffice).  No rewriting system
-is used anywhere.
+which is why the a! Schubert polynomials suffice).  When two elements
+differ, witness names the first Schubert polynomial on which they do,
+with both values.  No rewriting system is used anywhere.
 
 Evaluation walks a suffix tree of the words instead of applying each word
 on its own.  The action is linear, and for a word w = u v we have
@@ -236,6 +237,16 @@ class OnhElement:
         return "OnhElement(%d, %s)" % (self.strands, format_element(self))
 
 
+def witness(x, y):
+    """(i, x(p_i), y(p_i)) for the first Schubert polynomial p_i on which
+    the elements x and y differ, or None if they are equal."""
+    for i, p in enumerate(schubert_basis_list(x.strands)):
+        vx, vy = x.evaluate(p), y.evaluate(p)
+        if vx != vy:
+            return i, vx, vy
+    return None
+
+
 def _element(strands, combo):
     """Wrap a combination of checked words without copying or checking it."""
     out = OnhElement.__new__(OnhElement)
@@ -321,8 +332,7 @@ def _unit_value(w, a):
     on the Schubert polynomial of w is d_w itself (the inverse-free index
     is forced by the composition convention).
     """
-    word = tuple(-l for l in combinat.canonical_reduced_word(w))
-    val = oddops.apply_letters(word, oddsym.schubert(w, a))
+    val = oddops.apply_letters(oddops.d_word(w), oddsym.schubert(w, a))
     c = val.constant_term()
     if val != SkewPolynomial.constant(a, c) or c not in (1, -1):
         raise RuntimeError("Schubert unit evaluation failed for %r" % (w,))
@@ -354,7 +364,7 @@ def assemble_standard_basis(a, coeffs):
     return OnhElement(
         a,
         collect(
-            (dots_word(mono) + tuple(-l for l in combinat.canonical_reduced_word(u)), c)
+            (dots_word(mono) + oddops.d_word(u), c)
             for (mono, u), c in coeffs.items()
         ),
     )

@@ -7,6 +7,7 @@ quotient [n]!/([k]![n-k]!).  Coefficients are arbitrary-precision ints and
 exponents are stored sparsely; nothing is ever truncated.
 """
 
+from . import combinat
 from .lincomb import add_scaled, coefficient, collect, convolve, exponent, format_terms, scaled
 
 
@@ -174,6 +175,4 @@ def q_binomial(n, k):
 
 def q_cardinality_box(a, b):
     """Sum of q^{2|alpha| - ab} over partitions alpha in an a x b box."""
-    from . import combinat
-
     return QLaurent(collect((2 * sum(alpha) - a * b, 1) for alpha in combinat.partitions_in_box(a, b)))

@@ -34,6 +34,7 @@ x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 import re
 from functools import lru_cache
 
+from . import combinat
 from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, scaled
 
 
@@ -99,12 +100,6 @@ class SkewPolynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def degree(self):
-        """Max Z-degree (2 * exponent sum), or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return 2 * max(sum(m) for m in self.terms)
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
@@ -308,8 +303,6 @@ def apply_simple_transposition(i, p):
 
 def apply_permutation(w, p):
     """Action of w along its canonical reduced word (a genuine group action)."""
-    from . import combinat
-
     out = p
     for j in reversed(combinat.canonical_reduced_word(w)):
         out = apply_simple_transposition(j, out)
@@ -317,8 +310,6 @@ def apply_permutation(w, p):
 
 
 def apply_w0(p):
-    from . import combinat
-
     return apply_permutation(combinat.longest_element(p.nvars), p)
 
 

@@ -206,6 +206,23 @@ def test_da_word_is_the_fixed_constant():
     assert O.da_word(4) == (-1, -2, -1, -3, -2, -1)
 
 
+@pytest.mark.parametrize("a", range(1, 5))
+def test_d_word_spells_a_reduced_word_of_w_in_crossings(a):
+    """d_w's letters are crossings -j with w = s_{j_1} o ... o s_{j_l}, and
+    there are length(w) of them."""
+    for w in C.all_permutations(a):
+        word = O.d_word(w)
+        assert all(l < 0 for l in word)
+        assert len(word) == C.perm_length(w)
+        v = tuple(range(1, a + 1))
+        for l in word:
+            s = list(range(1, a + 1))
+            s[-l - 1], s[-l] = s[-l], s[-l - 1]
+            v = C.perm_compose(v, tuple(s))
+        assert v == w
+    assert O.d_word(C.longest_element(3)) == (-1, -2, -1)
+
+
 def test_longest_dd_values():
     assert O.longest_dd(2, x(2, 1)) == SkewPolynomial.one(2)
     assert O.longest_dd(3, SkewPolynomial.monomial(3, (2, 1, 0))) == SkewPolynomial.constant(3, -1)

@@ -285,6 +285,18 @@ def test_zero_test_via_schubert_basis():
     assert not H.dot(a, 1).is_zero()
 
 
+def test_witness_names_the_first_schubert_polynomial_where_elements_differ():
+    a = 3
+    F = H.from_polynomial(SkewPolynomial.monomial(a, (2, 0, 0)))
+    x, y = F * H.cross(a, 1), H.cross(a, 1) * F
+    i, vx, vy = H.witness(x, y)
+    basis = H.schubert_basis_list(a)
+    assert (vx, vy) == (x.evaluate(basis[i]), y.evaluate(basis[i])) and vx != vy
+    assert all(x.evaluate(p) == y.evaluate(p) for p in basis[:i])
+    assert H.witness(x, x) is None
+    assert H.witness(H.dot(a, 1) * H.dot(a, 2), -(H.dot(a, 2) * H.dot(a, 1))) is None
+
+
 def test_evaluate_matches_operator_composition():
     a = 3
     p = SkewPolynomial.monomial(a, (1, 2, 0))

@@ -1,4 +1,6 @@
+import ast
 import json
+from math import factorial
 
 import pytest
 
@@ -52,9 +54,10 @@ def test_sentinels_fail_by_design_with_counterexamples():
         assert len(r.details[0]) == 3  # a concrete (input, expected, actual)
 
 
-def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
-    """A statement is the instance (label, True, condition); when it fails,
-    its triple is (str(label), "True", "False")."""
+def test_a_failing_element_identity_reports_its_schubert_witness(monkeypatch):
+    """An element identity yields its two sides; when they differ, its triple
+    names the first Schubert polynomial p_i on which they do, as
+    (str(label + (i,)), str(want(p_i)), str(got(p_i)))."""
     from oddnil import onh
 
     monkeypatch.setattr(onh, "staircase_element", lambda a: onh.OnhElement.zero(a))
@@ -62,9 +65,39 @@ def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
     assert r.status == "fail"
     assert r.instances == 2 + 20  # the e_a statements and the random boxes at a = 2
     assert r.details == [
-        ("('e_a = (-1)^C(a,3) x^delta D_a', 1)", "True", "False"),
-        ("('e_a = (-1)^C(a,3) x^delta D_a', 2)", "True", "False"),
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 1, 0)", "0", "1"),
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 2, 1)", "0", "x1"),
     ]
+
+
+def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
+    """A lattice or box property is the instance (label, True, condition);
+    when it fails, its triple is (str(label), "True", "False")."""
+    from oddnil import cyclotomic
+
+    monkeypatch.setattr(cyclotomic.DegreeLattice, "is_torsion_free", lambda self: False)
+    r = V.run_check("oh_rank", {"pairs": [(2, 3)]})
+    assert r.status == "fail"
+    slices = [d for d in r.details if d[0].startswith("('torsion-free slice'")]
+    assert slices and len(slices) == len(r.details)
+    assert all(d[1:] == ("True", "False") for d in slices)
+
+
+def test_every_splitter_failure_names_a_schubert_polynomial(monkeypatch):
+    """With the mirror made trivial, splitter_assoc fails; every failure is
+    an element identity, so its label ends in the index of a Schubert
+    polynomial on its strands and its values are polynomials, not booleans."""
+    from oddnil import onh
+
+    monkeypatch.setattr(onh, "mirror", lambda element: element)
+    r = V.run_check("splitter_assoc")
+    assert r.status == "fail" and r.details
+    for label, want, got in r.details:
+        parts = ast.literal_eval(label)
+        strands = sum(parts[1:-1])  # (name, bundle thicknesses..., i)
+        assert 0 <= parts[-1] < factorial(strands), label
+        assert want != got
+        assert not {want, got} & {"True", "False"}, (label, want, got)
 
 
 def test_envelope_exceeded_is_skipped_with_reason():
