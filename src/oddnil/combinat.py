@@ -47,21 +47,9 @@ def check_box(alpha, a, b):
 
 @lru_cache(maxsize=None)
 def partitions_in_box(a, b):
-    """All partitions fitting in an a x b box, in graded lexicographic order."""
-    out = []
-
-    def rec(prefix, maxpart, rows):
-        out.append(tuple(prefix))
-        if rows == 0:
-            return
-        for p in range(1, maxpart + 1):
-            prefix.append(p)
-            rec(prefix, p, rows - 1)
-            prefix.pop()
-
-    rec([], b, a)
-    out.sort(key=lambda alpha: (sum(alpha), alpha))
-    return out
+    """All partitions fitting in an a x b box, in graded lexicographic order:
+    those of partitions_of(n, maxpart=b) with at most a parts, n rising."""
+    return [alpha for n in range(a * b + 1) for alpha in partitions_of(n, maxpart=b) if len(alpha) <= a]
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +104,7 @@ def format_partition(alpha):
 
 def parse_partition(text):
     toks = [t for t in text.strip().split(",") if t.strip() != ""]
-    return normalize_partition(sorted((int(t) for t in toks), reverse=True))
+    return normalize_partition([int(t) for t in toks])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ sorted word is sorted), one with only mu nonempty is a product in I_{n-k}
 times eps_k (k the last letter of mu), and one with both empty is a seed;
 conversely eps_k I_{n-k} and I_{n-k} eps_k lie in I.  I_{n-k} is the Z-span
 of its Hermite rows, so eps_k times those rows on either side span the
-rest.  The multiplication tables of ``oddsym.eps_multiplication`` carry
-the rows up, and ``oddsym.complete_in_elementary`` gives the seeds h_n in
-eps-words.  The Hermite form depends only on the lattice, so each slice's
-Hermite rows are those of the full span of products.  Ranks and invariant
-factors come from the exact integer Hermite/Smith forms of ``zlinalg``.
-Everything is fraction free.
+rest.  ``oddsym.multiply_by_eps`` carries the rows up, straightening each
+product eps_k eps_lambda (or eps_lambda eps_k) with the odd relations, and
+``oddsym.complete_in_elementary`` gives the seeds h_n in eps-words.  The
+Hermite form depends only on the lattice, so each slice's Hermite rows are
+those of the full span of products.  Ranks and invariant factors come from
+the exact integer Hermite/Smith forms of ``zlinalg``.  Everything is
+fraction free.
 """
 
 from dataclasses import dataclass
@@ -146,7 +147,7 @@ def _slice(a, degree, seeds, below):
         for h in rows:
             coeffs = {lam: c for lam, c in zip(lower, h) if c}
             for side in ("left", "right"):
-                image = oddsym.multiply_by_eps(a, k, coeffs, n, side)
+                image = oddsym.multiply_by_eps(a, k, coeffs, side)
                 if image:
                     gens.append(row(image, index))
     return DegreeLattice(degree, ambient, gens)

@@ -61,9 +61,6 @@ class Gf2Poly:
         out.terms = d
         return out
 
-    def is_zero(self):
-        return not self.terms
-
 
 # ---------------------------------------------------------------------------
 # commutative polynomials over Z
@@ -91,7 +88,6 @@ def even_divided_difference(i, p, nvars):
     return out
 
 
-@lru_cache(maxsize=None)
 def even_elementary(k, a):
     if k == 0:
         return {(0,) * a: 1}
@@ -106,7 +102,6 @@ def even_elementary(k, a):
     return out
 
 
-@lru_cache(maxsize=None)
 def even_complete(k, a):
     if k == 0:
         return {(0,) * a: 1}
@@ -122,7 +117,6 @@ def even_complete(k, a):
     return out
 
 
-@lru_cache(maxsize=None)
 def even_schur(alpha, a):
     """Even Schur polynomial via the classical divided-difference chain
     applied to x^{delta + alpha}."""

@@ -29,6 +29,7 @@ depends on this exact word, so it is a stored constant and is never
 re-derived from the permutation.
 """
 
+import sys
 from functools import lru_cache
 from math import comb
 
@@ -104,15 +105,16 @@ def odd_symmetrize(p):
 
 def clear_caches():
     """Empty every cache in the library, so the next computation starts
-    cold: each lru_cache (the d_i table _dd_block among them) and onh's
-    memo of word-segment images.  The compiled kernels (skewpoly._kernel,
-    bound here by name) go too and are compiled again on their next call;
-    they hold no results, so the terms come out the same."""
-    # imported here: oddsym and onh import this module
-    from . import evenoracle, oddops, oddsym, onh
+    cold: the lru_cache of every loaded oddnil module (the d_i table
+    _dd_block among them) and onh's memo of word-segment images.  The
+    compiled kernels (skewpoly._kernel) go too and are compiled again on
+    their next call; they hold no results, so the terms come out the same."""
+    # imported here: onh imports this module
+    from . import onh
 
-    for mod in (combinat, evenoracle, oddops, oddsym, onh):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("oddnil."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
     onh._segment_images.clear()

@@ -35,8 +35,9 @@ outer call's word has weight >= Q(w'), so it comes lower in the order,
 unless w' is the swap and the inner result is the sorted rearrangement of
 its word; then every letter of that word is <= q on the left (>= p on the
 right), and the outer call returns its word at once.  The tests compare
-the tables with polynomial products for a <= 5 up to half-degree 12, and
-check them for associativity at a = 6 up to half-degree 20.
+the straightened products with polynomial products for a <= 5 up to
+half-degree 12, and check them for associativity at a = 6 up to
+half-degree 20.
 """
 
 import itertools
@@ -107,7 +108,6 @@ def is_odd_symmetric(p):
 # Schubert polynomials
 
 
-@lru_cache(maxsize=None)
 def schubert(w, a):
     """Odd Schubert polynomial: the canonical word of w^{-1} w_0 applied to
     the staircase monomial."""
@@ -255,30 +255,18 @@ def _right(a, lam, k):
     return out
 
 
-@lru_cache(maxsize=None)
-def eps_multiplication(a, k, n, side):
-    """Multiplication by eps_k (1 <= k <= a) from half-degree n-k to n on the
-    sorted eps-words: {lam: eps_k eps_lam} for side "left", {lam: eps_lam
-    eps_k} for side "right", each image an eps-word dict.
+def multiply_by_eps(a, k, coeffs, side):
+    """eps_k times the eps-word combination coeffs (side "left"), or coeffs
+    times eps_k (side "right"), for 1 <= k <= a, as an eps-word dict.
 
-    A word that stays sorted (k >= lam_1 on the left, k <= lam_r on the
-    right) is its own image; any other is straightened with the relations
-    (see the module docstring), with no polynomial formed.  The dicts are
-    shared by every caller and must not be modified.
+    Each word's image is read from _left or _right: a word that stays
+    sorted (k >= lam_1 on the left, k <= lam_r on the right) is its own
+    image, and any other is straightened with the relations (see the module
+    docstring), with no polynomial formed.
     """
-    words = combinat.partitions_of(n - k, maxpart=a)
-    if side == "left":
-        return {lam: _left(a, k, lam) for lam in words}
-    return {lam: _right(a, lam, k) for lam in words}
-
-
-def multiply_by_eps(a, k, coeffs, n, side):
-    """eps_k times the eps-word combination coeffs of half-degree n-k (side
-    "left"), or coeffs times eps_k (side "right"), as an eps-word dict."""
-    images = eps_multiplication(a, k, n, side)
     out = {}
     for lam, c in coeffs.items():
-        add_scaled(out, images[lam], c)
+        add_scaled(out, _left(a, k, lam) if side == "left" else _right(a, lam, k), c)
     return out
 
 
@@ -298,7 +286,7 @@ def complete_in_elementary(a, m):
     out = {}
     for k in range(1, min(a, m) + 1):
         lower = complete_in_elementary(a, m - k)
-        add_scaled(out, multiply_by_eps(a, k, lower, m, "left"), -((-1) ** comb(k + 1, 2)))
+        add_scaled(out, multiply_by_eps(a, k, lower, "left"), -((-1) ** comb(k + 1, 2)))
     return out
 
 

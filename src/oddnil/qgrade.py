@@ -30,10 +30,6 @@ class QLaurent:
         self.coeffs = d
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 

@@ -4,9 +4,10 @@ incrementally, kept as a test oracle.
 The bodies are the earlier ``_slice_generator_rows``, ``ideal_degree_slice``
 and ``first_column_degree_slice``, unchanged: every product
 eps_lambda g eps_mu is formed as a skew polynomial and expanded back into
-eps-words.  ``eps_multiplication`` is the earlier body of
-``oddsym.eps_multiplication``, which formed one skew product per unsorted
-word before the tables were straightened with the eps relations.
+eps-words.  ``eps_multiplication`` is the earlier body of the per-degree
+table of products by eps_k that ``oddsym`` kept, which formed one skew
+product per unsorted word; ``oddsym.multiply_by_eps`` now straightens
+each word with the eps relations.
 """
 
 from functools import lru_cache

@@ -43,7 +43,7 @@ def test_ac2_graded_ranks():
                 ok = False
     # the d_w basis count matches the coefficients of q^{-a(a-1)/2} [a]!
     for a in range(1, 6):
-        total = QLaurent.zero()
+        total = QLaurent()
         for w in C.all_permutations(a):
             total = total + QLaurent.q_power(-2 * C.perm_length(w))
         if total != QLaurent.q_power(-(a * (a - 1) // 2)) * q_factorial(a):

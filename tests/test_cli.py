@@ -107,6 +107,14 @@ def test_compute_invalid_partition(capsys):
     assert code == 2
 
 
+def test_compute_increasing_partition_is_usage_error(capsys):
+    # 1,2 is not a partition; it is not read as 2,1
+    code, out, err = run_cli(capsys, "compute", "schur", "--partition", "1,2", "--vars", "2")
+    assert code == 2
+    assert out == ""
+    assert "not weakly decreasing" in err
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(capsys, "verify", "da_values")
     assert code == 0
