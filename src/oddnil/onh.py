@@ -347,10 +347,11 @@ def extract_standard_basis(element):
     survivors are read off monomial by monomial.
     """
     a = element.strands
+    schubert = dict(zip(combinat.all_permutations(a), schubert_basis_list(a)))
     residual = element
     out = {}
     for w in _perms_by_length(a):
-        val = residual.evaluate(oddsym.schubert(w, a))
+        val = residual.evaluate(schubert[w])
         if val.is_zero():
             continue
         unit = _unit_value(w, a)

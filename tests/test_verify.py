@@ -166,6 +166,45 @@ def test_zero_instance_sweep_reports_skipped():
     assert not V.all_match_expected([r])
 
 
+def _as_nil_orth(monkeypatch, fn):
+    """Run ``fn`` in place of nil_orth's body."""
+    monkeypatch.setitem(V.REGISTRY, "nil_orth", V.REGISTRY["nil_orth"]._replace(fn=fn))
+
+
+@pytest.mark.parametrize("want_len,got_len", [(2, 1), (1, 2), (3, 0)])
+def test_a_block_of_unequal_lengths_reports_error_not_pass(monkeypatch, want_len, got_len):
+    """A short list in a block would hide instances, so it ends the check."""
+    from oddnil.skewpoly import SkewPolynomial
+
+    zero = SkewPolynomial.zero(2)
+    _as_nil_orth(monkeypatch, lambda params, rng: iter([V._Block(("block",), [zero] * want_len, [zero] * got_len)]))
+    r = V.run_check("nil_orth")
+    assert r.status == "error"
+    assert r.instances == 0
+    assert r.details[0][:2] == ("internal error", "no exception")
+    assert r.details[0][2].startswith("ValueError: zip()")
+
+
+def test_a_check_of_empty_blocks_reports_skipped(monkeypatch):
+    _as_nil_orth(monkeypatch, lambda params, rng: iter([V._Block(("block", i), [], []) for i in range(3)]))
+    r = V.run_check("nil_orth")
+    assert r.instances == 0
+    assert r.status == "skipped"
+    assert r.details == [("sweep", "at least 1 instance", "empty sweep: 0 instances")]
+
+
+@pytest.mark.parametrize("check_id,a,instances", [
+    ("identity_decomposition", 5, 1_728_120),  # (5!)^2 products and 5! sums, on 5! polynomials
+    ("nil_orth", 5, 1_728_000),  # (5!)^2 products on 5! polynomials
+    ("matrix_iso", 4, 7_962_624),  # (4!)^4 products on 4! polynomials
+])
+def test_morita_contracts_pass_at_their_envelope_edge(check_id, a, instances):
+    r = V.run_check(check_id, {"a_list": [a]})
+    assert (r.status, r.instances) == ("pass", instances)
+    above = V.run_check(check_id, {"a_list": [a + 1]})
+    assert above.status == "skipped" and "exceeds" in above.details[0][2]
+
+
 def test_jacobi_trudi_failure_needs_degree_four():
     with pytest.raises(ValueError, match="a >= 4"):
         V.run_check("jacobi_trudi_failure", {"a": 3})

@@ -1,8 +1,9 @@
 """The Schubert-basis checks of ``verify`` against their earlier bodies
 (``reference_verify``): the same status, instance count, notes and
 multiset of failure triples, on the real sigma/lambda families, with one
-lambda negated (so the family checks fail), and with the sentinels'
-crossing and projector made trivial (so the sentinels find no witness).
+lambda negated or one sigma shifted (so the family checks fail), and with
+the sentinels' crossing and projector made trivial (so the sentinels find
+no witness).
 ``eps_relations``, which now forms each product of its relations once, is
 compared with the body that formed them afresh: the same status, instance
 count and ordered failure list, at the defaults and with h_3 negated.
@@ -10,18 +11,25 @@ count and ordered failure list, at the defaults and with h_3 negated.
 distinct input, is compared with the earlier loops in the same way, at the
 defaults and with one lambda negated.
 
-A ``verify`` check yields its instances, so its side is read through
-``verify._tally``, the loop ``run_check`` counts and compares them with;
-the earlier bodies fill the ``_Sweep`` accumulator they were written
-against."""
+A ``verify`` check yields its instances, and the Morita contracts yield
+them a block at a time, so its side is read through ``verify._tally``, the
+loop ``run_check`` counts and compares them with; the earlier bodies fill
+the ``_Sweep`` accumulator they were written against.  Besides the
+multiset, the family checks are compared by the order of their failures,
+which decides the 32 that ``--json`` keeps: the earlier bodies' order, or
+for the two decompositions, whose blocks run in a different order, the
+earlier failures sorted into the order the blocks run in.  A wrong value in
+one entry of one block is reported as exactly that instance."""
 
+import ast
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
 import reference_verify as R
-from oddnil import oddsym, onh
+from oddnil import combinat, oddsym, onh
 from oddnil import verify as V
 
 SMALL_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]
@@ -55,12 +63,27 @@ def _negate_one_lambda(monkeypatch):
         monkeypatch.setattr(onh, name, _negate_at_zero(getattr(onh, name)))
 
 
+def _shift_one_sigma(monkeypatch):
+    """sigma at the all-zero index plus sigma at (1, 0, ..., 0), or at the
+    partition (1,).  Some of its failures are off the diagonal (e_kk e_00
+    becomes e_k0, not 0, for that neighbour k), so they pin which index
+    comes first in each label."""
+    seq, part = onh.sigma_seq, onh.sigma_part
+    monkeypatch.setattr(onh, "sigma_seq", lambda l: seq(l) + seq((1,) + l[1:]) if l and not any(l) else seq(l))
+    monkeypatch.setattr(onh, "sigma_part", lambda al, a, b: part(al, a, b) + part((1,), a, b) if not al else part(al, a, b))
+
+
 def _trivial_sentinel_parts(monkeypatch):
     monkeypatch.setattr(onh, "cross", lambda strands, r: onh.OnhElement.identity(strands))
     monkeypatch.setattr(onh, "idempotent_e", onh.OnhElement.identity)
 
 
-VARIANTS = {"real": None, "one lambda negated": _negate_one_lambda, "trivial sentinels": _trivial_sentinel_parts}
+VARIANTS = {
+    "real": None,
+    "one lambda negated": _negate_one_lambda,
+    "one sigma shifted": _shift_one_sigma,
+    "trivial sentinels": _trivial_sentinel_parts,
+}
 RUNS = [
     (check_id, params, variant)
     for variant in VARIANTS
@@ -80,8 +103,31 @@ def _run(fn, params):
 
 
 def _outcome(fn, check_id, params):
+    """The outcome with the failures as a multiset, and the failures in order."""
     passed, instances, notes, failures = _run(fn, dict(V.default_params(check_id), **params))
-    return passed, instances, notes, Counter(failures)
+    return (passed, instances, notes, Counter(failures)), failures
+
+
+def _in_verify_order(check_id, params, failures):
+    """The earlier body's failures in the order ``verify`` reports them.  The
+    decompositions run their matrix-unit blocks before the sum block, and
+    eaeb_decomposition's blocks run beta before alpha; the other checks
+    report in the earlier bodies' order."""
+    if check_id == "identity_decomposition":
+        def key(label):  # ("e_l e_l'", a, l, l', i) or ("sum e_l = 1", a, i)
+            return (label[1], label[0].startswith("sum")) + label[2:]
+    elif check_id == "eaeb_decomposition":
+        pairs = params["pairs"]
+
+        def key(label):  # ("e_beta e_alpha", a, b, alpha, beta, i) or ("sum ...", a, b, i)
+            a, b = label[1:3]
+            if label[0].startswith("sum"):
+                return (pairs.index((a, b)), True, label[3])
+            order = combinat.partitions_in_box(a, b)
+            return (pairs.index((a, b)), False, order.index(label[4]), order.index(label[3]), label[5])
+    else:
+        return failures
+    return sorted(failures, key=lambda triple: key(ast.literal_eval(triple[0])))
 
 
 @pytest.mark.parametrize("check_id,params,variant", RUNS)
@@ -89,9 +135,10 @@ def test_check_matches_its_earlier_body(monkeypatch, check_id, params, variant):
     if VARIANTS[variant]:
         VARIANTS[variant](monkeypatch)
     fn = V.REGISTRY[check_id].fn
-    new = _outcome(fn, check_id, params)
-    old = _outcome(getattr(R, fn.__name__), check_id, params)
+    new, new_order = _outcome(fn, check_id, params)
+    old, old_order = _outcome(getattr(R, fn.__name__), check_id, params)
     assert new == old
+    assert new_order == _in_verify_order(check_id, params, old_order)
     passed, instances = new[:2]
     assert instances > 0
     if check_id in SENTINELS:
@@ -128,3 +175,36 @@ def test_matrix_units_with_shared_evaluations_match_the_earlier_loops(monkeypatc
     passed, instances = new[:2]
     assert instances > 0
     assert passed == (not negate)
+
+
+class _OneValueOff:
+    """An element whose value on the polynomial ``at`` is moved by ``off``."""
+
+    def __init__(self, element, at, off):
+        self.element, self.at, self.off = element, at, off
+
+    def evaluate(self, p):
+        value = self.element.evaluate(p)
+        return value + self.off if p == self.at else value
+
+
+def test_one_wrong_sigma_value_is_reported_as_exactly_that_instance(monkeypatch):
+    """sigma_j's value at p_i is moved by sigma_k(p_m).  Since lambda_k'
+    sigma_k = delta_kk' e_a, only lambda_k sigma_j at p_i changes, from 0 to
+    e_a(p_m): one entry of one block differs, and that instance alone is
+    reported, with its full label and both values."""
+    a = 3
+    sq = combinat.enumerate_sq(a)
+    basis = onh.schubert_basis_list(a)
+    ea = onh.idempotent_e(a)
+    m = next(m for m, p in enumerate(basis) if ea.evaluate(p))
+    j, k, i = sq[1], sq[4], 2
+    sigma_seq = onh.sigma_seq
+    off = sigma_seq(k).evaluate(basis[m])
+    monkeypatch.setattr(onh, "sigma_seq",
+                        lambda l: _OneValueOff(sigma_seq(l), basis[i], off) if l == j else sigma_seq(l))
+    report = V.run_check("nil_orth", {"a_list": [a]})
+    assert report.status == "fail"
+    assert report.instances == factorial(a) ** 3
+    assert report.details == [(str(("lambda sigma", a, k, j, i)), "0", str(ea.evaluate(basis[m])))]
+    assert _run(R.check_nil_orth, {"a_list": [a]})[3] == report.details
