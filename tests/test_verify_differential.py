@@ -81,8 +81,8 @@ def _trivial_sentinel_parts(monkeypatch):
 VARIANTS = {
     "real": None,
     "one lambda negated": _negate_one_lambda,
-    "one sigma shifted": _shift_one_sigma,
     "trivial sentinels": _trivial_sentinel_parts,
+    "one sigma shifted": _shift_one_sigma,
 }
 RUNS = [
     (check_id, params, variant)
