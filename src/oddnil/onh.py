@@ -25,6 +25,19 @@ kept; this relies on one rule: an element's ``combo`` is never mutated
 after construction (every operation returns a new element, which builds
 its own tree).
 
+Two more rewrites of the sum come before the tree (_plan).  Dots act by
+left multiplication, so the words D W of one W that differ only in their
+leading run of dots D merge into W followed by one skew product with the
+polynomial sum c D(1): the dot words of from_polynomial(f) become f
+itself.  And a word that all of two or more words start with, their
+head, acts last, once, on the sum of what the rest of the words give.
+A sum with more terms than the head has letters meets the head at once,
+one letter at a time over the whole polynomial, so terms that cancel are
+dropped after each letter instead of each carrying its own image; e_a f
+minus e_a f e_a for an odd symmetric f is such a case, a sum of a few
+dozen terms whose image is zero.  A smaller sum goes through apply_word
+and its memo, which a repeated evaluation reads instead of recomputing.
+
 Each edge of the walk is one apply_word call, and apply_word remembers,
 per word segment, the image of every monomial it has carried: an image
 depends only on the word and the monomial, since the length of the
@@ -196,28 +209,36 @@ class OnhElement:
         return _element(self.strands, convolve(self.combo, other.combo))
 
     def evaluate(self, p):
-        """Apply the element to p by a depth-first walk of its suffix tree:
-        each shared suffix acts once, and a branch stops where p dies.  The
-        action is linear, so a zero p gives zero with no walk."""
+        """Apply the element to p by a depth-first walk of its suffix tree
+        (each shared suffix acts once, and a branch stops where p dies),
+        then the head to the sum (see _plan).  The action is linear, so a
+        zero p gives zero with no walk."""
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
         if not p.terms:
             return _from_normal(self.strands, {})
         try:
-            tree = self._tree
+            head, tree = self._tree
         except AttributeError:
-            tree = self._tree = _suffix_tree(self.combo)
+            head, tree = self._tree = _plan(self.strands, self.combo)
         d = {}
         stack = [(tree, p)]
         while stack:
             (c, edges), q = stack.pop()
             if c:
-                add_scaled(d, q.terms, c)
+                if type(c) is int:
+                    add_scaled(d, q.terms, c)
+                else:
+                    add_scaled(d, (c * q).terms, 1)
             for segment, child in edges:
                 r = apply_word(segment, q)
                 if r.terms:
                     stack.append((child, r))
-        return _from_normal(self.strands, d)
+        q = _from_normal(self.strands, d)
+        if not head or not d:
+            return q
+        # a large sum meets the head at once, a small one the memo
+        return oddops.apply_letters(head, q) if len(d) > len(head) else apply_word(head, q)
 
     def is_zero(self):
         basis = schubert_basis_list(self.strands)
@@ -255,11 +276,46 @@ def _element(strands, combo):
     return out
 
 
+def _plan(strands, combo):
+    """(head, tree) for evaluate: head is the longest word that two or more
+    words all start with, and tree the _suffix_tree of the rest of the
+    words, where the words D W of one W (empty, or starting with a
+    crossing) that differ only in their leading run of dots D are one
+    entry W, whose coefficient is the polynomial sum c D(1)."""
+    words = list(combo)
+    head = words[0] if len(words) > 1 else ()
+    for word in words[1:]:
+        k = 0
+        while k < len(head) and k < len(word) and head[k] == word[k]:
+            k += 1
+        head = head[:k]
+    runs = {}  # W -> [(D, c)]
+    for word, c in combo.items():
+        k = len(head)
+        while k < len(word) and word[k] > 0:
+            k += 1
+        runs.setdefault(word[k:], []).append((word[len(head):k], c))
+    rest = {}
+    one = SkewPolynomial.one(strands)
+    for w, dotted in runs.items():
+        if len(dotted) == 1:
+            ((dots, c),) = dotted
+            rest[dots + w] = c
+            continue
+        g = SkewPolynomial.zero(strands)
+        for dots, c in dotted:
+            g = g + oddops.apply_letters(dots, one).scale(c)
+        if g:
+            rest[w] = g
+    return head, _suffix_tree(rest)
+
+
 def _suffix_tree(combo):
     """The words of combo as a compressed trie on their reversed letters.
 
     A node is (c, edges): c is the coefficient of the word that ends there
-    (0 if none), and each edge is (segment, node) for a word segment that
+    (0 if none; from _plan, an int or a polynomial that multiplies on the
+    left), and each edge is (segment, node) for a word segment that
     acts after the suffix above it.  A chain of nodes where no word ends
     and nothing branches is one edge.
     """

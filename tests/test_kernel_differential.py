@@ -10,6 +10,9 @@ oddops.apply_letters, the library's one letter loop, is compared with the
 reference letter loop on signed words of dots and crossings, and
 onh.apply_word, which memoizes each monomial's image under a word, both
 cold and on memo hits.
+Elements whose words share a head and differ in runs of leading dots,
+which evaluate factors out and merges, are compared with the per-word
+reference as well.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
 
@@ -441,6 +444,75 @@ def test_suffix_tree_edge_cases():
     # two words, one a suffix of the other: a node where a word ends
     # inside an edge chain splits the chain there
     assert onh._suffix_tree({(1, -1): 2, (2, 1, -1): 3}) == (0, [((1, -1), (2, [((2,), (3, []))]))])
+
+
+@st.composite
+def headed_elements(draw):
+    """An element whose words are one drawn head, then a drawn run of dots,
+    then one of a few drawn tails, so evaluate factors out the head and
+    merges the runs under each tail; runs may cancel."""
+    n = draw(st.integers(1, 4))
+    letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
+    segment = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
+    runs = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    head = draw(segment)
+    tails = draw(st.lists(segment, min_size=1, max_size=3))
+    triples = draw(st.lists(st.tuples(runs, st.sampled_from(tails), coefficient), min_size=2, max_size=8))
+    el = onh.OnhElement(n, collect((head + d + w, c) for d, w, c in triples))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficient, max_size=4)
+    return el, SkewPolynomial(n, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(headed_elements())
+def test_head_and_merged_dot_runs_evaluate_like_the_per_word_reference(case):
+    el, p = case
+    want = normal(ref.evaluate(el, p))
+    assert normal(el.evaluate(p)) == want
+    assert normal(el.evaluate(p)) == want
+
+
+def test_plan_factors_out_the_head_and_merges_dot_runs():
+    a = 3
+    f = oddsym.elementary(1, a) + oddsym.elementary(2, a)
+    ea = onh.e_word(a)
+    # e_a f: every word is e_a over the dots of one term of f, so the walk
+    # is one skew product with f and e_a acts once, on that product
+    head, (g, edges) = onh._plan(a, (onh.idempotent_e(a) * onh.from_polynomial(f)).combo)
+    assert head == ea and edges == [] and normal(g) == normal(f)
+    # e_a f e_a: after the head e_a, each word is the dots of a term of f,
+    # then e_a, which starts with the dot x_1; the rest of e_a is the one
+    # edge and the dot runs merge into f x_1 above it
+    head, (c, edges) = onh._plan(a, onh.box(f, a).combo)
+    ((segment, (g, more)),) = edges
+    assert head == ea and c == 0 and segment == ea[1:] and more == []
+    assert normal(g) == normal(f * SkewPolynomial.variable(a, 1))
+    # one word keeps its own tree, and a run that stands alone stays in its word
+    assert onh._plan(a, {ea: 2}) == ((), onh._suffix_tree({ea: 2}))
+    assert onh._plan(a, {(1, -1): 2, (2, -2): 3}) == ((), onh._suffix_tree({(1, -1): 2, (2, -2): 3}))
+    for el in (onh.idempotent_e(a) * onh.from_polynomial(f), onh.box(f, a)):
+        for p in onh.schubert_basis_list(a):
+            assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+
+
+def test_a_head_meets_a_large_sum_at_once_and_a_small_one_through_the_memo(monkeypatch):
+    a = 2
+    ea = onh.e_word(a)
+    f = oddsym.elementary(1, a)
+    el = onh.idempotent_e(a) * onh.from_polynomial(f)
+    small = SkewPolynomial.monomial(a, (1, 0))
+    large = SkewPolynomial(a, {(2, 0): 1, (1, 1): 2, (0, 2): 3})
+    assert len((f * small).terms) <= len(ea) < len((f * large).terms)
+    seen = []
+    letters, word = oddops.apply_letters, onh.apply_word
+    monkeypatch.setattr(oddops, "apply_letters", lambda w, p: seen.append(("at once", w, p)) or letters(w, p))
+    monkeypatch.setattr(onh, "apply_word", lambda w, p: seen.append(("memo", w, p)) or word(w, p))
+    for p in (small, large):
+        assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+    # apply_letters also builds each dot run's D(1) and fills the memo one
+    # monomial at a time; the head meets each sum once
+    sums = [(kind, normal(p)) for kind, w, p in seen if w == ea and (kind == "memo" or len(p.terms) > 1)]
+    assert sums == [("memo", normal(f * small)), ("at once", normal(f * large))]
 
 
 def _sigma_lambda_families():
