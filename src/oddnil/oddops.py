@@ -23,7 +23,12 @@ through a loop unrolled once per (number of variables, i)
 
 A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
 (left multiplication), -r is the crossing d_r.  It composes right-to-left:
-the leftmost letter acts last.  D_a is the fixed crossing word
+the leftmost letter acts last.  apply_letters is the one loop over a
+word's letters.  It runs on terms dicts, calling each letter's kernel
+(the one left_dot and divided_difference call) on the dict the previous
+letter gave, and wraps the last dict once; so a word of k letters builds
+one polynomial, not k, and checks each letter's range only when the
+letter is reached.  D_a is the fixed crossing word
 [d_1, d_2 d_1, d_3 d_2 d_1, ..., d_{a-1} ... d_1]; every sign downstream
 depends on this exact word, so it is a stored constant and is never
 re-derived from the permutation.
@@ -34,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .lincomb import collect
-from .skewpoly import _from_normal, _kernel, apply_w0, left_dot, staircase
+from .skewpoly import _from_normal, _kernel, apply_w0, staircase
 from . import combinat
 
 # always empty: benchmarks/tracer.py reports its length as oddops.dd.memo_entries
@@ -66,12 +71,25 @@ def divided_difference(i, p):
 
 def apply_letters(word, p):
     """Apply a word of dots (+r) and crossings (-r) to p, the rightmost
-    letter first; once p is zero the later letters are not applied."""
+    letter first; once p is zero the later letters are not applied.
+
+    The loop runs on terms dicts: each letter calls its kernel on the
+    previous letter's dict, and the result is wrapped once, at the end
+    (p itself when no letter acts).  A letter's range is checked when it is
+    reached, with the messages of left_dot and divided_difference."""
+    n, d = p.nvars, p.terms
     for l in reversed(word):
-        if not p.terms:
+        if not d:
             break
-        p = left_dot(l, p) if l > 0 else divided_difference(-l, p)
-    return p
+        if l > 0:
+            if l > n:
+                raise ValueError("variable index %d out of range" % l)
+            d = _kernel("dot", n, l)(d)
+        else:
+            if not 0 < -l < n:
+                raise ValueError("operator index %d out of range for %d variables" % (-l, n))
+            d = _kernel("dd", n, -l)(d, _dd_block)
+    return p if d is p.terms else _from_normal(n, d)
 
 
 def d_word(w):

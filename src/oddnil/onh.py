@@ -44,13 +44,15 @@ depends only on the word and the monomial, since the length of the
 exponent tuple fixes the strand count.  Images are immutable tuples of
 (monomial, coeff) pairs, a zero image the shared (); a call sums c *
 image per term into a fresh dict, so no result shares a dict with the
-memo.  The memo is unbounded, like the library's lru_caches, and
-oddops.clear_caches empties it.  Most images are zero, and most
-(segment, monomial) pairs recur within a sweep, so the memo skips most
-of the letter loop's work.  The suffix tree
-stays: without it the memo is keyed by whole words, which repeat less
-than segments do, and on the thick-calculus benchmark such a memo ran
-slower than the tree with no memo at all.
+memo.  A miss runs oddops.apply_letters, the one letter loop, on the
+one-term polynomial {monomial: 1}: each letter's kernel acts on the terms
+dict the previous letter left, and only the image is wrapped.  The memo
+is unbounded, like the library's lru_caches, and oddops.clear_caches
+empties it.  Most images are zero, and most (segment, monomial) pairs
+recur within a sweep, so the memo skips most of the letter loop's work.
+The suffix tree stays: without it the memo is keyed by whole words,
+which repeat less than segments do, and on the thick-calculus benchmark
+such a memo ran slower than the tree with no memo at all.
 
 Thick calculus conventions (all signs downstream depend on these):
 

@@ -144,12 +144,20 @@ def _part_family(a, b):
 def _orthogonality(label, sigmas, lambdas, basis, unit):
     """lambda_k sigma_j = delta_jk unit: one block label(j, k) per (j, k),
     holding the values on the whole basis.  Each sigma_j is evaluated once
-    per basis polynomial."""
+    per basis polynomial.
+
+    Evaluation is linear, so lambda_k of a zero sigma value is zero: each
+    block starts from the shared zeros and evaluates lambda_k only where
+    sigma_j is nonzero.  Every instance still compares the same value, and
+    a zero entry matches the shared zero of want by identity."""
     zeros = [SkewPolynomial.zero(basis[0].nvars)] * len(basis)
     for j, sigma in sigmas.items():
-        svals = [sigma.evaluate(p) for p in basis]
+        live = [(i, v) for i, v in enumerate(sigma.evaluate(p) for p in basis) if v]
         for k, lam in lambdas.items():
-            yield _Block(label(j, k), unit if j == k else zeros, [lam.evaluate(v) for v in svals])
+            got = zeros.copy()
+            for i, v in live:
+                got[i] = lam.evaluate(v)
+            yield _Block(label(j, k), unit if j == k else zeros, got)
 
 
 def _matrix_units(label, sigmas, lambdas, pairs, basis):
@@ -158,20 +166,25 @@ def _matrix_units(label, sigmas, lambdas, pairs, basis):
     holding the values on the whole basis.  pairs must hold (j, n) whenever
     they hold (j, k) and (k, n).  Returns each e_jk's values on the basis.
 
-    Most e_mn values are equal polynomials, so per (j, k), e_jk is
-    evaluated once per class of equal terms (zero unevaluated, since
-    evaluation is linear), and each block reads its values by class.
-    Equal inputs give equal outputs, so every instance still compares the
-    same value."""
+    Evaluation is linear, so an element sends zero to zero: wherever the
+    input of sigma_j or lambda_k is zero, its value is the shared zero,
+    unevaluated.  Most e_mn values are equal polynomials, so per (j, k),
+    e_jk is evaluated once per class of equal terms, and each block reads
+    its values by class.  Equal inputs give equal outputs, so every
+    instance still compares the same value."""
     zero = SkewPolynomial.zero(basis[0].nvars)
     zeros = [zero] * len(basis)
     lvals = {k: [lambdas[k].evaluate(p) for p in basis] for k in dict.fromkeys(k for _, k in pairs)}
-    e = {(j, k): [sigmas[j].evaluate(v) for v in lvals[k]] for j, k in pairs}
+
+    def image(element, v):
+        return element.evaluate(v) if v else zero
+
+    e = {(j, k): [image(sigmas[j], v) for v in lvals[k]] for j, k in pairs}
     reps = {}  # a value's terms -> (its class, the value)
     cls = {mn: [reps.setdefault(frozenset(v.terms.items()), (len(reps), v))[0] for v in vals]
            for mn, vals in e.items()}
     for j, k in pairs:
-        images = [sigmas[j].evaluate(lambdas[k].evaluate(v)) if v else zero for _, v in reps.values()]
+        images = [image(sigmas[j], image(lambdas[k], v)) for _, v in reps.values()]
         for m, n in e:
             yield _Block(label(j, k, m, n), e[j, n] if k == m else zeros, [images[c] for c in cls[m, n]])
     return e

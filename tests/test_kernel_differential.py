@@ -6,8 +6,11 @@ polynomials, and with the memoized closed form it replaced by terms and key
 order, cold and on that memo's hits.  OnhElement.evaluate,
 which walks a suffix tree of the words, is compared with the per-word
 reference on words that share suffixes and on the sigma/lambda families;
-oddops.apply_letters, the library's one letter loop, is compared with the
-reference letter loop on signed words of dots and crossings, and
+oddops.apply_letters, the library's one letter loop, which runs the
+kernels on terms dicts, is compared with the reference letter loop on
+signed words of dots and crossings for 1 to 7 strands, out-of-range
+letters and the zero polynomial included (the same error text, raised at
+the same letter), and
 onh.apply_word, which memoizes each monomial's image under a word, both
 cold and on memo hits.
 Elements whose words share a head and differ in runs of leading dots,
@@ -189,16 +192,45 @@ def test_cancelling_terms_leave_no_zero_coefficient():
 
 @st.composite
 def letters_and_polys(draw):
-    n = draw(st.integers(1, 6))
+    """A signed word for 1 to 7 strands, about one letter in five out of
+    range, and a polynomial, zero or not."""
+    n = draw(st.integers(1, 7))
     letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
-    return tuple(draw(st.lists(st.sampled_from(letters), max_size=6))), draw(polys(n))
+    bad = [n + 1, n + 2, -n, -(n + 1)]
+    word = tuple(draw(st.lists(st.sampled_from(letters * 4 + bad), max_size=6)))
+    p = draw(st.one_of(polys(n), st.just(SkewPolynomial.zero(n))))
+    return word, p
 
 
-@settings(max_examples=150, deadline=None)
+def _outcome(f, word, p):
+    """f(word, p) as normal terms, or the text of the ValueError it raised."""
+    try:
+        return normal(f(word, p))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
 @given(letters_and_polys())
 def test_apply_letters_matches_reference_letter_loop(case):
+    """The same terms, or the same error at the same letter: the reference
+    checks each letter when it is reached and stops once p is zero."""
     word, p = case
-    assert normal(oddops.apply_letters(word, p)) == normal(ref.apply_word(word, p))
+    assert _outcome(oddops.apply_letters, word, p) == _outcome(ref.apply_word, word, p)
+
+
+def test_apply_letters_checks_each_letter_when_it_is_reached():
+    p = SkewPolynomial.monomial(2, (1, 0), 3)
+    with pytest.raises(ValueError, match=r"^operator index 2 out of range for 2 variables$"):
+        oddops.apply_letters((1, -2), p)
+    # d_1 x_1 = 1 is reached first, then x_3
+    with pytest.raises(ValueError, match=r"^variable index 3 out of range$"):
+        oddops.apply_letters((3, -1), p)
+    # d_1 d_1 x_1 = 0, so the letters after it are never reached
+    assert normal(oddops.apply_letters((3, -2, -1, -1), p)) == (2, {})
+    z = SkewPolynomial.zero(2)
+    assert oddops.apply_letters((3, -2), z) is z
+    assert oddops.apply_letters((), p) is p
 
 
 @pytest.mark.parametrize(
@@ -211,12 +243,18 @@ def test_apply_letters_matches_reference_letter_loop(case):
     ],
 )
 def test_apply_letters_stops_where_the_polynomial_dies(monkeypatch, word, mono, applied):
+    """Each applied letter runs one kernel of skewpoly._kernel, so the
+    kernel calls count the letters."""
     p = SkewPolynomial.monomial(len(mono), mono, 3)
     want = normal(ref.apply_word(word, p))
     seen = []
-    for name in ("divided_difference", "left_dot"):
-        real = getattr(oddops, name)
-        monkeypatch.setattr(oddops, name, lambda l, q, real=real: seen.append(l) or real(l, q))
+    kernel = oddops._kernel
+
+    def counting(kind, nvars, index):
+        real = kernel(kind, nvars, index)
+        return lambda *args: seen.append(index) or real(*args)
+
+    monkeypatch.setattr(oddops, "_kernel", counting)
     assert normal(oddops.apply_letters(word, p)) == want == (len(mono), {})
     assert len(seen) == applied
 

@@ -205,6 +205,21 @@ def test_morita_contracts_pass_at_their_envelope_edge(check_id, a, instances):
     assert above.status == "skipped" and "exceeds" in above.details[0][2]
 
 
+@pytest.mark.parametrize("check_id,instances", [
+    # per pair, binom(5, a)^2 products on 5! polynomials, and binom(5, a) degrees
+    ("oval", 2 * (10 ** 2 * 120 + 10) + 2 * (5 ** 2 * 120 + 5)),
+    # per pair, binom(5, a)^2 products and one sum on 5! polynomials, and the degree multiset
+    ("eaeb_decomposition", 2 * ((10 ** 2 + 1) * 120 + 1) + 2 * ((5 ** 2 + 1) * 120 + 1)),
+])
+def test_box_contracts_pass_at_every_pair_of_their_envelope_edge(check_id, instances):
+    r = V.run_check(check_id, {"pairs": [(3, 2), (2, 3), (4, 1), (1, 4)]})
+    assert (r.status, r.instances) == ("pass", instances)
+    assert instances == {"oval": 30_030, "eaeb_decomposition": 30_484}[check_id]
+    for pair in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]:
+        above = V.run_check(check_id, {"pairs": [pair]})
+        assert above.status == "skipped" and "exceeds" in above.details[0][2]
+
+
 def test_jacobi_trudi_failure_needs_degree_four():
     with pytest.raises(ValueError, match="a >= 4"):
         V.run_check("jacobi_trudi_failure", {"a": 3})

@@ -19,7 +19,9 @@ multiset, the family checks are compared by the order of their failures,
 which decides the 32 that ``--json`` keeps: the earlier bodies' order, or
 for the two decompositions, whose blocks run in a different order, the
 earlier failures sorted into the order the blocks run in.  A wrong value in
-one entry of one block is reported as exactly that instance."""
+one entry of one block is reported as exactly that instance, whether it is
+a sigma value or a lambda value at a nonzero input.  No contract evaluates
+an element on a zero polynomial: linearity gives zero there."""
 
 import ast
 import random
@@ -208,3 +210,46 @@ def test_one_wrong_sigma_value_is_reported_as_exactly_that_instance(monkeypatch)
     assert report.instances == factorial(a) ** 3
     assert report.details == [(str(("lambda sigma", a, k, j, i)), "0", str(ea.evaluate(basis[m])))]
     assert _run(R.check_nil_orth, {"a_list": [a]})[3] == report.details
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("nil_orth", {"a_list": [2, 3]}),
+    ("oval", {"pairs": SMALL_PAIRS}),
+    ("identity_decomposition", {"a_list": [2, 3]}),
+    ("eaeb_decomposition", {"pairs": SMALL_PAIRS}),
+    ("matrix_iso", {"a_list": [2, 3]}),
+])
+def test_the_morita_contracts_evaluate_no_zero_polynomial(monkeypatch, check_id, params):
+    """An element sends zero to zero, so _orthogonality and _matrix_units
+    leave a zero input unevaluated; every evaluate call gets a nonzero one."""
+    evaluate = onh.OnhElement.evaluate
+    inputs = []
+    monkeypatch.setattr(onh.OnhElement, "evaluate", lambda self, p: inputs.append(bool(p)) or evaluate(self, p))
+    assert V.run_check(check_id, params).status == "pass"
+    assert inputs and all(inputs)
+
+
+@pytest.mark.parametrize("check_id,family,label", [
+    ("nil_orth", (3,), lambda j, k, i: ("lambda sigma", 3, k, j, i)),
+    ("oval", (2, 2), lambda j, k, i: ("lambda_beta sigma_alpha", 2, 2, j, k, i)),
+])
+def test_one_wrong_lambda_value_at_a_nonzero_input_is_reported_as_exactly_that_instance(
+        monkeypatch, check_id, family, label):
+    """lambda_k's value on v = sigma_j(p_i), which is nonzero, is moved by 1.
+    No other sigma value equals v, so only lambda_k sigma_j at p_i changes:
+    one entry of one block differs, and that instance alone is reported, as
+    by the earlier loop, which evaluates lambda_k on every sigma value."""
+    sig, lam, basis = V._part_family(*family) if len(family) == 2 else V._seq_family(*family)
+    j, k = list(sig)[1], list(lam)[2]
+    i, v = next((i, v) for i, v in enumerate(sig[j].evaluate(p) for p in basis) if v)
+    assert [w for s in sig.values() for p in basis if (w := s.evaluate(p)) == v] == [v]
+    name = "lambda_seq" if len(family) == 1 else "lambda_part"
+    real = getattr(onh, name)
+    one = v.constant(v.nvars, 1)
+    monkeypatch.setattr(onh, name, lambda *args: _OneValueOff(real(*args), v, one) if args[0] == k else real(*args))
+    params = {"a_list": list(family)} if len(family) == 1 else {"pairs": [family]}
+    report = V.run_check(check_id, params)
+    assert report.status == "fail"
+    # j != k, so the wanted value is zero
+    assert report.details == [(str(label(j, k, i)), "0", str(lam[k].evaluate(v) + one))]
+    assert _run(getattr(R, V.REGISTRY[check_id].fn.__name__), params)[3] == report.details
