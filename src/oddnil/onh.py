@@ -14,45 +14,31 @@ which is why the a! Schubert polynomials suffice).  When two elements
 differ, witness names the first Schubert polynomial on which they do,
 with both values.  No rewriting system is used anywhere.
 
-Evaluation walks a suffix tree of the words instead of applying each word
-on its own.  The action is linear, and for a word w = u v we have
-w(p) = u(v(p)); so a walk that applies each shared suffix v once, keeps
-v(p), and continues into every u above it sums the same integer terms c_w
-w(p) as the word-by-word loop, only in another order.  A branch is left
-once its polynomial is zero, since every longer word through it then
-gives zero too.  The tree is built on an element's first evaluation and
-kept; this relies on one rule: an element's ``combo`` is never mutated
-after construction (every operation returns a new element, which builds
-its own tree).
+Evaluation splits the words once (_plan) into a head that two or more
+words all start with, a tail that two or more of the rest all end with,
+and a middle per word.  Linearity gives sum c_w H M_w T(p) =
+H(sum c_w M_w(T(p))), so the tail acts once on p, each middle on that
+image, and the head once on the sum.  Most sigma values are zero after
+the tail, and evaluation stops there.  Middles that differ only in their
+leading run of dots merge into one skew product (the dot words of
+from_polynomial(f) become f).  A sum with more terms than the head has
+letters meets the head one letter at a time over the whole polynomial,
+so terms that cancel drop out early (e_a f - e_a f e_a for an odd
+symmetric f is a few dozen terms whose image is zero); a smaller sum
+goes through apply_word and its memo.  The plan is made on an element's
+first evaluation and kept, which relies on one rule: an element's
+``combo`` is never mutated after construction (every operation returns
+a new element, which makes its own plan).
 
-Two more rewrites of the sum come before the tree (_plan).  Dots act by
-left multiplication, so the words D W of one W that differ only in their
-leading run of dots D merge into W followed by one skew product with the
-polynomial sum c D(1): the dot words of from_polynomial(f) become f
-itself.  And a word that all of two or more words start with, their
-head, acts last, once, on the sum of what the rest of the words give.
-A sum with more terms than the head has letters meets the head at once,
-one letter at a time over the whole polynomial, so terms that cancel are
-dropped after each letter instead of each carrying its own image; e_a f
-minus e_a f e_a for an odd symmetric f is such a case, a sum of a few
-dozen terms whose image is zero.  A smaller sum goes through apply_word
-and its memo, which a repeated evaluation reads instead of recomputing.
-
-Each edge of the walk is one apply_word call, and apply_word remembers,
-per word segment, the image of every monomial it has carried: an image
-depends only on the word and the monomial, since the length of the
-exponent tuple fixes the strand count.  Images are immutable tuples of
-(monomial, coeff) pairs, a zero image the shared (); a call sums c *
-image per term into a fresh dict, so no result shares a dict with the
-memo.  A miss runs oddops.apply_letters, the one letter loop, on the
-one-term polynomial {monomial: 1}: each letter's kernel acts on the terms
-dict the previous letter left, and only the image is wrapped.  The memo
-is unbounded, like the library's lru_caches, and oddops.clear_caches
-empties it.  Most images are zero, and most (segment, monomial) pairs
-recur within a sweep, so the memo skips most of the letter loop's work.
-The suffix tree stays: without it the memo is keyed by whole words,
-which repeat less than segments do, and on the thick-calculus benchmark
-such a memo ran slower than the tree with no memo at all.
+apply_word remembers, per word, the image of every monomial it has
+carried: an image depends only on the word and the monomial, since the
+length of the exponent tuple fixes the strand count.  Images are
+immutable tuples of (monomial, coeff) pairs, a zero image the shared ();
+a call sums c * image per term into a fresh dict, so no result shares a
+dict with the memo.  A miss runs oddops.apply_letters, the one letter
+loop, on the one-term polynomial {monomial: 1}.  The memo is unbounded,
+like the library's lru_caches, and oddops.clear_caches empties it; most
+images are zero, and most (word, monomial) pairs recur within a sweep.
 
 Thick calculus conventions (all signs downstream depend on these):
 
@@ -142,7 +128,7 @@ def format_word(word):
 
 
 class OnhElement:
-    __slots__ = ("strands", "combo", "_tree")
+    __slots__ = ("strands", "combo", "_plan")
 
     def __init__(self, strands, combo=None):
         self.strands = strands
@@ -211,31 +197,28 @@ class OnhElement:
         return _element(self.strands, convolve(self.combo, other.combo))
 
     def evaluate(self, p):
-        """Apply the element to p by a depth-first walk of its suffix tree
-        (each shared suffix acts once, and a branch stops where p dies),
-        then the head to the sum (see _plan).  The action is linear, so a
-        zero p gives zero with no walk."""
+        """Apply the element to p as head(sum of c middle(tail(p))) (see
+        _plan).  The action is linear, so a zero p, or a zero tail(p),
+        gives zero with no further work."""
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
         if not p.terms:
             return _from_normal(self.strands, {})
         try:
-            head, tree = self._tree
+            head, tail, middles = self._plan
         except AttributeError:
-            head, tree = self._tree = _plan(self.strands, self.combo)
+            head, tail, middles = self._plan = _plan(self.strands, self.combo)
+        q = apply_word(tail, p) if tail else p
+        if not q.terms:
+            return q
         d = {}
-        stack = [(tree, p)]
-        while stack:
-            (c, edges), q = stack.pop()
-            if c:
+        for middle, c in middles:
+            r = apply_word(middle, q) if middle else q
+            if r.terms:
                 if type(c) is int:
-                    add_scaled(d, q.terms, c)
+                    add_scaled(d, r.terms, c)
                 else:
-                    add_scaled(d, (c * q).terms, 1)
-            for segment, child in edges:
-                r = apply_word(segment, q)
-                if r.terms:
-                    stack.append((child, r))
+                    add_scaled(d, (c * r).terms, 1)
         q = _from_normal(self.strands, d)
         if not head or not d:
             return q
@@ -278,19 +261,27 @@ def _element(strands, combo):
     return out
 
 
-def _plan(strands, combo):
-    """(head, tree) for evaluate: head is the longest word that two or more
-    words all start with, and tree the _suffix_tree of the rest of the
-    words, where the words D W of one W (empty, or starting with a
-    crossing) that differ only in their leading run of dots D are one
-    entry W, whose coefficient is the polynomial sum c D(1)."""
-    words = list(combo)
-    head = words[0] if len(words) > 1 else ()
+def _common_prefix(words):
+    """The longest word that all of words start with, if there are two or
+    more of them, and () otherwise."""
+    prefix = words[0] if len(words) > 1 else ()
     for word in words[1:]:
         k = 0
-        while k < len(head) and k < len(word) and head[k] == word[k]:
+        while k < len(prefix) and k < len(word) and prefix[k] == word[k]:
             k += 1
-        head = head[:k]
+        prefix = prefix[:k]
+    return prefix
+
+
+def _plan(strands, combo):
+    """(head, tail, middles) for evaluate: each word is head M tail, where
+    head is the longest word that all the words start with, tail the
+    longest that all of what follows the head ends with (each () unless
+    there are two or more words), and middles the pairs (M, c).  First,
+    the words head D W of one W (empty, or starting with a crossing) that
+    differ only in their run of dots D merge into one word head W, whose
+    coefficient is the polynomial sum c D(1)."""
+    head = _common_prefix(list(combo))
     runs = {}  # W -> [(D, c)]
     for word, c in combo.items():
         k = len(head)
@@ -309,39 +300,8 @@ def _plan(strands, combo):
             g = g + oddops.apply_letters(dots, one).scale(c)
         if g:
             rest[w] = g
-    return head, _suffix_tree(rest)
-
-
-def _suffix_tree(combo):
-    """The words of combo as a compressed trie on their reversed letters.
-
-    A node is (c, edges): c is the coefficient of the word that ends there
-    (0 if none; from _plan, an int or a polynomial that multiplies on the
-    left), and each edge is (segment, node) for a word segment that
-    acts after the suffix above it.  A chain of nodes where no word ends
-    and nothing branches is one edge.
-    """
-    trie = {}
-    for word, c in combo.items():
-        node = trie
-        for l in reversed(word):
-            node = node.setdefault(l, {})
-        node[0] = c  # letters are nonzero, so key 0 holds the coefficient
-    root = (trie.get(0, 0), [])
-    stack = [(trie, root[1])]
-    while stack:
-        node, edges = stack.pop()
-        for l, child in node.items():
-            if not l:
-                continue
-            letters = [l]
-            while len(child) == 1 and 0 not in child:
-                ((l, child),) = child.items()
-                letters.append(l)
-            sub = (child.get(0, 0), [])
-            edges.append((tuple(reversed(letters)), sub))
-            stack.append((child, sub[1]))
-    return root
+    tail = _common_prefix([w[::-1] for w in rest])[::-1]
+    return head, tail, tuple((w[:len(w) - len(tail)], c) for w, c in rest.items())
 
 
 def dot(strands, r):

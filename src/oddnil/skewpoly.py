@@ -373,7 +373,9 @@ def parse_skew(text, nvars):
     # a sign starts a term unless it follows "^", where it signs an exponent
     tokens = re.sub(r"(?<!\^)([+-])", r" \1", s).split()
     pairs = []
-    for tok in tokens:
+    for k, tok in enumerate(tokens):
+        if k and tok[0] not in "+-":
+            raise ValueError("term %r does not start with + or -" % tok)
         sign = 1
         if tok.startswith("-"):
             sign, tok = -1, tok[1:]

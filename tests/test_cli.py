@@ -75,6 +75,9 @@ def test_compute_pieri_at_k_zero_and_outside_the_rows(capsys, argv, want):
     ("x1^2^3", "malformed exponent '2^3' in 'x1^2^3'"),
     ("x1^1_0", "malformed exponent '1_0' in 'x1^1_0'"),
     ("x1^-x", "malformed exponent '-x' in 'x1^-x'"),
+    # whitespace is not a plus sign: every later term starts with a sign
+    ("x1 x2", "term 'x2' does not start with + or -"),
+    ("2 x1", "term 'x1' does not start with + or -"),
 ])
 def test_compute_product_names_a_bad_exponent(capsys, left, fault):
     code, out, err = run_cli(capsys, "compute", "product", "--left", left, "--right", "1", "--vars", "2")

@@ -4,8 +4,9 @@ The closed-form d_i is compared with the recursive reference, which keeps
 its own memo, on every small one-term polynomial and on hypothesis
 polynomials, and with the memoized closed form it replaced by terms and key
 order, cold and on that memo's hits.  OnhElement.evaluate,
-which walks a suffix tree of the words, is compared with the per-word
-reference on words that share suffixes and on the sigma/lambda families;
+which applies the tail its words share once, then each middle, then the
+head they share, is compared with the per-word reference on words that
+share suffixes and on the sigma/lambda families;
 oddops.apply_letters, the library's one letter loop, which runs the
 kernels on terms dicts, is compared with the reference letter loop on
 signed words of dots and crossings for 1 to 7 strands, out-of-range
@@ -13,9 +14,9 @@ letters and the zero polynomial included (the same error text, raised at
 the same letter), and
 onh.apply_word, which memoizes each monomial's image under a word, both
 cold and on memo hits.
-Elements whose words share a head and differ in runs of leading dots,
-which evaluate factors out and merges, are compared with the per-word
-reference as well.
+Elements whose words share a head and a tail and differ in runs of
+leading dots, which evaluate factors out and merges, are compared with
+the per-word reference as well.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
 
@@ -424,7 +425,7 @@ def test_element_arithmetic_matches_reference(pair, k):
 @st.composite
 def shared_suffix_elements(draw, n):
     """An element whose words are drawn prefixes glued onto a few drawn
-    suffixes, so the suffix tree branches; d_r d_r = 0 in a prefix or a
+    suffixes, so some words share a suffix; d_r d_r = 0 in a prefix or a
     suffix kills every polynomial partway along the word."""
     letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
     segment = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
@@ -460,43 +461,28 @@ def evaluation_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(evaluation_cases())
-def test_suffix_tree_evaluation_matches_per_word_reference(case):
+def test_shared_suffix_evaluation_matches_per_word_reference(case):
     el, p = case
     want = normal(ref.evaluate(el, p))
     assert normal(el.evaluate(p)) == want
-    # the second evaluation walks the tree built by the first
+    # the second evaluation reads the plan made by the first
     assert normal(el.evaluate(p)) == want
-
-
-def test_suffix_tree_edge_cases():
-    one = SkewPolynomial.one(2)
-    x1 = SkewPolynomial.variable(2, 1)
-    empty = onh.OnhElement.identity(2).scale(3)
-    assert normal(empty.evaluate(x1)) == (2, {(1, 0): 3})
-    assert normal(onh.OnhElement.zero(2).evaluate(x1)) == (2, {})
-    # d_1 dies on the constant 1 before x_1 x_2 acts; the empty word and
-    # x_1 survive, and the word ending inside the dead branch adds nothing
-    el = onh.OnhElement(2, {(): 1, (1,): -1, (2, 1, -1): 5, (-1,): 2})
-    for p in (one, x1, x1 * x1 + one):
-        assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
-    # two words, one a suffix of the other: a node where a word ends
-    # inside an edge chain splits the chain there
-    assert onh._suffix_tree({(1, -1): 2, (2, 1, -1): 3}) == (0, [((1, -1), (2, [((2,), (3, []))]))])
 
 
 @st.composite
 def headed_elements(draw):
     """An element whose words are one drawn head, then a drawn run of dots,
-    then one of a few drawn tails, so evaluate factors out the head and
-    merges the runs under each tail; runs may cancel."""
+    then one of a few drawn middles, then one drawn tail, so evaluate
+    factors out the head and the tail and merges the runs before each
+    middle; runs may cancel."""
     n = draw(st.integers(1, 4))
     letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
     segment = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
     runs = st.lists(st.integers(1, n), max_size=3).map(tuple)
-    head = draw(segment)
-    tails = draw(st.lists(segment, min_size=1, max_size=3))
-    triples = draw(st.lists(st.tuples(runs, st.sampled_from(tails), coefficient), min_size=2, max_size=8))
-    el = onh.OnhElement(n, collect((head + d + w, c) for d, w, c in triples))
+    head, tail = draw(segment), draw(segment)
+    middles = draw(st.lists(segment, min_size=1, max_size=3))
+    triples = draw(st.lists(st.tuples(runs, st.sampled_from(middles), coefficient), min_size=2, max_size=8))
+    el = onh.OnhElement(n, collect((head + d + w + tail, c) for d, w, c in triples))
     terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficient, max_size=4)
     return el, SkewPolynomial(n, draw(terms))
 
@@ -514,21 +500,28 @@ def test_plan_factors_out_the_head_and_merges_dot_runs():
     a = 3
     f = oddsym.elementary(1, a) + oddsym.elementary(2, a)
     ea = onh.e_word(a)
-    # e_a f: every word is e_a over the dots of one term of f, so the walk
-    # is one skew product with f and e_a acts once, on that product
-    head, (g, edges) = onh._plan(a, (onh.idempotent_e(a) * onh.from_polynomial(f)).combo)
-    assert head == ea and edges == [] and normal(g) == normal(f)
+    # e_a f: every word is e_a over the dots of one term of f, so the one
+    # middle is empty, with f as its coefficient, and e_a acts once, on f p
+    head, tail, ((middle, g),) = onh._plan(a, (onh.idempotent_e(a) * onh.from_polynomial(f)).combo)
+    assert (head, tail, middle) == (ea, (), ()) and normal(g) == normal(f)
     # e_a f e_a: after the head e_a, each word is the dots of a term of f,
     # then e_a, which starts with the dot x_1; the rest of e_a is the one
-    # edge and the dot runs merge into f x_1 above it
-    head, (c, edges) = onh._plan(a, onh.box(f, a).combo)
-    ((segment, (g, more)),) = edges
-    assert head == ea and c == 0 and segment == ea[1:] and more == []
+    # middle and the dot runs merge into f x_1 before it
+    head, tail, ((middle, g),) = onh._plan(a, onh.box(f, a).combo)
+    assert (head, tail, middle) == (ea, (), ea[1:])
     assert normal(g) == normal(f * SkewPolynomial.variable(a, 1))
-    # one word keeps its own tree, and a run that stands alone stays in its word
-    assert onh._plan(a, {ea: 2}) == ((), onh._suffix_tree({ea: 2}))
-    assert onh._plan(a, {(1, -1): 2, (2, -2): 3}) == ((), onh._suffix_tree({(1, -1): 2, (2, -2): 3}))
-    for el in (onh.idempotent_e(a) * onh.from_polynomial(f), onh.box(f, a)):
+    # one word is its own middle, and a run that stands alone stays in its word
+    assert onh._plan(a, {ea: 2}) == ((), (), ((ea, 2),))
+    assert onh._plan(a, {(1, -1): 2, (2, -2): 3}) == ((), (), (((1, -1), 2), ((2, -2), 3)))
+    # words that all end with d_1 share it as their tail, and a word that
+    # is all head and tail leaves an empty middle
+    tailed = {(2, -2, -1): 2, (2, -2, -2, -1): 3, (2, -2, -1, 1, -1): -1}
+    assert onh._plan(a, tailed) == ((2, -2), (-1,), (((), 2), ((-2,), 3), ((-1, 1), -1)))
+    assert onh._plan(a, {}) == ((), (), ())
+    assert onh._plan(a, {(): 3}) == ((), (), (((), 3),))
+    els = [onh.idempotent_e(a) * onh.from_polynomial(f), onh.box(f, a), onh.OnhElement(a, tailed)]
+    els += [onh.OnhElement.identity(a).scale(3), onh.OnhElement.zero(a)]
+    for el in els:
         for p in onh.schubert_basis_list(a):
             assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
 
@@ -576,29 +569,31 @@ def test_sigma_lambda_families_match_per_word_reference_on_schubert_basis():
             assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p)), (el, p)
 
 
-def test_tree_walk_applies_each_shared_suffix_once(monkeypatch):
+def test_the_tail_acts_once_and_no_middle_follows_a_zero_tail(monkeypatch):
     el = onh.sigma_seq((0, 1, 2))
-    tree = onh._suffix_tree(el.combo)
-    edges, letters, stack = 0, 0, [tree]
-    while stack:
-        for segment, child in stack.pop()[1]:
-            edges, letters = edges + 1, letters + len(segment)
-            stack.append(child)
-    assert letters < sum(len(w) for w in el.combo)
-    # apply_word is reached through the module attribute, once per edge
-    # at most (a dead branch is not entered)
+    head, tail, middles = onh._plan(4, el.combo)
+    assert tail and len(middles) > 1
+    # apply_word is reached through the module attribute
     seen = []
     real = onh.apply_word
     monkeypatch.setattr(onh, "apply_word", lambda w, p: seen.append(w) or real(w, p))
-    p = onh.schubert_basis_list(4)[0]
-    assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
-    assert 0 < len(seen) <= edges
-    assert sum(map(len, seen)) <= letters
+    dead = 0
+    for p in onh.schubert_basis_list(4):
+        seen.clear()
+        assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+        assert seen[0] == tail and tail not in seen[1:]
+        if not real(tail, p).terms:
+            dead += 1
+            assert seen == [tail]
+        else:
+            assert [w for w, _ in middles] == seen[1:len(middles) + 1]
+    # most Schubert polynomials die under the tail, not all
+    assert 0 < dead < 24
 
 
 def test_zero_polynomial_evaluates_to_zero_with_no_walk(monkeypatch):
     el = onh.sigma_seq((0, 1, 2))
-    assert el.evaluate(onh.schubert_basis_list(4)[-1]).terms  # builds the tree; nonzero elsewhere
+    assert el.evaluate(onh.schubert_basis_list(4)[-1]).terms  # makes the plan; nonzero elsewhere
     monkeypatch.setattr(onh, "apply_word", lambda w, p: pytest.fail("apply_word called on a zero polynomial"))
     for element in (el, onh.sigma_seq((1, 0, 0)), onh.OnhElement.identity(4), onh.OnhElement.zero(4)):
         assert normal(element.evaluate(SkewPolynomial.zero(4))) == (4, {})
@@ -618,7 +613,7 @@ def test_closed_form_elementary_and_complete_match_the_x_tilde_products(cold):
                 assert normal(got) == normal(want), (name, k, a)
 
 
-def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_tree():
+def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_plan():
     n = 3
     f = onh.sigma_seq((0, 1))
     g = onh.lambda_seq((1, 0))
@@ -626,12 +621,12 @@ def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_tree()
     for p in basis:
         f.evaluate(p)
         g.evaluate(p)
-    f_tree = f._tree
+    f_plan = f._plan
     for h in (f + g, f - g, g + f, f * g, g * f, f.scale(-2), 3 * f, -f, f * 2):
-        assert getattr(h, "_tree", None) is None
+        assert getattr(h, "_plan", None) is None
         for p in basis:
             assert normal(h.evaluate(p)) == normal(ref.evaluate(h, p))
-        assert h._tree is not f_tree and h._tree is not g._tree
-    assert f._tree is f_tree
+        assert h._plan is not f_plan and h._plan is not g._plan
+    assert f._plan is f_plan
     for p in basis:
         assert normal(f.evaluate(p)) == normal(ref.evaluate(f, p))
