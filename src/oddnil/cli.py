@@ -19,18 +19,6 @@ from .lincomb import format_terms
 from .qgrade import format_qlaurent
 from .skewpoly import format_skew, parse_skew
 
-# each compute kind's required and optional flags; any other is a usage error
-COMPUTE_KINDS = {
-    "schur": (("partition", "vars"), ()),
-    "dual-schur": (("partition", "vars"), ()),
-    "elementary": (("k", "vars"), ()),
-    "complete": (("k", "vars"), ()),
-    "schubert": (("perm",), ("vars",)),
-    "product": (("left", "right", "vars"), ()),
-    "pieri": (("partition", "k", "vars"), ()),
-    "grassmann-matrix": (("a",), ()),
-    "oh-rank": (("a", "N"), ("dmax",)),
-}
 _COMPUTE_FLAGS = ("a", "N", "vars", "partition", "perm", "k", "left", "right", "dmax")
 
 
@@ -55,8 +43,42 @@ def _signed_partition_sum(terms):
     return format_terms(((mu, sign) for sign, mu in terms), lambda mu: "s(%s)" % combinat.format_partition(mu))
 
 
-def _check_compute_flags(args):
-    required, optional = COMPUTE_KINDS[args.kind]
+def _partition(text):
+    return _parse(combinat.parse_partition, text)
+
+
+def _schubert(perm, vars):
+    w = _parse(combinat.parse_permutation, perm)
+    _require(vars in (None, 0, len(w)), "--vars must match the permutation size")
+    return format_skew(oddsym.schubert(w, len(w)))
+
+
+def _grassmann_matrix(a):
+    return "\n".join("[ " + " | ".join(map(format_skew, row)) + " ]" for row in cyclotomic.grassmann_matrix(a))
+
+
+# each compute kind's required flags, its optional flags, and the function
+# that takes exactly those flags as keywords (None for an optional flag not
+# given) and returns the result text; any other flag is a usage error
+COMPUTE_KINDS = {
+    "schur": (("partition", "vars"), (), lambda partition, vars: format_skew(oddsym.schur(_partition(partition), vars))),
+    "dual-schur": (("partition", "vars"), (),
+                   lambda partition, vars: format_skew(oddsym.dual_schur(_partition(partition), vars))),
+    "elementary": (("k", "vars"), (), lambda k, vars: format_skew(oddsym.elementary(k, vars))),
+    "complete": (("k", "vars"), (), lambda k, vars: format_skew(oddsym.complete(k, vars))),
+    "schubert": (("perm",), ("vars",), _schubert),
+    "product": (("left", "right", "vars"), (),
+                lambda left, right, vars: format_skew(_parse(parse_skew, left, vars) * _parse(parse_skew, right, vars))),
+    "pieri": (("partition", "k", "vars"), (),
+              lambda partition, k, vars: _signed_partition_sum(oddsym.pieri_expected(_partition(partition), k, vars))),
+    "grassmann-matrix": (("a",), (), _grassmann_matrix),
+    "oh-rank": (("a", "N"), ("dmax",),
+                lambda a, N, dmax: format_qlaurent(cyclotomic.quotient_graded_rank(a, N, dmax))),
+}
+
+
+def cmd_compute(args):
+    required, optional, compute = COMPUTE_KINDS[args.kind]
     given = [f for f in _COMPUTE_FLAGS if getattr(args, f) is not None]
     unread = ["--" + f for f in given if f not in required + optional]
     _require(not unread, "compute %s does not read %s; it takes %s"
@@ -66,46 +88,8 @@ def _check_compute_flags(args):
     # schubert then takes the permutation's size
     least = 1 if "vars" in required else 0
     _require(args.vars is None or args.vars >= least, "--vars must be >= %d, got %s" % (least, args.vars))
-
-
-def cmd_compute(args):
-    _check_compute_flags(args)
-    kind = args.kind
-    if kind == "schur":
-        alpha = _parse(combinat.parse_partition, args.partition)
-        result = format_skew(oddsym.schur(alpha, args.vars))
-    elif kind == "dual-schur":
-        alpha = _parse(combinat.parse_partition, args.partition)
-        result = format_skew(oddsym.dual_schur(alpha, args.vars))
-    elif kind == "elementary":
-        result = format_skew(oddsym.elementary(args.k, args.vars))
-    elif kind == "complete":
-        result = format_skew(oddsym.complete(args.k, args.vars))
-    elif kind == "schubert":
-        w = _parse(combinat.parse_permutation, args.perm)
-        nvars = args.vars or len(w)
-        _require(nvars == len(w), "--vars must match the permutation size")
-        result = format_skew(oddsym.schubert(w, nvars))
-    elif kind == "product":
-        f = _parse(parse_skew, args.left, args.vars)
-        g = _parse(parse_skew, args.right, args.vars)
-        result = format_skew(f * g)
-    elif kind == "pieri":
-        alpha = _parse(combinat.parse_partition, args.partition)
-        result = _signed_partition_sum(oddsym.pieri_expected(alpha, args.k, args.vars))
-    elif kind == "grassmann-matrix":
-        mat = cyclotomic.grassmann_matrix(args.a)
-        result = "\n".join("[ " + " | ".join(format_skew(e) for e in row) + " ]" for row in mat)
-    elif kind == "oh-rank":
-        result = format_qlaurent(cyclotomic.quotient_graded_rank(args.a, args.N, args.dmax))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError("unknown compute kind %r" % kind)
-
-    if args.json:
-        payload = {"kind": kind, "result": result}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result)
+    result = compute(**{f: getattr(args, f) for f in required + optional})
+    print(json.dumps({"kind": args.kind, "result": result}, indent=2, sort_keys=True) if args.json else result)
     return 0
 
 

@@ -20,6 +20,13 @@ class BoxViolationError(ValueError):
     """A partition does not fit in the required box."""
 
 
+def read_natural(text):
+    """The number text writes in ASCII digits; a sign, space or underscore is an error."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("%r is not a natural number in ASCII digits" % text)
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -103,8 +110,9 @@ def format_partition(alpha):
 
 
 def parse_partition(text):
-    toks = [t for t in text.strip().split(",") if t.strip() != ""]
-    return normalize_partition([int(t) for t in toks])
+    """A comma list of parts such as "2,1"; "" is the empty partition."""
+    text = text.strip()
+    return normalize_partition([read_natural(t.strip()) for t in text.split(",")] if text else [])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def canonical_reduced_word(w):
 
 
 def parse_permutation(text):
-    w = tuple(int(t) for t in text.split())
+    w = tuple(read_natural(t) for t in text.split())
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError("not a permutation in one-line notation: %r" % text)
     return w

@@ -229,7 +229,8 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
     quotient zero in all higher degrees once d_max >= top + 2a, and only
     up to d_max below it, as at the default for a >= 3 (see default_dmax).
 
-    d_max must be even: the boundary check reads the slice in degree d_max.
+    d_max must be even, and above top when 0 < a < N: the quotient has
+    rank 1 in degree top, so a chain that ends there certifies nothing.
     ``slices`` is the chain ``h_ideal_slices(a, N, d_max)`` when the caller
     has built it already; otherwise it is built here.
     """
@@ -240,8 +241,12 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
     if d_max < top:
         raise DomainError("d_max=%d below expected top degree %d" % (d_max, top))
     if d_max % 2:
-        raise DomainError("d_max=%d is odd; the boundary check needs an even d_max such as %d"
+        raise DomainError("d_max=%d is odd; slices sit in even degrees, so use an even d_max such as %d"
                           % (d_max, d_max + 1))
+    if d_max == top and 0 < a < n_param:
+        raise IncompleteCertificationError(
+            "quotient nonzero at the boundary degree %d; raise d_max to at least %d to certify" % (d_max, d_max + 2)
+        )
     if slices is None:
         slices = h_ideal_slices(a, n_param, d_max)
     coeffs = {}
@@ -254,11 +259,6 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
                     % (sl.degree, top, a, n_param)
                 )
             coeffs[sl.degree] = r
-    if slices[-1].quotient_rank and a not in (0, n_param):
-        raise IncompleteCertificationError(
-            "quotient nonzero at the boundary degree %d; raise d_max to at least %d to certify"
-            % (d_max, d_max + 2)
-        )
     return QLaurent(coeffs)
 
 

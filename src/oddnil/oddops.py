@@ -24,11 +24,11 @@ through a loop unrolled once per (number of variables, i)
 A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
 (left multiplication), -r is the crossing d_r.  It composes right-to-left:
 the leftmost letter acts last.  apply_letters is the one loop over a
-word's letters.  It runs on terms dicts, calling each letter's kernel
-(the one left_dot and divided_difference call) on the dict the previous
-letter gave, and wraps the last dict once; so a word of k letters builds
-one polynomial, not k, and checks each letter's range only when the
-letter is reached.  D_a is the fixed crossing word
+word's letters, and divided_difference is its one-letter word (-i,).
+It runs on terms dicts, calling each letter's kernel on the dict the
+previous letter gave, and wraps the last dict once; so a word of k
+letters builds one polynomial, not k, and checks each letter's range
+only when the letter is reached.  D_a is the fixed crossing word
 [d_1, d_2 d_1, d_3 d_2 d_1, ..., d_{a-1} ... d_1]; every sign downstream
 depends on this exact word, so it is a stored constant and is never
 re-derived from the permutation.
@@ -61,12 +61,11 @@ def _dd_block(p, q):
 
 def divided_difference(i, p):
     """The odd divided difference d_i applied to p: each term c x^A adds
-    c (-1)^{|A_<i|} L d_i(B) R (see above) to the result."""
-    if not 1 <= i <= p.nvars - 1:
+    c (-1)^{|A_<i|} L d_i(B) R (see above) to the result.  As for any
+    word, a zero p comes back as itself and i's upper bound goes unchecked."""
+    if i < 1:  # the letter -i would be a dot, or no letter
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
-    # the kernel unrolled for (nvars, i) writes each image straight into
-    # the result: a dict per image would make d_i 1.7x slower
-    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, _dd_block))
+    return apply_letters((-i,), p)
 
 
 def apply_letters(word, p):
@@ -76,7 +75,7 @@ def apply_letters(word, p):
     The loop runs on terms dicts: each letter calls its kernel on the
     previous letter's dict, and the result is wrapped once, at the end
     (p itself when no letter acts).  A letter's range is checked when it is
-    reached, with the messages of left_dot and divided_difference."""
+    reached."""
     n, d = p.nvars, p.terms
     for l in reversed(word):
         if not d:

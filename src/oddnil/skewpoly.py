@@ -174,13 +174,6 @@ def _from_normal(nvars, terms):
     return out
 
 
-def left_dot(r, p):
-    """x_r * p (1-based r), term by term: x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
-    if not 1 <= r <= p.nvars:
-        raise ValueError("variable index %d out of range" % r)
-    return _from_normal(p.nvars, _kernel("dot", p.nvars, r)(p.terms))
-
-
 # ---------------------------------------------------------------------------
 # kernels unrolled per arity
 
@@ -348,7 +341,8 @@ def psi_staircase(a):
 
 
 # ---------------------------------------------------------------------------
-# text format: term ::= [integer '*'] ('x' index ['^' exp])*, normal order
+# text format: term ::= [integer '*'] ('x' index ['^' exp])*, normal order;
+# every integer is combinat.read_natural's, and the zero polynomial is "0"
 
 
 def format_skew(p):
@@ -369,6 +363,8 @@ def parse_skew(text, nvars):
     s = text.strip()
     if s == "0":
         return SkewPolynomial.zero(nvars)
+    if not s:
+        raise ValueError("no terms; the zero polynomial is written 0")
     s = s.replace("- ", "-").replace("+ ", "+")
     # a sign starts a term unless it follows "^", where it signs an exponent
     tokens = re.sub(r"(?<!\^)([+-])", r" \1", s).split()
@@ -376,12 +372,8 @@ def parse_skew(text, nvars):
     for k, tok in enumerate(tokens):
         if k and tok[0] not in "+-":
             raise ValueError("term %r does not start with + or -" % tok)
-        sign = 1
-        if tok.startswith("-"):
-            sign, tok = -1, tok[1:]
-        elif tok.startswith("+"):
-            tok = tok[1:]
-        coeff = sign
+        coeff = -1 if tok[0] == "-" else 1
+        tok = tok[1:] if tok[0] in "+-" else tok
         exps = [0] * nvars
         last_idx = 0
         for factor in tok.split("*"):
@@ -389,20 +381,21 @@ def parse_skew(text, nvars):
                 raise ValueError("empty factor in term %r" % tok)
             if factor[0] == "x":
                 idx_s, caret, exp_s = factor[1:].partition("^")
-                idx, exp = int(idx_s), 1
+                idx, exp = combinat.read_natural(idx_s), 1
                 if caret:
-                    if not exp_s.removeprefix("-").isdecimal():
-                        raise ValueError("malformed exponent %r in %r" % (exp_s, tok))
-                    exp = int(exp_s)
+                    try:
+                        exp = combinat.read_natural(exp_s.removeprefix("-"))
+                    except ValueError:
+                        raise ValueError("malformed exponent %r in %r" % (exp_s, tok)) from None
                 if not 1 <= idx <= nvars:
                     raise ValueError("variable x%d out of range" % idx)
                 if idx <= last_idx:
                     raise ValueError("variables must be in strictly increasing order in %r" % tok)
-                if exp < 0:
-                    raise ValueError("negative exponent %d in %r" % (exp, tok))
+                if exp_s.startswith("-"):
+                    raise ValueError("negative exponent %s in %r" % (exp_s, tok))
                 last_idx = idx
                 exps[idx - 1] += exp
             else:
-                coeff *= int(factor)
+                coeff *= combinat.read_natural(factor)
         pairs.append((tuple(exps), coeff))
     return SkewPolynomial(nvars, collect(pairs))

@@ -108,7 +108,7 @@ def mul_loop(self, other):
 
 
 def left_dot_loop(r, p):
-    """skewpoly.left_dot: x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
+    """oddops.apply_letters((r,), p): x_r x^A = (-1)^{A_1+...+A_{r-1}} x^{A+e_r}."""
     if not 1 <= r <= p.nvars:
         raise ValueError("variable index %d out of range" % r)
     k = r - 1

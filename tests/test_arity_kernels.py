@@ -17,7 +17,7 @@ import pytest
 
 import reference_kernel as ref
 from oddnil import oddops, oddsym, skewpoly, verify
-from oddnil.skewpoly import SkewPolynomial, left_dot
+from oddnil.skewpoly import SkewPolynomial
 
 ARITIES = range(8)
 
@@ -69,7 +69,7 @@ def test_product_kernel_matches_the_loop(n):
 def test_left_dot_kernel_matches_the_loop_for_every_r(n):
     for r in range(1, n + 1):
         for p in polys(n):
-            cold_and_warm(lambda: left_dot(r, p), ref.left_dot_loop(r, p))
+            cold_and_warm(lambda: oddops.apply_letters((r,), p), ref.left_dot_loop(r, p))
 
 
 @pytest.mark.parametrize("n", ARITIES)
@@ -93,7 +93,7 @@ def test_mismatch_and_out_of_range_index_still_raise(n):
         other * p
     for r in (0, n + 1):
         with pytest.raises(ValueError, match="out of range"):
-            left_dot(r, p)
+            oddops.apply_letters((r,), p)
     for i in (0, n, -1) if n else (0, 1):
         with pytest.raises(ValueError, match="out of range"):
             oddops.divided_difference(i, p)

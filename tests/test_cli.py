@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -78,11 +79,39 @@ def test_compute_pieri_at_k_zero_and_outside_the_rows(capsys, argv, want):
     # whitespace is not a plus sign: every later term starts with a sign
     ("x1 x2", "term 'x2' does not start with + or -"),
     ("2 x1", "term 'x1' does not start with + or -"),
+    # every integer is ASCII digits, read by combinat.read_natural
+    ("1_0*x1", "'1_0' is not a natural number in ASCII digits"),
+    ("x1_0", "'1_0' is not a natural number in ASCII digits"),
+    ("x1^\u0662", "malformed exponent '\u0662' in 'x1^\u0662'"),
+    ("", "no terms; the zero polynomial is written 0"),
 ])
 def test_compute_product_names_a_bad_exponent(capsys, left, fault):
     code, out, err = run_cli(capsys, "compute", "product", "--left", left, "--right", "1", "--vars", "2")
     assert (code, out) == (2, "")
     assert err == "error: cannot read %r: %s\n" % (left, fault)
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--partition", "2,,1", "--vars", "3"],
+    ["schur", "--partition", ",2", "--vars", "3"],
+    ["schur", "--partition", "2,", "--vars", "3"],
+    ["schur", "--partition", "1_0", "--vars", "3"],
+    ["schubert", "--perm", "\u0662 1"],
+    ["schubert", "--perm", "+2 1"],
+    ["product", "--left", "x1_0", "--right", "1", "--vars", "10"],
+])
+def test_compute_integer_tokens_are_ascii_digits(capsys, argv):
+    """Each of these read as some other input before one reader took every
+    integer token: "2,,1" as (2,1), "1_0" as 10, "+2" as 2, a non-ASCII
+    digit as its value, x1_0 as x10."""
+    code, out, err = run_cli(capsys, "compute", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ")
+
+
+def test_each_compute_function_takes_exactly_its_rows_flags():
+    for kind, (required, optional, compute) in COMPUTE_KINDS.items():
+        assert list(inspect.signature(compute).parameters) == list(required + optional), kind
 
 
 def test_compute_grassmann_matrix(capsys):
@@ -272,13 +301,13 @@ def test_compute_has_no_flag_that_no_kind_reads(flag):
 
 
 def _valid_compute_call(kind):
-    required, _ = COMPUTE_KINDS[kind]
+    required, _, _ = COMPUTE_KINDS[kind]
     return ["compute", kind, *_KIND_ARGS[kind], *(["--vars", "2"] if "vars" in required else [])]
 
 
 @pytest.mark.parametrize("kind, flag", [
     (kind, flag)
-    for kind, (required, optional) in COMPUTE_KINDS.items()
+    for kind, (required, optional, _) in COMPUTE_KINDS.items()
     for flag in ("a", "N", "vars", "partition", "perm", "k", "left", "right", "dmax")
     if flag not in required + optional
 ])
@@ -295,7 +324,7 @@ def test_compute_valid_call_passes(capsys, kind):
     assert code == 0 and out
 
 
-@pytest.mark.parametrize("kind", [k for k, (required, _) in COMPUTE_KINDS.items() if "vars" in required])
+@pytest.mark.parametrize("kind", [k for k, (required, _, _) in COMPUTE_KINDS.items() if "vars" in required])
 def test_compute_zero_vars_is_usage_error_where_vars_is_required(capsys, kind):
     code, out, err = run_cli(capsys, "compute", kind, *_KIND_ARGS[kind], "--vars", "0")
     assert code == 2

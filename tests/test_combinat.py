@@ -51,6 +51,10 @@ def test_partition_parse_format():
     assert C.parse_partition("2,1") == (2, 1)
     assert C.parse_partition("") == ()
     assert C.parse_partition("2,0") == (2,)
+    assert C.parse_partition("2, 1") == (2, 1)
+    for text in ("2,,1", ",2", "2,", "1_0", "-1", "+2", "\u0662", "2 1"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            C.parse_partition(text)
     assert C.format_partition((2, 1)) == "2,1"
 
 
@@ -91,10 +95,20 @@ def test_length_generating_function(a):
     assert total == QLaurent.q_power(a * (a - 1) // 2) * q_factorial(a)
 
 
+def test_read_natural_takes_ascii_digits_only():
+    assert C.read_natural("0") == 0 and C.read_natural("012") == 12
+    for text in ("", "1_0", "-1", "+1", " 1", "1 ", "\u0662", "\uff11", "1.0"):
+        with pytest.raises(ValueError, match="not a natural number in ASCII digits"):
+            C.read_natural(text)
+
+
 def test_permutation_parse_format():
     assert C.parse_permutation("3 1 2") == (3, 1, 2)
     with pytest.raises(ValueError):
         C.parse_permutation("1 1 2")
+    for text in ("\u0662 1", "1_0 1", "+2 1"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            C.parse_permutation(text)
 
 
 @pytest.mark.parametrize("a", range(1, 6))

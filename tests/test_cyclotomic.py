@@ -231,11 +231,26 @@ def test_incomplete_certification_error():
         CY.quotient_graded_rank(2, 4, d_max=2)
     # the default d_max certifies cleanly
     assert CY.quotient_graded_rank(2, 4).at_one() == 6
-    # an odd d_max would never read a boundary slice, so it is refused
+    # slices sit in even degrees, so an odd d_max is refused, naming the next even one
     with pytest.raises(C.DomainError, match="odd"):
         CY.quotient_graded_rank(3, 5, d_max=13)
     with pytest.raises(CY.IncompleteCertificationError, match="at least 14"):
         CY.quotient_graded_rank(3, 5, d_max=12)
+
+
+def test_uncertifiable_dmax_is_refused_before_any_slice_is_built(monkeypatch):
+    # for 0 < a < N the quotient has rank 1 in the top degree, so d_max = top
+    # can never certify; with d_max = top + 2 the chain is built and certifies
+    built = []
+    chain = CY.h_ideal_slices
+    monkeypatch.setattr(CY, "h_ideal_slices", lambda *args: built.append(args) or chain(*args))
+    for a, n_param in [(1, 2), (2, 4), (3, 5)]:
+        top = 2 * a * (n_param - a)
+        with pytest.raises(CY.IncompleteCertificationError, match="at least %d" % (top + 2)):
+            CY.quotient_graded_rank(a, n_param, d_max=top)
+        assert not built
+    assert CY.quotient_graded_rank(2, 4, d_max=10).at_one() == 6
+    assert built == [(2, 4, 10)]
 
 
 @pytest.mark.parametrize("a,n_param", [(1, 3), (2, 3), (2, 4), (3, 4)])

@@ -3,7 +3,9 @@ straightforward implementation it replaced (tests/reference_kernel.py).
 The closed-form d_i is compared with the recursive reference, which keeps
 its own memo, on every small one-term polynomial and on hypothesis
 polynomials, and with the memoized closed form it replaced by terms and key
-order, cold and on that memo's hits.  OnhElement.evaluate,
+order, cold and on that memo's hits.  divided_difference, now the
+one-letter word of apply_letters, is compared with the direct kernel call
+it was before, by terms, key order and error text.  OnhElement.evaluate,
 which applies the tail its words share once, then each middle, then the
 head they share, is compared with the per-word reference on words that
 share suffixes and on the sigma/lambda families;
@@ -33,7 +35,7 @@ import reference_kernel as ref
 from oddnil import combinat, oddops, oddsym, onh
 from oddnil.lincomb import collect
 from oddnil.qgrade import QLaurent
-from oddnil.skewpoly import SkewPolynomial, apply_simple_transposition, left_dot
+from oddnil.skewpoly import SkewPolynomial, _from_normal, _kernel, apply_simple_transposition
 
 # small exponents make products collide and cancel; large ones reach the
 # high bits of both parity masks and long d_i power formulas
@@ -78,16 +80,39 @@ def test_product_matches_reference(pair):
 def test_left_dot_matches_variable_product(case):
     r, p = case
     x = SkewPolynomial.variable(p.nvars, r)
-    out = normal(left_dot(r, p))
+    out = normal(oddops.apply_letters((r,), p))
     assert out == normal(x * p)
     assert out == normal(ref.mul(x, p))
 
 
 def test_left_dot_rejects_bad_index():
-    with pytest.raises(ValueError):
-        left_dot(3, SkewPolynomial.one(2))
-    with pytest.raises(ValueError):
-        left_dot(0, SkewPolynomial.one(2))
+    with pytest.raises(ValueError, match=r"^variable index 3 out of range$"):
+        oddops.apply_letters((3,), SkewPolynomial.one(2))
+    with pytest.raises(ValueError, match=r"^operator index 0 out of range for 2 variables$"):
+        oddops.apply_letters((0,), SkewPolynomial.one(2))
+
+
+def kernel_divided_difference(i, p):
+    """divided_difference as it called its kernel before it became the
+    one-letter word (-i,) of oddops.apply_letters."""
+    if not 1 <= i <= p.nvars - 1:
+        raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
+    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, oddops._dd_block))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+def test_divided_difference_matches_the_kernel_call_it_replaced(pair):
+    """The same terms in the same key order, the zero polynomial included,
+    and the same message for an index out of range on a nonzero p."""
+    f, g = pair
+    n = f.nvars
+    for p in (f, g, f - g, SkewPolynomial.zero(n)):
+        for i in range(1, n):
+            assert ordered(oddops.divided_difference(i, p)) == ordered(kernel_divided_difference(i, p))
+        if p:
+            for i in (0, -1, n, n + 1):
+                assert _outcome(oddops.divided_difference, i, p) == _outcome(kernel_divided_difference, i, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,7 +163,8 @@ def test_divided_difference_is_fresh_and_keeps_no_memo(pair, data):
     first = [oddops.divided_difference(i, p) for p in polys]
     second = [oddops.divided_difference(i, p) for p in polys]
     assert [normal(d) for d in first] == [normal(d) for d in second] == want
-    assert all(d.terms is not e.terms for d, e in zip(first, second))
+    # a zero p comes back as itself, as from any word of apply_letters
+    assert all(d.terms is not e.terms if p else d is e is p for p, d, e in zip(polys, first, second))
     assert [list(p.terms.items()) for p in polys] == inputs
     assert not oddops._dd_cache
 
@@ -169,7 +195,7 @@ def test_zero_polynomial_through_every_kernel():
         z = SkewPolynomial.zero(n)
         p = SkewPolynomial(n, {(1,) * n: 3})
         assert normal(z * p) == normal(p * z) == normal(ref.mul(z, p)) == (n, {})
-        assert normal(left_dot(n, z)) == (n, {})
+        assert normal(oddops.apply_letters((n,), z)) == (n, {})
         assert normal(onh.apply_word((n,), z)) == normal(ref.apply_word((n,), z))
         word = (n,) + tuple(-r for r in range(1, n))
         assert normal(oddops.apply_letters(word, z)) == normal(ref.apply_word(word, z)) == (n, {})

@@ -37,8 +37,6 @@ ALLOWED = {
     "oddops.clear_caches": "empties every lru_cache and the segment-image memo so a test or a timing starts cold; no result needs it",
     "onh.word_super_degree": "the parity of a word, for the parity shifts of ROADMAP items 6 and 8",
     "onh.OnhElement.normalize": "the standard-basis form of an element, for the standard-basis coordinates of ROADMAP item 6",
-    "skewpoly.left_dot": "x_r times p, the one-letter API beside oddops.divided_difference; "
-                         "oddops.apply_letters calls its kernel directly",
 }
 
 # references the AST cannot resolve count for no owner; where one is the
