@@ -39,6 +39,15 @@ def _parse(parser, text, *args):
         raise UsageError("cannot read %r: %s" % (text, exc)) from exc
 
 
+def _integer(text):
+    """An integer flag: an optional leading - and then ASCII digits, read by
+    combinat.read_natural, so 1_0, " 3" and non-ASCII digits are usage errors."""
+    try:
+        return -combinat.read_natural(text[1:]) if text[:1] == "-" else combinat.read_natural(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("cannot read %r: %s" % (text, exc)) from exc
+
+
 def _signed_partition_sum(terms):
     return format_terms(((mu, sign) for sign, mu in terms), lambda mu: "s(%s)" % combinat.format_partition(mu))
 
@@ -148,28 +157,28 @@ def build_parser():
 
     pc = sub.add_parser("compute", help="compute and print an object")
     pc.add_argument("kind", choices=COMPUTE_KINDS)
-    pc.add_argument("--a", type=int)
-    pc.add_argument("--N", type=int)
-    pc.add_argument("--vars", type=int, help="number of variables")
+    pc.add_argument("--a", type=_integer)
+    pc.add_argument("--N", type=_integer)
+    pc.add_argument("--vars", type=_integer, help="number of variables")
     pc.add_argument("--partition", type=str, help='comma list, e.g. "2,1"')
     pc.add_argument("--perm", type=str, help='one-line notation, e.g. "3 1 2"')
-    pc.add_argument("--k", type=int)
+    pc.add_argument("--k", type=_integer)
     pc.add_argument("--left", type=str, help="polynomial text")
     pc.add_argument("--right", type=str, help="polynomial text")
-    pc.add_argument("--dmax", type=int)
+    pc.add_argument("--dmax", type=_integer)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run verification checks")
     pv.add_argument("checks", nargs="+", help='check ids or "all"')
-    pv.add_argument("--a", type=int)
-    pv.add_argument("--b", type=int)
-    pv.add_argument("--N", type=int)
-    pv.add_argument("--dmax", type=int)
-    pv.add_argument("--max-rank", type=int, help="clamp default sweeps to this thickness")
-    pv.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    pv.add_argument("--a", type=_integer)
+    pv.add_argument("--b", type=_integer)
+    pv.add_argument("--N", type=_integer)
+    pv.add_argument("--dmax", type=_integer)
+    pv.add_argument("--max-rank", type=_integer, help="clamp default sweeps to this thickness")
+    pv.add_argument("--seed", type=_integer, default=verify.DEFAULT_SEED)
     pv.add_argument("--json", action="store_true")
-    pv.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+    pv.add_argument("--parallel", type=_integer, default=os.cpu_count() or 1)
     pv.set_defaults(func=cmd_verify)
     return parser
 

@@ -5,27 +5,29 @@ of the skew machinery so it can serve as a mod-2 cross-check: commutative
 polynomials as exponent-vector dicts, classical divided differences, even
 elementary/complete/Schur polynomials, and GF(2) ranks of the even
 Grassmannian quotient slices, computed on e-words.
+
+The ``Gf2Poly`` constructor is the reduction mod 2: it keeps, with
+coefficient 1, each monomial whose integer coefficient is odd, so
+``oddsym.mod2_reduction`` hands it a skew polynomial's terms unchanged.
+Of ``oddnil`` this module imports only ``combinat``.
 """
 
 from functools import lru_cache
 import itertools
+import operator
 
 from . import combinat
 
 
 class Gf2Poly:
-    """Commutative polynomial over Z/2 (dict of exponent vectors)."""
+    """Commutative polynomial over Z/2 (dict of exponent vectors); built
+    from integer terms, it keeps the monomials with odd coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        d = {}
-        if terms:
-            for m, c in terms.items():
-                if c % 2:
-                    d[tuple(m)] = 1
-        self.terms = d
+        self.terms = {tuple(m): 1 for m, c in terms.items() if c % 2} if terms else {}
 
     def __eq__(self, other):
         return (
@@ -50,9 +52,10 @@ class Gf2Poly:
 
     def __mul__(self, other):
         d = {}
+        add = operator.add
         for ma in self.terms:
             for mb in other.terms:
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 if m in d:
                     del d[m]
                 else:

@@ -325,8 +325,9 @@ def pieri_expected(alpha, k, a):
 
 def mod2_reduction(f):
     """Forget signs and reduce coefficients mod 2 (lands in the commutative
-    polynomial ring over Z/2)."""
-    return evenoracle.Gf2Poly(f.nvars, {m: c % 2 for m, c in f.terms.items()})
+    polynomial ring over Z/2).  The Gf2Poly constructor is the reduction:
+    it drops the even coefficients in its one pass over f's terms."""
+    return evenoracle.Gf2Poly(f.nvars, f.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,49 @@
-"""The GF(2) quotient ranks that ``evenoracle`` computed before it worked
-on e-words, kept as a test oracle.
+"""Earlier bodies of ``evenoracle`` code, kept as test oracles.
 
-The bodies are the earlier ``even_quotient_rank_gf2`` with its helpers
-``_even_eword``, ``_even_expand`` and ``_gf2_rank`` and the integer
-polynomial arithmetic ``zpoly_add``, ``zpoly_scale`` and ``zpoly_mul``,
-unchanged: every generator e_lam h_m e_mu is formed as a commutative
-polynomial over Z, expanded back into sorted e-words by leading monomials,
-and reduced mod 2.
+The GF(2) quotient ranks from before ``evenoracle`` worked on e-words: the
+earlier ``even_quotient_rank_gf2`` with its helpers ``_even_eword``,
+``_even_expand`` and ``_gf2_rank`` and the integer polynomial arithmetic
+``zpoly_add``, ``zpoly_scale`` and ``zpoly_mul``, unchanged: every
+generator e_lam h_m e_mu is formed as a commutative polynomial over Z,
+expanded back into sorted e-words by leading monomials, and reduced mod 2.
+
+The mod-2 path from before the ``Gf2Poly`` constructor became the
+reduction: ``gf2_terms`` is the loop of the earlier ``Gf2Poly.__init__``,
+``gf2_mul`` the loop of the earlier ``Gf2Poly.__mul__`` (keys summed by a
+generator over ``zip``), and ``mod2_reduction`` the earlier two-pass
+``oddsym.mod2_reduction``, which reduced every coefficient into a new dict
+before the constructor dropped the zeros.  All three return terms dicts.
 """
 
 from functools import lru_cache
 
 from oddnil import combinat
 from oddnil.evenoracle import even_complete, even_elementary
+
+
+def gf2_terms(terms):
+    d = {}
+    if terms:
+        for m, c in terms.items():
+            if c % 2:
+                d[tuple(m)] = 1
+    return d
+
+
+def gf2_mul(p, q):
+    d = {}
+    for ma in p:
+        for mb in q:
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if m in d:
+                del d[m]
+            else:
+                d[m] = 1
+    return d
+
+
+def mod2_reduction(f):
+    return gf2_terms({m: c % 2 for m, c in f.terms.items()})
 
 
 def zpoly_add(p, q):

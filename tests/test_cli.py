@@ -300,6 +300,39 @@ def test_compute_has_no_flag_that_no_kind_reads(flag):
     assert exc.value.code == 2
 
 
+# every integer flag, in a call that is valid once the flag reads a number
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "grassmann-matrix"], "--a"),
+    (["compute", "oh-rank", "--a", "2"], "--N"),
+    (["compute", "elementary", "--k", "1"], "--vars"),
+    (["compute", "elementary", "--vars", "3"], "--k"),
+    (["compute", "oh-rank", "--a", "2", "--N", "4"], "--dmax"),
+    (["verify", "oval", "--b", "2"], "--a"),
+    (["verify", "oval", "--a", "2"], "--b"),
+    (["verify", "oh_rank", "--a", "2"], "--N"),
+    (["verify", "mod2"], "--dmax"),
+    (["verify", "da_values"], "--max-rank"),
+    (["verify", "e_h_relation"], "--seed"),
+    (["verify", "e_h_relation"], "--parallel"),
+])
+@pytest.mark.parametrize("token", ["1_0", " 3", "3 ", "+3", "٣", "3.0", "-", ""])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, token):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, token])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: cannot read %r" % (flag, token) in err
+
+
+def test_integer_flags_still_take_a_leading_minus(capsys):
+    code, out, _ = run_cli(capsys, "verify", "e_h_relation", "--seed", "-3", "--parallel", "1", "--json")
+    assert code == 0 and json.loads(out)[0]["status"] == "pass"
+    code, _, err = run_cli(capsys, "compute", "elementary", "--k", "1", "--vars", "-1")
+    assert code == 2 and "--vars must be >= 1, got -1" in err
+    code, _, err = run_cli(capsys, "verify", "e_h_relation", "--parallel", "-0")
+    assert code == 2 and "--parallel must be >= 1, got 0" in err
+
+
 def _valid_compute_call(kind):
     required, _, _ = COMPUTE_KINDS[kind]
     return ["compute", kind, *_KIND_ARGS[kind], *(["--vars", "2"] if "vars" in required else [])]

@@ -1,11 +1,16 @@
+import ast
+import pathlib
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference_evenoracle as R
 from oddnil import combinat as C
 from oddnil import cyclotomic as CY
 from oddnil import evenoracle as E
+from oddnil import oddsym as S
+from oddnil.skewpoly import SkewPolynomial
 
 
 def poly(nvars, *terms):
@@ -90,6 +95,86 @@ def test_gf2_poly_arithmetic():
     sq = p * q
     # (x+y)^2 = x^2 + y^2 over GF(2)
     assert sq == E.Gf2Poly(2, {(2, 0): 1, (0, 2): 1})
+
+
+# small exponents and few variables, so that products often meet the same
+# monomial twice and cancel mod 2; coefficients include 0, even and negative
+@st.composite
+def terms_dicts(draw, nvars):
+    monos = st.tuples(*[st.integers(0, 2)] * nvars)
+    return draw(st.dictionaries(monos, st.integers(-4, 4), max_size=8))
+
+
+@st.composite
+def term_pairs(draw):
+    nvars = draw(st.integers(1, 7))
+    return nvars, draw(terms_dicts(nvars)), draw(terms_dicts(nvars))
+
+
+def _sum_of_variables(nvars):
+    return {tuple(int(j == i) for j in range(nvars)): 1 for i in range(nvars)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_pairs())
+@example((3, {}, {(1, 0, 0): 3}))
+@example((2, {(1, 0): 2, (0, 1): -4}, {(1, 1): -1}))
+@example((4, _sum_of_variables(4), _sum_of_variables(4)))
+@example((7, {(0,) * 7: -3, (2,) * 7: 5}, {(1,) * 7: -1, (0,) * 7: 0}))
+def test_mod2_path_matches_the_two_pass_reference(case):
+    nvars, p, q = case
+    # the constructor is the reduction, on raw dicts with zero coefficients too
+    assert list(E.Gf2Poly(nvars, p).terms.items()) == list(R.gf2_terms(p).items())
+    f, g = SkewPolynomial(nvars, p), SkewPolynomial(nvars, q)
+    for h in (f, g, f * g):
+        red = S.mod2_reduction(h)
+        assert red.nvars == nvars
+        assert list(red.terms.items()) == list(R.mod2_reduction(h).items())
+    prod = E.Gf2Poly(nvars, f.terms) * E.Gf2Poly(nvars, g.terms)
+    assert list(prod.terms.items()) == list(R.gf2_mul(R.gf2_terms(f.terms), R.gf2_terms(g.terms)).items())
+    assert S.mod2_reduction(f * g) == prod
+
+
+def test_mod2_product_cancels_pairs_of_equal_monomials():
+    s = _sum_of_variables(4)
+    sq = E.Gf2Poly(4, s) * E.Gf2Poly(4, s)
+    # (x1 + ... + x4)^2 = x1^2 + ... + x4^2 over GF(2): each cross term twice
+    assert list(sq.terms) == [tuple(2 * e for e in m) for m in s]
+
+
+def _oddnil_imports(tree):
+    """(module, name) for every name the tree imports from the oddnil
+    package, relative or absolute; name is None for ``import oddnil.x``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = "oddnil" + ("." + node.module if node.module else "")
+            elif node.module == "oddnil" or node.module.startswith("oddnil."):
+                base = node.module
+            else:
+                continue
+            out.extend((base, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.extend((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "oddnil")
+    return out
+
+
+def test_evenoracle_imports_only_combinat_from_oddnil():
+    # the oracle checks skewpoly, oddops, lincomb, onh and oddsym, so no
+    # speed-up may route it through them
+    path = pathlib.Path(E.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _oddnil_imports(tree) == [("oddnil", "combinat")]
+    dynamic = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [f for f in dynamic if getattr(f, "id", getattr(f, "attr", None)) in ("__import__", "import_module")]
+
+
+def test_the_import_guard_sees_every_form_of_import():
+    tree = ast.parse("from . import combinat, skewpoly\nfrom .oddops import dd\n"
+                     "from oddnil import onh\nimport oddnil.lincomb\nimport itertools\nfrom functools import reduce")
+    assert _oddnil_imports(tree) == [("oddnil", "combinat"), ("oddnil", "skewpoly"), ("oddnil.oddops", "dd"),
+                                     ("oddnil", "onh"), ("oddnil.lincomb", None)]
 
 
 def test_even_quotient_ranks_match_box_counts():
