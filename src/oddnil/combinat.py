@@ -183,6 +183,14 @@ def enumerate_sq(a):
     return [tuple(t) for t in itertools.product(*ranges)]
 
 
+def sq_strands(ell):
+    """The a with ell in Sq(a), len(ell) + 1; a ValueError unless 0 <= l_nu <= nu."""
+    a = len(ell) + 1
+    if any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
+        raise ValueError("%r is not in Sq(%d)" % (ell, a))
+    return a
+
+
 def seq_hat(ell):
     """Complementary dot counts: hat(l)_nu = nu - l_nu."""
     return tuple(nu + 1 - l for nu, l in enumerate(ell))

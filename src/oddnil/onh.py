@@ -158,8 +158,7 @@ class OnhElement:
         """Semantic equality, via evaluation on the Schubert basis."""
         if not isinstance(other, OnhElement):
             return NotImplemented
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
+        self._same_strands(other)
         return (self - other).is_zero()
 
     def __add__(self, other):
@@ -171,11 +170,14 @@ class OnhElement:
     def __sub__(self, other):
         return self._plus(other, -1)
 
+    def _same_strands(self, other):
+        if self.strands != other.strands:
+            raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
+
     def _plus(self, other, sign):
         if not isinstance(other, OnhElement):
             return NotImplemented
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch")
+        self._same_strands(other)
         return _element(self.strands, add_scaled(dict(self.combo), other.combo, sign))
 
     def scale(self, c):
@@ -192,8 +194,7 @@ class OnhElement:
             return self.scale(other)
         if not isinstance(other, OnhElement):
             return NotImplemented
-        if self.strands != other.strands:
-            raise ValueError("strand mismatch: %d vs %d" % (self.strands, other.strands))
+        self._same_strands(other)
         return _element(self.strands, convolve(self.combo, other.combo))
 
     def evaluate(self, p):
@@ -501,9 +502,7 @@ def bigX(alpha, a, b):
 def sigma_seq(ell):
     """sigma_l: nested splitters (nu+1) -> (nu, 1) from thickness a down,
     with an eps_{l_nu} box right above the thickness-nu leg."""
-    a = len(ell) + 1
-    if any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
-        raise ValueError("%r is not in Sq(%d)" % (ell, a))
+    a = combinat.sq_strands(ell)
     out = OnhElement.identity(a)
     for nu in range(1, a):
         split_nu = embed(up_splitter(nu, 1), 0, a)
@@ -522,9 +521,7 @@ def lambda_seq(ell):
     some diagonal signs and fails the orthogonality contract, so the
     intermediate merges are kept.
     """
-    a = len(ell) + 1
-    if any(not 0 <= l <= nu for nu, l in enumerate(ell, start=1)):
-        raise ValueError("%r is not in Sq(%d)" % (ell, a))
+    a = combinat.sq_strands(ell)
     hat = combinat.seq_hat(ell)
     word = []
     for nu in range(a - 1, 0, -1):

@@ -71,8 +71,8 @@ class SkewPolynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
+    def monomial(cls, nvars, exps):
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def variable(cls, nvars, i):

@@ -18,9 +18,10 @@ A check that raises reports status "error" with the exception in one
 line, and the checks after it still run; an input outside a check's
 domain (DomainError, BoxViolationError) still raises, as a usage error.
 
-Every check is deterministic given its params and seed; randomized sweeps
-draw from a generator seeded by (seed, check id), and the default sweeps
-always include exhaustive small cases so a pass never depends on luck.
+Every check but ea_standard runs every instance of a stated finite domain.
+ea_standard's boxes e_a f e_a = e_a f take random f from a generator seeded
+by (seed, check id), because benchmarks/workloads.py sets their number
+(random_boxes) and passes the seed.
 Two sentinel checks (the mirrored projector slide and the non-central
 x_1^2) fail by design; harnesses assert their status is "fail".
 """
@@ -314,8 +315,8 @@ def check_eps_relations(params, rng):
 
 def check_pieri(params, rng):
     for a in params["a_list"]:
-        for alpha in combinat.partitions_in_box(params["rows"], params["cols"]):
-            for k in range(1, params["k_max"] + 1):
+        for alpha in combinat.partitions_in_box(3, 3):
+            for k in range(1, 4):
                 lhs = oddsym.schur(alpha, a) * oddsym.elementary(k, a).scale(
                     (-1) ** comb(k, 2)
                 )
@@ -326,33 +327,29 @@ def check_pieri(params, rng):
 
 
 def check_owl_corollary(params, rng):
+    """The OWL corollaries: D(fg) = f^{w0} D(g) for every sorted eps-word f
+    of degree <= f_dmax and monomial g of degree <= 6, and D(f)^{w0} =
+    (-1)^{binom(a,2)} D(f^{w0}) for every monomial f of degree <= 6, so for
+    every polynomial there: both sides are linear in f, as w0 and D are.
+    D lowers the degree by a(a-1), so at a = 4 both sides are zero."""
     for a in range(2, params["a_max"] + 1):
         eps_words = [
             lam
             for hd in range(0, params["f_dmax"] // 2 + 1)
             for lam in combinat.partitions_of(hd, maxpart=a)
         ]
-        monos = _monomials_up_to(a, params["g_dmax"] // 2)
+        monos = {m: SkewPolynomial.monomial(a, m) for m in _monomials_up_to(a, 3)}
+        d = {m: oddops.longest_dd(a, g) for m, g in monos.items()}
         for lam in eps_words:
             f = oddsym.elementary_word_value(lam, a)
             fw0 = apply_w0(f)
-            for m in monos:
-                g = SkewPolynomial.monomial(a, m)
-                yield (
-                    ("D(fg) = f^w0 D(g)", a, lam, m),
-                    fw0 * oddops.longest_dd(a, g),
-                    oddops.longest_dd(a, f * g),
-                )
-        # second corollary on random polynomials
-        allm = _monomials_up_to(a, 3)
-        for _ in range(params["random_sweeps"]):
-            f = SkewPolynomial.zero(a)
-            for m in rng.sample(allm, min(4, len(allm))):
-                f = f + SkewPolynomial.monomial(a, m, rng.randint(-3, 3))
+            for m, g in monos.items():
+                yield ("D(fg) = f^w0 D(g)", a, lam, m), fw0 * d[m], oddops.longest_dd(a, f * g)
+        for m, f in monos.items():
             yield (
-                ("D(f)^w0 = (-1)^C(a,2) D(f^w0)", a, str(f)),
+                ("D(f)^w0 = (-1)^C(a,2) D(f^w0)", a, m),
                 oddops.longest_dd(a, apply_w0(f)).scale((-1) ** comb(a, 2)),
-                apply_w0(oddops.longest_dd(a, f)),
+                apply_w0(d[m]),
             )
 
 
@@ -402,15 +399,13 @@ def check_ea_standard(params, rng):
         )
     for a in range(2, min(params["a_max"], 4) + 1):
         for t in range(params["random_boxes"]):
-            f = SkewPolynomial.one(a)
-            deg = 0
-            while deg < 8:
-                k = rng.randint(1, a)
-                f = f * oddsym.elementary(k, a)
-                deg += 2 * k
+            f, word = SkewPolynomial.one(a), ()
+            while sum(word) < 4:  # degree < 8
+                word += (rng.randint(1, a),)
+                f = f * oddsym.elementary(word[-1], a)
                 if rng.random() < 0.4:
                     break
-            yield ("e_a f e_a = e_a f", a, t), onh.idempotent_e(a) * onh.from_polynomial(f), onh.box(f, a)
+            yield ("e_a f e_a = e_a f", a, t, word), onh.idempotent_e(a) * onh.from_polynomial(f), onh.box(f, a)
 
 
 def check_ea_idem(params, rng):
@@ -552,7 +547,7 @@ def check_shuffle(params, rng):
     for a in (2, 3):
         for i in range(1, a):
             for m in range(0, params["m_max"] + 1):
-                for k in range(1, params["k_max"] + 1):
+                for k in range(1, 5):
 
                     def mono(p, q):
                         e = [0] * a
@@ -800,6 +795,11 @@ def check_schur_box(params, rng):
 
 
 def check_mod2(params, rng):
+    """eps_k, h_k and Schur polynomials reduce mod 2 to the even ones, OH_{a,N}
+    has the graded ranks of the even quotient over GF(2), and (fg) mod 2 =
+    (f mod 2)(g mod 2) for every two monomials of degree <= 4, so for every
+    two polynomials there: both sides are bilinear, as the skew product is
+    and reduction mod 2 is additive."""
     for a in range(1, params["a_max"] + 1):
         for k in range(0, min(a, 4) + 1):
             yield (
@@ -820,17 +820,10 @@ def check_mod2(params, rng):
                 oddsym.mod2_reduction(oddsym.schur(alpha, a)),
             )
         # skew multiplication reduces to commutative multiplication mod 2
-        allm = _monomials_up_to(a, 2)
-        for _ in range(params["random_sweeps"]):
-            f = SkewPolynomial.zero(a)
-            g = SkewPolynomial.zero(a)
-            for m in rng.sample(allm, min(3, len(allm))):
-                f = f + SkewPolynomial.monomial(a, m, rng.randint(-2, 2))
-            for m in rng.sample(allm, min(3, len(allm))):
-                g = g + SkewPolynomial.monomial(a, m, rng.randint(-2, 2))
-            lhs = oddsym.mod2_reduction(f * g)
-            rhs = oddsym.mod2_reduction(f) * oddsym.mod2_reduction(g)
-            yield ("multiply mod 2", a, str(f), str(g)), rhs, lhs
+        monos = {m: SkewPolynomial.monomial(a, m) for m in _monomials_up_to(a, 2)}
+        reduced = {m: oddsym.mod2_reduction(f) for m, f in monos.items()}
+        for (m, f), (n, g) in itertools.product(monos.items(), repeat=2):
+            yield ("multiply mod 2", a, m, n), reduced[m] * reduced[n], oddsym.mod2_reduction(f * g)
     for (a, n_param) in params["quotient_pairs"]:
         for sl in cyclotomic.h_ideal_slices(a, n_param, 2 * a * (n_param - a)):
             yield (
@@ -932,8 +925,8 @@ REGISTRY = {
     "defining_relations": Check(check_defining_relations, {"a_list": [2, 3, 4], "dmax": 8}),
     "e_h_relation": Check(check_e_h_relation, {"a_max": 5, "m_max": 8}),
     "eps_relations": Check(check_eps_relations, {"a_max": 5, "m_max": 5}),
-    "pieri": Check(check_pieri, {"a_list": [3, 4], "rows": 3, "cols": 3, "k_max": 3}),
-    "owl_corollary": Check(check_owl_corollary, {"a_max": 4, "f_dmax": 8, "g_dmax": 6, "random_sweeps": 10}),
+    "pieri": Check(check_pieri, {"a_list": [3, 4]}),
+    "owl_corollary": Check(check_owl_corollary, {"a_max": 4, "f_dmax": 8}),
     "da_values": Check(check_da_values, {"a_max": 5}),
     "crossing_slide": Check(check_crossing_slide, {"a_max": 5}),
     "da_slide": Check(check_da_slide, {"a_max": 5}),
@@ -942,7 +935,7 @@ REGISTRY = {
     "splitter_assoc": Check(check_splitter_assoc, {"total_max": 4}),
     "oval": Check(check_oval, {"pairs": [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]}, {"pairs": AB_PAIRS}),
     "dapb": Check(check_dapb, {"pairs": [(1, 1), (2, 1), (2, 2), (2, 3)]}, {"pairs": AB_PAIRS}),
-    "shuffle": Check(check_shuffle, {"m_max": 4, "k_max": 4}),
+    "shuffle": Check(check_shuffle, {"m_max": 4}),
     "staircase_vanish": Check(check_staircase_vanish, {"a_max": 5}),
     "add_step": Check(check_add_step, {"a_max": 5}),
     "reorder_revstair": Check(check_reorder_revstair, {"a_max": 5}),
@@ -957,7 +950,7 @@ REGISTRY = {
     "grassmann_recursion": Check(check_grassmann_recursion, {"a_max": 3, "n_max": 6}),
     "oh_rank": Check(check_oh_rank, {"pairs": [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)]}, {"pairs": AN_PAIRS}),
     "schur_box": Check(check_schur_box, {"pairs": [(2, 3), (2, 4)]}, {"pairs": AN_PAIRS}),
-    "mod2": Check(check_mod2, {"a_max": 4, "deg_max": 8, "random_sweeps": 10, "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)]}),
+    "mod2": Check(check_mod2, {"a_max": 4, "deg_max": 8, "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)]}),
     "sentinel_mirror_ea_slide": Check(check_sentinel_mirror_ea_slide, {"a_max": 4}),
     "sentinel_x1sq_central": Check(check_sentinel_x1sq_central, {"a": 2}),
 }

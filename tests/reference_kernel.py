@@ -192,7 +192,7 @@ def _dd_mono(i, nvars, mono):
         svar = i + 1 if var == i else (i if var == i + 1 else var)
         se = [0] * nvars
         se[svar - 1] = m
-        shead = SkewPolynomial.monomial(nvars, se, 1 if m % 2 == 0 else -1)
+        shead = SkewPolynomial(nvars, {tuple(se): 1 if m % 2 == 0 else -1})
         out = out + mul(shead, _dd_mono(i, nvars, rest))
     else:
         out = head if head is not None else SkewPolynomial.zero(nvars)

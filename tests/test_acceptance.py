@@ -55,7 +55,7 @@ def test_ac3_odd_pieri():
     _run(
         "AC-3 odd Pieri",
         "pieri",
-        {"a_list": [3, 4], "rows": 3, "cols": 3, "k_max": 3},
+        {"a_list": [3, 4]},
         budget=120,
     )
 
@@ -68,7 +68,7 @@ def test_ac5_owl_corollary():
     _run(
         "AC-5 OWL corollary",
         "owl_corollary",
-        {"a_max": 4, "f_dmax": 8, "g_dmax": 6, "random_sweeps": 10},
+        {"a_max": 4, "f_dmax": 8},
     )
 
 
@@ -136,7 +136,6 @@ def test_ac12_mod2_oracle():
         {
             "a_max": 4,
             "deg_max": 8,
-            "random_sweeps": 10,
             "quotient_pairs": [(1, 3), (2, 3), (2, 4), (3, 4)],
         },
     )

@@ -1,3 +1,5 @@
+import itertools
+import re
 from math import comb, factorial
 
 import pytest
@@ -127,3 +129,14 @@ def test_sq_small_examples():
     assert C.enumerate_sq(1) == [()]
     assert C.enumerate_sq(2) == [(0,), (1,)]
     assert len(C.enumerate_sq(3)) == 6
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_sq_strands_takes_exactly_the_members_of_sq(a):
+    sq = set(C.enumerate_sq(a))
+    for ell in sq:
+        assert C.sq_strands(ell) == a
+    for ell in itertools.product(range(-1, a + 1), repeat=a - 1):
+        if ell not in sq:
+            with pytest.raises(ValueError, match=r"^%s is not in Sq\(%d\)$" % (re.escape(repr(ell)), a)):
+                C.sq_strands(ell)

@@ -282,7 +282,7 @@ def test_odd_symmetrize_is_projection(a):
     for _ in range(10):
         p = SkewPolynomial.zero(a)
         for m in rng.sample(monos, 3):
-            p = p + SkewPolynomial.monomial(a, m, rng.randint(-2, 2))
+            p = p + SkewPolynomial(a, {m: rng.randint(-2, 2)})
         sp = O.odd_symmetrize(p)
         assert S.is_odd_symmetric(sp)
         assert O.odd_symmetrize(sp) == sp
@@ -305,7 +305,7 @@ def test_owl_corollaries(a):
     for _ in range(12):
         f = SkewPolynomial.zero(a)
         for m in rng.sample(monos, min(4, len(monos))):
-            f = f + SkewPolynomial.monomial(a, m, rng.randint(-3, 3))
+            f = f + SkewPolynomial(a, {m: rng.randint(-3, 3)})
         assert apply_w0(O.longest_dd(a, f)) == O.longest_dd(a, apply_w0(f)).scale(
             (-1) ** comb(a, 2)
         )

@@ -17,7 +17,7 @@ def x(a, i):
 
 def test_elementary_examples():
     assert format_skew(S.elementary(1, 3)) == "x1 - x2 + x3"
-    assert S.elementary(2, 2) == SkewPolynomial.monomial(2, (1, 1), -1)
+    assert S.elementary(2, 2) == SkewPolynomial(2, {(1, 1): -1})
     assert S.elementary(0, 3) == SkewPolynomial.one(3)
     assert S.elementary(4, 3).is_zero()
     assert S.elementary(-2, 3).is_zero()

@@ -352,8 +352,16 @@ def test_sigma_lambda_seq_small():
     assert l0 * s0 == e2 and l1 * s1 == e2
     assert (l1 * s0).is_zero() and (l0 * s1).is_zero()
     assert s0 * l0 + s1 * l1 == H.OnhElement.identity(2)
-    with pytest.raises(ValueError):
-        H.sigma_seq((5,))
+    for seq in (H.sigma_seq, H.lambda_seq):
+        with pytest.raises(ValueError, match=r"^\(5,\) is not in Sq\(2\)$"):
+            seq((5,))
+
+
+def test_every_strand_mismatch_says_the_two_counts():
+    two, three = H.OnhElement.identity(2), H.OnhElement.identity(3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x == y):
+        with pytest.raises(ValueError, match=r"^strand mismatch: 2 vs 3$"):
+            op(two, three)
 
 
 def test_sigma_lambda_seq_a3_all_pairings():

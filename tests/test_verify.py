@@ -70,6 +70,69 @@ def test_a_failing_element_identity_reports_its_schubert_witness(monkeypatch):
     ]
 
 
+def test_a_failing_random_box_names_its_eps_word(monkeypatch):
+    """ea_standard's boxes take f = eps_{k_1} ... eps_{k_r} for a drawn word
+    (k_1, ..., k_r); a failing one is labelled (name, a, t, word) and its
+    Schubert witness, so the report says which f failed without the seed."""
+    from oddnil import onh, oddsym
+
+    drawn = []
+
+    def faulty_box(f, a):
+        drawn.append(f)
+        return onh.OnhElement.zero(a)
+
+    monkeypatch.setattr(onh, "box", faulty_box)
+    r = V.run_check("ea_standard", {"a_max": 3, "random_boxes": 4})
+    assert r.status == "fail" and len(r.details) == len(drawn) == 2 * 4
+    for (label, _, _), f in zip(r.details, drawn):
+        name, a, t, word, _ = ast.literal_eval(label)
+        assert name == "e_a f e_a = e_a f" and 0 <= t < 4
+        assert all(1 <= k <= a for k in word)
+        assert oddsym.elementary_word_value(word, a) == f
+
+
+def test_owl_corollary_fails_at_a_monomial_whose_w0_sign_is_wrong(monkeypatch):
+    """w0 with the wrong sign on the polynomial x1^2 x2 alone breaks
+    D(f)^w0 = (-1)^C(a,2) D(f^w0) at f = x1^2 x2, where D_3 is -1.  Only a
+    check that applies w0 to that monomial by itself can see the fault, and
+    the sweep over monomials names it."""
+    from oddnil.skewpoly import apply_w0
+
+    bad = (2, 1, 0)
+
+    def faulty_w0(f):
+        image = apply_w0(f)
+        return image.scale(-1) if list(f.terms) == [bad] else image
+
+    monkeypatch.setattr(V, "apply_w0", faulty_w0)
+    r = V.run_check("owl_corollary")
+    assert r.status == "fail"
+    assert [label for label, _, _ in r.details] == [str(("D(f)^w0 = (-1)^C(a,2) D(f^w0)", 3, bad))]
+
+
+def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
+    """A skew product x2 * x1 x3 with an even coefficient vanishes mod 2 while
+    the product of the reductions does not.  Only a check that multiplies
+    those two monomials by themselves can see the fault, and the sweep over
+    pairs of monomials names that pair."""
+    from oddnil.skewpoly import SkewPolynomial
+
+    left, right = (0, 1, 0), (1, 0, 1)
+    product = SkewPolynomial.__mul__
+
+    def faulty_mul(f, g):
+        out = product(f, g)
+        if isinstance(g, SkewPolynomial) and list(f.terms) == [left] and list(g.terms) == [right]:
+            return out.scale(2)
+        return out
+
+    monkeypatch.setattr(SkewPolynomial, "__mul__", faulty_mul)
+    r = V.run_check("mod2")
+    assert r.status == "fail"
+    assert [label for label, _, _ in r.details] == [str(("multiply mod 2", 3, left, right))]
+
+
 def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
     """A lattice or box property is the instance (label, True, condition);
     when it fails, its triple is (str(label), "True", "False")."""
