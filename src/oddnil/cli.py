@@ -195,7 +195,3 @@ def main(argv=None):
         # one line instead of a traceback
         print("internal error: %s" % verify.error_line(exc), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -52,6 +52,13 @@ def check_box(alpha, a, b):
     return alpha
 
 
+def check_parts(alpha, a):
+    alpha = normalize_partition(alpha)
+    if len(alpha) > a:
+        raise BoxViolationError("%r has more than %d parts" % (alpha, a))
+    return alpha
+
+
 @lru_cache(maxsize=None)
 def partitions_in_box(a, b):
     """All partitions fitting in an a x b box, in graded lexicographic order:

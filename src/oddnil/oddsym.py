@@ -124,9 +124,7 @@ def schubert(w, a):
 def chi(alpha, a):
     """The normal-ordering parity ledger chi_alpha^a (an integer; only its
     parity matters)."""
-    alpha = combinat.normalize_partition(alpha)
-    if len(alpha) > a:
-        raise combinat.BoxViolationError("%r has more than %d parts" % (alpha, a))
+    alpha = combinat.check_parts(alpha, a)
     total = comb(a, 3) + sum(alpha) * comb(a, 2)
     for j, part in enumerate(alpha, start=1):
         total += part * comb(a - j + 1, 2)
@@ -151,9 +149,7 @@ def schur(alpha, a):
 def dual_schur(alpha, a):
     """Dual Schur polynomial via the reversed staircase:
     (-1)^{chi_alpha^a} w_0 . D_a(x_1^{alpha_a} x_2^{1+alpha_{a-1}} ...)."""
-    alpha = combinat.normalize_partition(alpha)
-    if len(alpha) > a:
-        raise combinat.BoxViolationError("%r has more than %d parts" % (alpha, a))
+    alpha = combinat.check_parts(alpha, a)
     padded = list(alpha) + [0] * (a - len(alpha))
     exps = tuple(padded[a - 1 - j] + j for j in range(a))
     sign = (-1) ** chi(alpha, a)

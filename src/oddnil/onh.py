@@ -10,9 +10,10 @@ the picture.
 Equality is decided by evaluation on the odd Schubert basis: an element
 is zero iff it kills every Schubert polynomial (the representation is
 faithful and the action is right-linear over the odd symmetric subring,
-which is why the a! Schubert polynomials suffice).  When two elements
-differ, witness names the first Schubert polynomial on which they do,
-with both values.  No rewriting system is used anywhere.
+which is why the a! Schubert polynomials suffice).  The one procedure is
+witness(x, y): it evaluates x - y on the basis, stops at the first
+nonzero value and reports x and y there; x == y is witness(x, y) is None.
+No rewriting system is used anywhere.
 
 Evaluation splits the words once (_plan) into a head that two or more
 words all start with, a tail that two or more of the rest all end with,
@@ -159,7 +160,7 @@ class OnhElement:
         if not isinstance(other, OnhElement):
             return NotImplemented
         self._same_strands(other)
-        return (self - other).is_zero()
+        return witness(self, other) is None
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -183,15 +184,8 @@ class OnhElement:
     def scale(self, c):
         return _element(self.strands, scaled(self.combo, c))
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def __mul__(self, other):
         """Lazy concatenation of words."""
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, OnhElement):
             return NotImplemented
         self._same_strands(other)
@@ -226,10 +220,6 @@ class OnhElement:
         # a large sum meets the head at once, a small one the memo
         return oddops.apply_letters(head, q) if len(d) > len(head) else apply_word(head, q)
 
-    def is_zero(self):
-        basis = schubert_basis_list(self.strands)
-        return all(self.evaluate(p).is_zero() for p in basis)
-
     def degrees(self):
         return sorted({word_degree(w) for w in self.combo})
 
@@ -246,11 +236,13 @@ class OnhElement:
 
 def witness(x, y):
     """(i, x(p_i), y(p_i)) for the first Schubert polynomial p_i on which
-    the elements x and y differ, or None if they are equal."""
+    the elements x and y differ, or None if they are equal.  By linearity
+    that is the first p_i on which x - y is nonzero, so one walk evaluates
+    x - y, and x and y are evaluated only at p_i."""
+    diff = x - y
     for i, p in enumerate(schubert_basis_list(x.strands)):
-        vx, vy = x.evaluate(p), y.evaluate(p)
-        if vx != vy:
-            return i, vx, vy
+        if diff.evaluate(p):
+            return i, x.evaluate(p), y.evaluate(p)
     return None
 
 
@@ -465,9 +457,7 @@ def box(f, a):
 
 def omega(beta, b):
     """Omega(beta) = sum_j binom(beta_{b-j} + j, 3) for beta with <= b parts."""
-    beta = combinat.normalize_partition(beta)
-    if len(beta) > b:
-        raise combinat.BoxViolationError("%r has more than %d parts" % (beta, b))
+    beta = combinat.check_parts(beta, b)
     padded = list(beta) + [0] * (b - len(beta))
     return sum(comb(padded[b - 1 - j] + j, 3) for j in range(b)) % 2
 

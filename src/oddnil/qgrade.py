@@ -60,29 +60,21 @@ class QLaurent:
     def __add__(self, other):
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return self * -1
+        return QLaurent(scaled(self.coeffs, -1))
 
     def __sub__(self, other):
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        if isinstance(other, int):
-            other = QLaurent.from_int(other)
-        elif not isinstance(other, QLaurent):
+        if not isinstance(other, QLaurent):
             return NotImplemented
         return QLaurent(add_scaled(dict(self.coeffs), other.coeffs, sign))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return QLaurent(scaled(self.coeffs, other))
         if not isinstance(other, QLaurent):
             return NotImplemented
         return QLaurent(convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def is_bar_invariant(self):
         return self.coeffs == {-e: c for e, c in self.coeffs.items()}

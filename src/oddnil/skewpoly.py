@@ -116,8 +116,6 @@ class SkewPolynomial:
     def __add__(self, other):
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.scale(-1)
 
@@ -125,9 +123,7 @@ class SkewPolynomial:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        if isinstance(other, int):
-            other = SkewPolynomial.constant(self.nvars, other)
-        elif not isinstance(other, SkewPolynomial):
+        if not isinstance(other, SkewPolynomial):
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
@@ -136,14 +132,7 @@ class SkewPolynomial:
     def scale(self, c):
         return _from_normal(self.nvars, scaled(self.terms, c))
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, SkewPolynomial):
             return NotImplemented
         if self.nvars != other.nvars:

@@ -106,10 +106,12 @@ def _tally(stream):
             continue
         instances += 1
         inp, expected, actual = item
-        if expected != actual:
-            if isinstance(expected, onh.OnhElement):
-                i, expected, actual = onh.witness(expected, actual)
-                inp += (i,)
+        if isinstance(expected, onh.OnhElement):
+            found = onh.witness(expected, actual)
+            if found:
+                i, expected, actual = found
+                failures.append(_triple(inp + (i,), expected, actual))
+        elif expected != actual:
             failures.append(_triple(inp, expected, actual))
     return instances, failures, notes
 
@@ -329,9 +331,10 @@ def check_pieri(params, rng):
 def check_owl_corollary(params, rng):
     """The OWL corollaries: D(fg) = f^{w0} D(g) for every sorted eps-word f
     of degree <= f_dmax and monomial g of degree <= 6, and D(f)^{w0} =
-    (-1)^{binom(a,2)} D(f^{w0}) for every monomial f of degree <= 6, so for
-    every polynomial there: both sides are linear in f, as w0 and D are.
-    D lowers the degree by a(a-1), so at a = 4 both sides are zero."""
+    (-1)^{binom(a,2)} D(f^{w0}) for every monomial f of degree <= 6 or of
+    degree a(a-1), so for every polynomial there: both sides are linear in
+    f, as w0 and D are.  D lowers the degree by a(a-1), so at a = 4 it is
+    zero below degree 12 and lands in the constants at degree 12."""
     for a in range(2, params["a_max"] + 1):
         eps_words = [
             lam
@@ -345,6 +348,10 @@ def check_owl_corollary(params, rng):
             fw0 = apply_w0(f)
             for m, g in monos.items():
                 yield ("D(fg) = f^w0 D(g)", a, lam, m), fw0 * d[m], oddops.longest_dd(a, f * g)
+        if comb(a, 2) > 3:  # the half-degree where D lands in the constants
+            for m in oddsym.monomials_of_degree(a, comb(a, 2)):
+                monos[m] = f = SkewPolynomial.monomial(a, m)
+                d[m] = oddops.longest_dd(a, f)
         for m, f in monos.items():
             yield (
                 ("D(f)^w0 = (-1)^C(a,2) D(f^w0)", a, m),

@@ -6,6 +6,7 @@ import pytest
 
 import paper_identities as P
 from oddnil import combinat as C
+from oddnil import oddsym, onh
 from oddnil.qgrade import QLaurent, q_factorial
 
 
@@ -140,3 +141,10 @@ def test_sq_strands_takes_exactly_the_members_of_sq(a):
         if ell not in sq:
             with pytest.raises(ValueError, match=r"^%s is not in Sq\(%d\)$" % (re.escape(repr(ell)), a)):
                 C.sq_strands(ell)
+
+
+def test_chi_dual_schur_and_omega_reject_too_many_parts_with_one_message():
+    assert C.check_parts((2, 1, 0), 2) == (2, 1)
+    for rule in (C.check_parts, oddsym.chi, oddsym.dual_schur, onh.omega):
+        with pytest.raises(C.BoxViolationError, match=r"^\(2, 1, 1\) has more than 2 parts$"):
+            rule((2, 1, 1, 0), 2)

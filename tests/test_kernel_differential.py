@@ -344,7 +344,7 @@ def test_sum_difference_and_transposition_match_reference(pair, data):
     assert normal(f + g) == normal(ref.skew_add(f, g))
     assert normal(f - g) == normal(ref.skew_add(f, g.scale(-1)))
     assert normal(f - f) == (f.nvars, {})
-    assert normal(f + 3) == normal(ref.skew_add(f, 3))
+    assert normal(f + SkewPolynomial.constant(f.nvars, 3)) == normal(ref.skew_add(f, 3))
     i = data.draw(st.integers(1, f.nvars - 1))
     for p in (f, g, f - g):
         assert normal(apply_simple_transposition(i, p)) == normal(ref.apply_simple_transposition(i, p))
@@ -409,9 +409,9 @@ def test_qlaurent_arithmetic_matches_reference(f, g, k):
     assert (f - g).coeffs == ref.q_add(f, ref.q_neg(g)).coeffs
     assert (f - f).coeffs == {}
     assert (-f).coeffs == ref.q_neg(f).coeffs
-    assert (f + k).coeffs == ref.q_add(f, k).coeffs
+    assert (f + QLaurent({0: k})).coeffs == ref.q_add(f, k).coeffs
     assert (f * g).coeffs == ref.q_mul(f, g).coeffs
-    assert (f * k).coeffs == (k * f).coeffs == ref.q_mul(f, k).coeffs
+    assert (f * QLaurent({0: k})).coeffs == ref.q_mul(f, k).coeffs
     cancel = f * (g - f)
     assert (f * g - f * f).coeffs == cancel.coeffs == ref.q_mul(f, ref.q_add(g, ref.q_neg(f))).coeffs
     if g:
@@ -444,7 +444,6 @@ def test_element_arithmetic_matches_reference(pair, k):
     assert combo_of(f - f) == (f.strands, {})
     assert combo_of(f.scale(k)) == combo_of(ref.element_scale(f, k))
     assert combo_of(f * g) == combo_of(ref.element_mul(f, g))
-    assert combo_of(f * k) == combo_of(ref.element_mul(f, k))
     assert combo_of((f - g) * (f + g)) == combo_of(ref.element_mul(f - g, f + g))
 
 
@@ -648,7 +647,7 @@ def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_plan()
         f.evaluate(p)
         g.evaluate(p)
     f_plan = f._plan
-    for h in (f + g, f - g, g + f, f * g, g * f, f.scale(-2), 3 * f, -f, f * 2):
+    for h in (f + g, f - g, g + f, f * g, g * f, f.scale(-2), f.scale(3), -f):
         assert getattr(h, "_plan", None) is None
         for p in basis:
             assert normal(h.evaluate(p)) == normal(ref.evaluate(h, p))

@@ -102,12 +102,21 @@ VALUES = {
 @pytest.mark.parametrize("cls", VALUES)
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
 def test_an_operand_of_another_type_is_a_type_error(cls, op):
-    # each class returns NotImplemented for an operand that is neither an
-    # int nor its own class, so Python raises TypeError on either side
-    # instead of an AttributeError from inside the method
+    # each class returns NotImplemented for an operand that is not of its
+    # own class, an int included (scale(c) multiplies by an integer, and a
+    # constant adds one), so Python raises TypeError on either side instead
+    # of an AttributeError from inside the method
     value = VALUES[cls]
-    others = [2.5, "x"] + [v for name, v in VALUES.items() if name != cls]
+    others = [2, 2.5, "x"] + [v for name, v in VALUES.items() if name != cls]
     for other in others:
         for left, right in ((value, other), (other, value)):
             with pytest.raises(TypeError):
                 op(left, right)
+
+
+def test_eq_still_compares_a_polynomial_with_an_int():
+    # == alone keeps an int operand: without it, p == 0 would quietly read
+    # False for the zero polynomial
+    assert SkewPolynomial.zero(2) == 0 and SkewPolynomial.constant(2, 3) == 3
+    assert VALUES["SkewPolynomial"] != 0
+    assert QLaurent() == 0 and QLaurent({0: 3}) == 3 and VALUES["QLaurent"] != 0

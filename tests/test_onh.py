@@ -50,8 +50,8 @@ def test_defining_relations_as_elements():
     x1, x2, d1 = H.dot(2, 1), H.dot(2, 2), H.cross(2, 1)
     assert x1 * d1 + d1 * x2 == one
     assert d1 * x1 + x2 * d1 == one
-    assert (d1 * d1).is_zero()
-    assert (x1 * x2 + x2 * x1).is_zero()
+    assert d1 * d1 == H.OnhElement.zero(2)
+    assert x1 * x2 + x2 * x1 == H.OnhElement.zero(2)
     a = 4
     assert H.cross(a, 1) * H.cross(a, 3) + H.cross(a, 3) * H.cross(a, 1) == H.OnhElement.zero(a)
     assert H.dot(a, 1) * H.cross(a, 3) + H.cross(a, 3) * H.dot(a, 1) == H.OnhElement.zero(a)
@@ -278,11 +278,12 @@ def test_normalize_caps_word_count():
 
 def test_zero_test_via_schubert_basis():
     a = 3
+    zero = H.OnhElement.zero(a)
     el = H.cross(a, 1) * H.cross(a, 1)
-    assert el.is_zero()
+    assert el == zero
     el = H.dot(a, 1) * H.cross(a, 1) + H.cross(a, 1) * H.dot(a, 2) - H.OnhElement.identity(a)
-    assert el.is_zero()
-    assert not H.dot(a, 1).is_zero()
+    assert el == zero
+    assert H.dot(a, 1) != zero
 
 
 def test_witness_names_the_first_schubert_polynomial_where_elements_differ():
@@ -295,6 +296,26 @@ def test_witness_names_the_first_schubert_polynomial_where_elements_differ():
     assert all(x.evaluate(p) == y.evaluate(p) for p in basis[:i])
     assert H.witness(x, x) is None
     assert H.witness(H.dot(a, 1) * H.dot(a, 2), -(H.dot(a, 2) * H.dot(a, 1))) is None
+
+
+def test_witness_evaluates_each_side_once_at_the_first_differing_index(monkeypatch):
+    a = 3
+    x, y = H.cross(a, 1) * H.cross(a, 2), H.cross(a, 2) * H.cross(a, 1)
+    basis = H.schubert_basis_list(a)
+    first = next(i for i, p in enumerate(basis) if x.evaluate(p) != y.evaluate(p))
+    assert first > 0
+    calls = []
+    evaluate = H.OnhElement.evaluate
+
+    def counting(self, p):
+        calls.append((self, p))
+        return evaluate(self, p)
+
+    monkeypatch.setattr(H.OnhElement, "evaluate", counting)
+    assert H.witness(x, y)[0] == first
+    assert [p for el, p in calls if el is x] == [p for el, p in calls if el is y] == [basis[first]]
+    # the rest is x - y, once per index up to the first difference
+    assert len(calls) == first + 3
 
 
 def test_evaluate_matches_operator_composition():
@@ -350,7 +371,7 @@ def test_sigma_lambda_seq_small():
     l0, l1 = H.lambda_seq((0,)), H.lambda_seq((1,))
     e2 = H.idempotent_e(2)
     assert l0 * s0 == e2 and l1 * s1 == e2
-    assert (l1 * s0).is_zero() and (l0 * s1).is_zero()
+    assert l1 * s0 == H.OnhElement.zero(2) and l0 * s1 == H.OnhElement.zero(2)
     assert s0 * l0 + s1 * l1 == H.OnhElement.identity(2)
     for seq in (H.sigma_seq, H.lambda_seq):
         with pytest.raises(ValueError, match=r"^\(5,\) is not in Sq\(2\)$"):
@@ -373,7 +394,7 @@ def test_sigma_lambda_seq_a3_all_pairings():
             if lp == l:
                 assert prod == ea
             else:
-                assert prod.is_zero()
+                assert prod == H.OnhElement.zero(a)
 
 
 def test_sigma_lambda_part_small():
@@ -382,7 +403,7 @@ def test_sigma_lambda_part_small():
     s_e, s_1 = H.sigma_part((), 1, 1), H.sigma_part((1,), 1, 1)
     l_e, l_1 = H.lambda_part((), 1, 1), H.lambda_part((1,), 1, 1)
     assert l_e * s_e == e2 and l_1 * s_1 == e2
-    assert (l_e * s_1).is_zero() and (l_1 * s_e).is_zero()
+    assert l_e * s_1 == H.OnhElement.zero(2) and l_1 * s_e == H.OnhElement.zero(2)
     assert s_e * l_e + s_1 * l_1 == H.OnhElement.identity(2)
 
 

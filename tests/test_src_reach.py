@@ -45,8 +45,7 @@ ALLOWED = {
 RESOLVED_BY_HAND = {
     ("cyclotomic.schur_box_images", "reduce"): ("cyclotomic.DegreeLattice.reduce",
                                                 "slice_ runs over h_ideal_slices(...), a list of DegreeLattice"),
-    ("onh.OnhElement.__eq__", "is_zero"): ("onh.OnhElement.is_zero", "self - other is an OnhElement"),
-    ("onh.OnhElement.is_zero", "is_zero"): ("skewpoly.SkewPolynomial.is_zero", "evaluate returns a SkewPolynomial"),
+    ("onh.extract_standard_basis", "is_zero"): ("skewpoly.SkewPolynomial.is_zero", "evaluate returns a SkewPolynomial"),
     ("qgrade.QLaurent.exact_div", "is_zero"): ("qgrade.QLaurent.is_zero", "other is the QLaurent divisor"),
 }
 

@@ -111,6 +111,24 @@ def test_owl_corollary_fails_at_a_monomial_whose_w0_sign_is_wrong(monkeypatch):
     assert [label for label, _, _ in r.details] == [str(("D(f)^w0 = (-1)^C(a,2) D(f^w0)", 3, bad))]
 
 
+def test_owl_corollary_fails_at_a4_when_w0_has_the_wrong_sign_on_the_staircase(monkeypatch):
+    """At a = 4, D is zero below half-degree 6, so a wrong w0 sign shows
+    only on a monomial of half-degree 6, where D lands in the constants:
+    on x^(3,2,1,0), D is +-1 and the flipped sign breaks the corollary."""
+    from oddnil.skewpoly import apply_w0
+
+    bad = (3, 2, 1, 0)
+
+    def faulty_w0(f):
+        image = apply_w0(f)
+        return image.scale(-1) if list(f.terms) == [bad] else image
+
+    monkeypatch.setattr(V, "apply_w0", faulty_w0)
+    r = V.run_check("owl_corollary")
+    assert r.status == "fail"
+    assert [label for label, _, _ in r.details] == [str(("D(f)^w0 = (-1)^C(a,2) D(f^w0)", 4, bad))]
+
+
 def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     """A skew product x2 * x1 x3 with an even coefficient vanishes mod 2 while
     the product of the reductions does not.  Only a check that multiplies
