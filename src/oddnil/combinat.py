@@ -151,24 +151,25 @@ def perm_compose(u, v):
     return tuple(u[v[i] - 1] for i in range(len(v)))
 
 
+@lru_cache(maxsize=None)
 def canonical_reduced_word(w):
-    """Deterministic reduced word for w by the leftmost-descent scheme.
+    """Deterministic reduced word for the permutation tuple w by the
+    leftmost-descent scheme: pick the smallest j with w(j) > w(j+1) and
+    strip s_j off on the right, until none is left.  Returns
+    (j_1, ..., j_l) with w = s_{j_1} o ... o s_{j_l}.
 
-    Repeatedly pick the smallest i with w(i) > w(i+1) and strip s_i off on
-    the right.  Returns (j_1, ..., j_l) with w = s_{j_1} o ... o s_{j_l}.
+    Stripping s_j swaps the entries j, j+1, so the scheme is insertion
+    sort: it sorts the first n-1 entries, which depends on their relative
+    order alone, and then moves m = w(n) left past the n - m larger
+    entries, all before it, by the letters n-1, ..., m.  Read right to
+    left, the word is (m, ..., n-1) followed by the word of the first n-1
+    entries renumbered 1..n-1.  The recursion is that step, memoized: its
+    depth is n, not the length of w.
     """
-    v = list(w)
-    letters = []
-    while True:
-        for i in range(len(v) - 1):
-            if v[i] > v[i + 1]:
-                letters.append(i + 1)
-                v[i], v[i + 1] = v[i + 1], v[i]
-                break
-        else:
-            break
-    letters.reverse()
-    return tuple(letters)
+    if not w:
+        return ()
+    m = w[-1]
+    return tuple(range(m, len(w))) + canonical_reduced_word(tuple(v - (v > m) for v in w[:-1]))
 
 
 def parse_permutation(text):

@@ -289,7 +289,7 @@ def schur_box_images(a, n_param):
         ]
         for lam in outside:
             s = oddsym.schur(lam, a)
-            coeffs = oddsym.expand_in_elementary(s) if not s.is_zero() else {}
+            coeffs = oddsym.expand_in_elementary(s) if s else {}
             reduced = slice_.reduce(coeffs)
             vanish.append((lam, not any(reduced)))
         if inside:

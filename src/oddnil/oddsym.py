@@ -101,7 +101,7 @@ def elementary_in_fewer_vars(k, a):
 
 
 def is_odd_symmetric(p):
-    return all(oddops.divided_difference(i, p).is_zero() for i in range(1, p.nvars))
+    return not any(oddops.divided_difference(i, p) for i in range(1, p.nvars))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from math import comb
 
 from . import combinat, oddops, oddsym
 from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
-from .skewpoly import SkewPolynomial, _from_normal
+from .skewpoly import SkewPolynomial, _from_normal, staircase
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,31 @@ def dots_word(exps):
 
 @lru_cache(maxsize=None)
 def schubert_basis_list(a):
-    return [oddsym.schubert(w, a) for w in combinat.all_permutations(a)]
+    """oddsym.schubert(w, a) for every w in combinat.all_permutations(a),
+    each one d_i on an earlier image.
+
+    oddsym.schubert applies the crossing word of u = w^{-1} w_0 to the
+    staircase; the first letter -i of that word acts last, on the image of
+    the rest of the word.  So the images of word suffixes are kept, and each
+    word costs one d_i on its suffix's image: the same letters on the same
+    dicts, so the terms and their order are those of oddsym.schubert.  The
+    canonical words are suffix-closed: the word of u without its first
+    letter i is the word of s_i u (by combinat.canonical_reduced_word's
+    recursion: if u(n) = i < n, s_i u ends in i + 1 and has the same
+    renumbered prefix, and if u(n) = n both words are their prefixes',
+    by induction).  So every suffix is itself a basis word, and the a!
+    polynomials cost a! - 1 letters."""
+    w0 = combinat.longest_element(a)
+    images = {(): staircase(a)}
+
+    def image(word):
+        p = images.get(word)
+        if p is None:
+            p = images[word] = oddops.apply_letters(word[:1], image(word[1:]))
+        return p
+
+    return [image(oddops.d_word(combinat.perm_compose(combinat.perm_inverse(w), w0)))
+            for w in combinat.all_permutations(a)]
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +387,7 @@ def extract_standard_basis(element):
     out = {}
     for w in _perms_by_length(a):
         val = residual.evaluate(schubert[w])
-        if val.is_zero():
+        if not val:
             continue
         unit = _unit_value(w, a)
         coeffs = {(mono, w): c // unit for mono, c in val.terms.items()}

@@ -37,19 +37,12 @@ class QLaurent:
     def q_power(cls, e):
         return cls({e: 1})
 
-    @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
-
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, int):
-            other = QLaurent.from_int(other)
+            return self.coeffs == ({0: other} if other else {})
         if not isinstance(other, QLaurent):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -102,7 +95,7 @@ class QLaurent:
         An exact quotient has no exponent below min(self) - min(other), so
         the long division stops there instead of running down forever.
         """
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division of QLaurent by zero")
         rem = dict(self.coeffs)
         quot = {}

@@ -12,6 +12,7 @@ test suite):
   x^A * x^B           = (-1)^{sum_{i>j} A_i B_j} x^{A+B}
   x_r * x^A           = (-1)^{A_1 + ... + A_{r-1}} x^{A+e_r}
   s_i (x^A)           = (-1)^{|A| + A_i A_{i+1}} x^{s_i(A)}
+  w_0 (x^A)           = (-1)^{C(a,2) |A| + sum_{p<q} A_p A_q} x^{reversed A}
 
 where |A| = sum(A) and s_i swaps the i-th and (i+1)-st entries.  The
 transposition s_i is the ring endomorphism sending x_i -> -x_{i+1},
@@ -33,6 +34,7 @@ x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
 
 import re
 from functools import lru_cache
+from math import comb
 
 from . import combinat
 from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, scaled
@@ -84,9 +86,6 @@ class SkewPolynomial:
         return cls(nvars, {tuple(e): 1})
 
     # -- basic structure ----------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -283,16 +282,24 @@ def apply_simple_transposition(i, p):
     return _from_normal(p.nvars, d)
 
 
-def apply_permutation(w, p):
-    """Action of w along its canonical reduced word (a genuine group action)."""
-    out = p
-    for j in reversed(combinat.canonical_reduced_word(w)):
-        out = apply_simple_transposition(j, out)
-    return out
-
-
 def apply_w0(p):
-    return apply_permutation(combinat.longest_element(p.nvars), p)
+    """Action of the longest element w_0 in one pass:
+
+      w_0 (x^A) = (-1)^{C(a,2) |A| + sum_{p<q} A_p A_q} x^{reversed A}.
+
+    Along a reduced word of w_0 each of its C(a,2) letters s_i contributes
+    (-1)^{|A| + A_i A_{i+1}} for the exponents it swaps, and every pair of
+    positions p < q is swapped exactly once (the inversions of w_0 are all
+    the pairs), so the entries A_p and A_q meet once.  A_p A_q is odd only
+    when both are, so with k odd exponents the sum is C(k,2) mod 2 and |A|
+    is k mod 2: the sign depends on k alone.  w_0 permutes the monomials,
+    so no two terms collide, and the terms keep their order, as they do
+    through each s_i.
+    """
+    pairs = comb(p.nvars, 2)
+    flip = [(pairs * k + comb(k, 2)) & 1 for k in range(p.nvars + 1)]
+    return _from_normal(p.nvars, {m[::-1]: -c if flip[sum(e & 1 for e in m)] else c
+                                  for m, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ horizontal axis.  The non-adjacent d_{i,j} is
 from oddnil import combinat, oddops, zlinalg
 from oddnil.oddsym import chi, monomials_of_degree
 from oddnil.onh import OnhElement
-from oddnil.skewpoly import SkewPolynomial, apply_permutation, apply_simple_transposition, apply_w0
+from oddnil.skewpoly import SkewPolynomial, apply_simple_transposition, apply_w0
+from reference_kernel import apply_permutation
 
 
 def transposition(i, j, a):

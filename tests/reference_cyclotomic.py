@@ -36,7 +36,7 @@ def _slice_generator_rows(a, degree, ideal_gens):
                 for mu in combinat.partitions_of(rest - s1, maxpart=a):
                     right = oddsym.elementary_word_value(mu, a)
                     prod = left * g * right
-                    if prod.is_zero():
+                    if not prod:
                         continue
                     rows.append(row(oddsym.expand_in_elementary(prod), index))
     return ambient, rows

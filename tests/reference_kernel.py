@@ -24,13 +24,18 @@ as ``oddsym`` did before it wrote each list's monomial and sign down
 directly.  ``mul_loop``, ``left_dot_loop`` and ``divided_difference_loop``
 are the generic loops over exponent tuples that ``skewpoly._kernel``
 unrolls per arity: the product with its parity masks, x_r times a
-polynomial, and the memo-free closed-form d_i.
+polynomial, and the memo-free closed-form d_i.  ``canonical_reduced_word``
+is the descent-stripping loop that the memoized recursion in ``combinat``
+replaced, and ``apply_permutation`` and ``apply_w0`` act one s_i per
+letter of that word, as ``skewpoly`` did before w_0 acted in one pass; as
+there, the s_i is the library's ``skewpoly.apply_simple_transposition``,
+which a test compares with the collision-handling one here.
 """
 
 import itertools
 from operator import add
 
-from oddnil import combinat, oddops
+from oddnil import combinat, oddops, skewpoly
 from oddnil.lincomb import add_scaled
 from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
 from oddnil.onh import OnhElement
@@ -331,6 +336,36 @@ def apply_simple_transposition(i, p):
     return _from_normal(p.nvars, d)
 
 
+def canonical_reduced_word(w):
+    """combinat.canonical_reduced_word."""
+    v = list(w)
+    letters = []
+    while True:
+        for i in range(len(v) - 1):
+            if v[i] > v[i + 1]:
+                letters.append(i + 1)
+                v[i], v[i + 1] = v[i + 1], v[i]
+                break
+        else:
+            break
+    letters.reverse()
+    return tuple(letters)
+
+
+def apply_permutation(w, p):
+    """skewpoly.apply_permutation: the action of w along its canonical
+    reduced word (a genuine group action)."""
+    out = p
+    for j in reversed(canonical_reduced_word(w)):
+        out = skewpoly.apply_simple_transposition(j, out)
+    return out
+
+
+def apply_w0(p):
+    """skewpoly.apply_w0."""
+    return apply_permutation(combinat.longest_element(p.nvars), p)
+
+
 def expand_in_elementary(f):
     """oddsym.expand_in_elementary."""
     a = f.nvars
@@ -359,7 +394,7 @@ def expand_in_elementary(f):
 def q_add(self, other):
     """QLaurent.__add__."""
     if isinstance(other, int):
-        other = QLaurent.from_int(other)
+        other = QLaurent({0: other})
     d = dict(self.coeffs)
     for e, c in other.coeffs.items():
         v = d.get(e, 0) + c
@@ -393,7 +428,7 @@ def q_mul(self, other):
 
 def q_exact_div(self, other):
     """QLaurent.exact_div."""
-    if other.is_zero():
+    if not other:
         raise ZeroDivisionError("division of QLaurent by zero")
     rem = dict(self.coeffs)
     quot = {}

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 import paper_identities as P
+import reference_kernel as ref
 from oddnil import combinat as C
 from oddnil import oddsym, onh
 from oddnil.qgrade import QLaurent, q_factorial
@@ -68,6 +69,26 @@ def test_canonical_reduced_word():
     word = C.canonical_reduced_word(w0)
     assert len(word) == 3
     assert P.word_to_perm(word, 3) == w0
+
+
+def test_memoized_canonical_word_matches_the_descent_loop():
+    for n in range(8):
+        for w in C.all_permutations(n):
+            assert C.canonical_reduced_word(w) == ref.canonical_reduced_word(w), w
+    # the recursion is as deep as w has entries, not letters
+    for w in (C.longest_element(60), tuple(range(2, 61)) + (1,)):
+        assert C.canonical_reduced_word(w) == ref.canonical_reduced_word(w)
+
+
+def test_canonical_words_are_suffix_closed():
+    # the word of u without its first letter i is the word of s_i u, so
+    # onh.schubert_basis_list finds every suffix's image among the basis
+    for n in range(8):
+        for u in C.all_permutations(n):
+            word = C.canonical_reduced_word(u)
+            if word:
+                i = word[0]
+                assert word[1:] == C.canonical_reduced_word(C.perm_compose(P.transposition(i, i + 1, n), u)), u
 
 
 @pytest.mark.parametrize("a", range(1, 6))

@@ -21,6 +21,11 @@ leading dots, which evaluate factors out and merges, are compared with
 the per-word reference as well.
 The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
+onh.schubert_basis_list, which applies one d_i per permutation to the image
+of its word's suffix, is compared with oddsym.schubert on every permutation
+of 1 to 6 letters, and skewpoly.apply_w0, the one-pass closed form, with
+one s_i pass per letter of w_0's word, for 0 to 7 variables, both by terms
+and key order.
 
 Terms dicts are compared exactly, so a stored zero coefficient or a
 wrong-length key fails as surely as a wrong sign.
@@ -35,7 +40,7 @@ import reference_kernel as ref
 from oddnil import combinat, oddops, oddsym, onh
 from oddnil.lincomb import collect
 from oddnil.qgrade import QLaurent
-from oddnil.skewpoly import SkewPolynomial, _from_normal, _kernel, apply_simple_transposition
+from oddnil.skewpoly import SkewPolynomial, _from_normal, _kernel, apply_simple_transposition, apply_w0
 
 # small exponents make products collide and cancel; large ones reach the
 # high bits of both parity masks and long d_i power formulas
@@ -655,3 +660,47 @@ def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_plan()
     assert f._plan is f_plan
     for p in basis:
         assert normal(f.evaluate(p)) == normal(ref.evaluate(f, p))
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+def test_schubert_basis_by_suffix_sharing_matches_oddsym_schubert(a):
+    onh.schubert_basis_list.cache_clear()
+    got = onh.schubert_basis_list(a)
+    want = [oddsym.schubert(w, a) for w in combinat.all_permutations(a)]
+    assert [normal(p) for p in got] == [normal(p) for p in want]
+    assert [ordered(p) for p in got] == [ordered(p) for p in want]
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_schubert_basis_costs_one_letter_per_nonidentity_word(monkeypatch, a):
+    letters, apply_letters = [], oddops.apply_letters
+
+    def counted(word, p):
+        letters.append(len(word))
+        return apply_letters(word, p)
+
+    monkeypatch.setattr(oddops, "apply_letters", counted)
+    onh.schubert_basis_list.cache_clear()
+    onh.schubert_basis_list(a)
+    onh.schubert_basis_list.cache_clear()
+    assert letters == [1] * (len(combinat.all_permutations(a)) - 1)
+
+
+def test_w0_in_one_pass_matches_the_transposition_passes_on_every_parity_pattern():
+    # the sign depends on the number of variables and of odd exponents only
+    for n in range(8):
+        assert ordered(apply_w0(SkewPolynomial.zero(n))) == ordered(ref.apply_w0(SkewPolynomial.zero(n))) == (n, [])
+        for m in itertools.product((0, 1), repeat=n):
+            p = SkewPolynomial(n, {m: 1, tuple(e + 2 for e in m): -3})
+            got, want = apply_w0(p), ref.apply_w0(p)
+            assert normal(got) == normal(want), m
+            assert ordered(got) == ordered(want), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7).flatmap(polys))
+def test_w0_in_one_pass_matches_the_transposition_passes(p):
+    for q in (p, p + apply_w0(p)):
+        got, want = apply_w0(q), ref.apply_w0(q)
+        assert normal(got) == normal(want)
+        assert ordered(got) == ordered(want)

@@ -59,9 +59,9 @@ def leibniz_oracle_dd(i, mono, a):
 def test_dd_basic_values():
     assert O.divided_difference(1, x(2, 1)) == SkewPolynomial.one(2)
     assert O.divided_difference(1, x(2, 1) * x(2, 1)) == x(2, 1) - x(2, 2)
-    assert O.divided_difference(1, x(2, 1) * x(2, 2)).is_zero()
-    assert O.divided_difference(1, SkewPolynomial.one(2)).is_zero()
-    assert O.divided_difference(2, x(3, 1)).is_zero()
+    assert not O.divided_difference(1, x(2, 1) * x(2, 2))
+    assert not O.divided_difference(1, SkewPolynomial.one(2))
+    assert not O.divided_difference(2, x(3, 1))
     with pytest.raises(ValueError):
         O.divided_difference(2, SkewPolynomial.one(2))
 
@@ -107,24 +107,24 @@ def test_defining_relations_on_span(a):
         p = SkewPolynomial.monomial(a, m)
         for i in range(1, a):
             di = O.divided_difference(i, p)
-            assert O.divided_difference(i, di).is_zero()
+            assert not O.divided_difference(i, di)
             assert x(a, i) * di + O.divided_difference(i, x(a, i + 1) * p) == p
             assert O.divided_difference(i, x(a, i) * p) + x(a, i + 1) * di == p
             if i + 1 < a:
                 assert O.apply_letters((-i, -i - 1, -i), p) == O.apply_letters((-i - 1, -i, -i - 1), p)
             for j in range(i + 2, a):
-                assert (
+                assert not (
                     O.divided_difference(i, O.divided_difference(j, p))
                     + O.divided_difference(j, O.divided_difference(i, p))
-                ).is_zero()
+                )
             for j in range(1, a + 1):
                 if j not in (i, i + 1):
-                    assert (x(a, j) * di + O.divided_difference(i, x(a, j) * p)).is_zero()
+                    assert not (x(a, j) * di + O.divided_difference(i, x(a, j) * p))
 
 
 def test_nonadjacent_dd_values():
     a = 3
-    assert ref.dd_nonadjacent(1, 3, x(a, 2)).is_zero()
+    assert not ref.dd_nonadjacent(1, 3, x(a, 2))
     assert ref.dd_nonadjacent(1, 3, x(a, 1)) == SkewPolynomial.one(a)
     assert ref.dd_nonadjacent(1, 3, x(a, 3)) == SkewPolynomial.one(a)
     with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ def test_nonadjacent_dd_x1x3():
     # Leibniz expansion by hand: d(x1)x3 + s(x1)d(x3) = x3 + (-x3)(1) = 0
     a = 3
     p = x(a, 1) * x(a, 3)
-    assert ref.dd_nonadjacent(1, 3, p).is_zero()
+    assert not ref.dd_nonadjacent(1, 3, p)
 
 
 def test_nonadjacent_anticommutation():
@@ -158,11 +158,11 @@ def test_nonadjacent_anticommutation():
         lhs = ref.dd_nonadjacent(1, 2, P.apply_transposition(3, 4, p)) + P.apply_transposition(
             3, 4, ref.dd_nonadjacent(1, 2, p)
         )
-        assert lhs.is_zero()
+        assert not lhs
         lhs = ref.dd_nonadjacent(1, 2, ref.dd_nonadjacent(3, 4, p)) + ref.dd_nonadjacent(
             3, 4, ref.dd_nonadjacent(1, 2, p)
         )
-        assert lhs.is_zero()
+        assert not lhs
 
 
 def test_nonadjacent_transposition_conjugation():
@@ -182,7 +182,7 @@ def test_nonadjacent_transposition_conjugation():
                 lhs = ref.dd_nonadjacent(i, j, P.apply_transposition(k, l, p)) + P.apply_transposition(
                     k, l, ref.dd_nonadjacent(ii, jj, p)
                 )
-                assert lhs.is_zero(), (i, j, k, l, m)
+                assert not lhs, (i, j, k, l, m)
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])
@@ -197,7 +197,7 @@ def test_composite_annihilates_symmetric(a):
                 v = ref.dd_nonadjacent(i, j, f)
                 for t in range(j - 1, i, -1):
                     v = O.divided_difference(t, v)
-                assert v.is_zero(), (a, i, j)
+                assert not v, (a, i, j)
 
 
 def test_da_word_is_the_fixed_constant():
@@ -227,7 +227,7 @@ def test_d_word_spells_a_reduced_word_of_w_in_crossings(a):
 def test_longest_dd_values():
     assert O.longest_dd(2, x(2, 1)) == SkewPolynomial.one(2)
     assert O.longest_dd(3, SkewPolynomial.monomial(3, (2, 1, 0))) == SkewPolynomial.constant(3, -1)
-    assert O.longest_dd(3, SkewPolynomial.monomial(3, (2, 0, 0))).is_zero()
+    assert not O.longest_dd(3, SkewPolynomial.monomial(3, (2, 0, 0)))
 
 
 @pytest.mark.parametrize("a", range(1, 6))
@@ -241,9 +241,7 @@ def test_generalized_action_extremes():
     p = SkewPolynomial.monomial(3, (1, 2, 0))
     assert P.generalized_action(word, (1, 1, 1), p) == O.apply_letters(crossings(word), p)
     w0 = C.longest_element(3)
-    from oddnil.skewpoly import apply_permutation
-
-    assert P.generalized_action(word, (0, 0, 0), p) == apply_permutation(w0, p)
+    assert P.generalized_action(word, (0, 0, 0), p) == ref.apply_permutation(w0, p)
     with pytest.raises(ValueError):
         P.generalized_action(word, (1, 0), p)
 

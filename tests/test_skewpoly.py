@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from oddnil import combinat as C
 from oddnil.skewpoly import (
     SkewPolynomial,
-    apply_permutation,
     apply_simple_transposition,
     delta_exponents,
     format_skew,
@@ -18,6 +17,7 @@ from oddnil.skewpoly import (
     reverse_staircase,
     staircase,
 )
+from reference_kernel import apply_permutation
 
 
 def letters_of(mono):
