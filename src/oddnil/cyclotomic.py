@@ -125,14 +125,6 @@ class DegreeLattice:
     def quotient_rank(self):
         return len(self.ambient_basis) - self.rank
 
-    def is_torsion_free(self):
-        return all(f == 1 for f in self.smith_diagonal)
-
-    def reduce(self, coeffs):
-        """Reduce an eps-word coefficient dict modulo the slice lattice."""
-        index = {lam: i for i, lam in enumerate(self.ambient_basis)}
-        return reduce(self.hermite, row(coeffs, index))
-
 
 def _slice(a, degree, seeds, below):
     """Degree slice of a two-sided ideal, spanned by its seeds in this
@@ -156,9 +148,11 @@ def _slice(a, degree, seeds, below):
 def _chain(slice_fn, a, n_param, d_max):
     """slice_fn's slices in Z-degrees 0, 2, ..., d_max (none for a negative
     d_max), each built from the Hermite rows of the a slices under it."""
-    _check_pair(a, n_param)
+    if not 0 <= a <= n_param:
+        raise DomainError("need 0 <= a <= N")
     if d_max % 2:
-        raise DomainError("d_max=%d is odd; slices exist in even Z-degrees only" % d_max)
+        raise DomainError("d_max=%d is odd; slices sit in even degrees, so use an even d_max such as %d"
+                          % (d_max, d_max + 1))
     # rows as tuples keep slice_fn's arguments hashable, so a tracer can
     # key its calls by them
     slices, rows = [], []
@@ -167,11 +161,6 @@ def _chain(slice_fn, a, n_param, d_max):
         slices.append(slice_fn(a, n_param, d, below))
         rows.append(tuple(map(tuple, slices[-1].hermite)))
     return slices
-
-
-def _check_pair(a, n_param):
-    if not 0 <= a <= n_param:
-        raise DomainError("need 0 <= a <= N")
 
 
 def h_ideal_slices(a, n_param, d_max):
@@ -229,20 +218,17 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
     quotient zero in all higher degrees once d_max >= top + 2a, and only
     up to d_max below it, as at the default for a >= 3 (see default_dmax).
 
-    d_max must be even, and above top when 0 < a < N: the quotient has
-    rank 1 in degree top, so a chain that ends there certifies nothing.
+    d_max must be even, which the chain checks along with 0 <= a <= N, and
+    above top when 0 < a < N: the quotient has rank 1 in degree top, so a
+    chain that ends there certifies nothing.
     ``slices`` is the chain ``h_ideal_slices(a, N, d_max)`` when the caller
     has built it already; otherwise it is built here.
     """
-    _check_pair(a, n_param)
     top = 2 * a * (n_param - a)
     if d_max is None:
         d_max = default_dmax(a, n_param)
     if d_max < top:
         raise DomainError("d_max=%d below expected top degree %d" % (d_max, top))
-    if d_max % 2:
-        raise DomainError("d_max=%d is odd; slices sit in even degrees, so use an even d_max such as %d"
-                          % (d_max, d_max + 1))
     if d_max == top and 0 < a < n_param:
         raise IncompleteCertificationError(
             "quotient nonzero at the boundary degree %d; raise d_max to at least %d to certify" % (d_max, d_max + 2)
@@ -263,46 +249,50 @@ def quotient_graded_rank(a, n_param, d_max=None, slices=None):
 
 
 def schur_box_images(a, n_param):
-    """Check the Schur polynomial picture of the quotient basis.
+    """The Schur polynomial picture of the quotient basis, as values to
+    compare, within the degree bound.
 
-    Returns a report dict: partitions in the a x (N-a) box stay linearly
-    independent per degree, while Schur polynomials sticking out of the box
-    (too many rows or columns) reduce to zero, within the degree bound.
+    ``empty_rank`` is the quotient rank in degree 0: 1 when s_empty = 1 is
+    nonzero.  ``remainders`` pairs each Schur polynomial sticking out of
+    the a x (N-a) box (too many rows or columns) with its remainder modulo
+    its slice, zero exactly when it vanishes in the quotient.
+    ``rank_jumps`` maps each degree to (the number of box Schurs in it, the
+    rise in the slice's rank when their rows are appended), equal exactly
+    when they are independent in the quotient.  ``vanishing``,
+    ``independent_per_degree`` and the ``_ok`` keys state these as booleans,
+    which the quotient_lattice benchmark reads.
 
-    Independence in degree d is a rank jump: appending the box Schur rows
-    to the slice raises its rank by their number.  The slice's Hermite rows
-    span the same Z-module as its generators, so they have the same span
-    over Q and give the same ranks from far fewer rows.
+    The slice's Hermite rows span the same Z-module as its generators, so
+    they give the same remainders, and the same ranks from far fewer rows.
     """
     b = n_param - a
     box = combinat.partitions_in_box(a, b)
-    vanish = []
-    independent = {}
-    for slice_ in h_ideal_slices(a, n_param, default_dmax(a, n_param)):
-        d = slice_.degree
-        halfdeg = d // 2
+    slices = h_ideal_slices(a, n_param, default_dmax(a, n_param))
+    remainders = []
+    jumps = {}
+    for slice_ in slices:
+        halfdeg = slice_.degree // 2
+        index = {lam: i for i, lam in enumerate(slice_.ambient_basis)}
+        for lam in combinat.partitions_of(halfdeg, maxpart=None):
+            if not combinat.fits_in_box(lam, a, b):
+                s = oddsym.schur(lam, a)
+                coeffs = oddsym.expand_in_elementary(s) if s else {}
+                remainders.append((lam, reduce(slice_.hermite, row(coeffs, index))))
         inside = [lam for lam in box if sum(lam) == halfdeg]
-        outside = [
-            lam
-            for lam in combinat.partitions_of(halfdeg, maxpart=None)
-            if not combinat.fits_in_box(lam, a, b)
-        ]
-        for lam in outside:
-            s = oddsym.schur(lam, a)
-            coeffs = oddsym.expand_in_elementary(s) if s else {}
-            reduced = slice_.reduce(coeffs)
-            vanish.append((lam, not any(reduced)))
         if inside:
-            index = {lam: i for i, lam in enumerate(slice_.ambient_basis)}
             rows = slice_.hermite + [
                 row(oddsym.expand_in_elementary(oddsym.schur(lam, a)), index) for lam in inside
             ]
-            independent[d] = int_rank(rows) - slice_.rank == len(inside)
+            jumps[slice_.degree] = (len(inside), int_rank(rows) - slice_.rank)
+    vanish = [(lam, not any(rem)) for lam, rem in remainders]
+    independent = {d: count == jump for d, (count, jump) in jumps.items()}
     return {
         "box": box,
+        "empty_rank": slices[0].quotient_rank,
+        "remainders": remainders,
+        "rank_jumps": jumps,
         "vanishing": vanish,
         "vanishing_ok": all(v for _, v in vanish),
         "independent_per_degree": independent,
         "independent_ok": all(independent.values()),
     }
-

@@ -3,8 +3,8 @@ reduction modulo a row lattice.
 
 A matrix is a list of equal-length integer rows, and its row lattice is
 the Z-span of the rows.  Everything is fraction free, so every rank here
-is exact (the rank over Z equals the rank over Q) and lattice membership
-is decided without a prime or a tolerance.
+is exact (the rank over Z equals the rank over Q) and a remainder is zero
+exactly on the lattice, with no prime or tolerance.
 """
 
 from math import gcd
@@ -65,11 +65,6 @@ def reduce(hnf, vector):
         if q:
             v = [x - q * y for x, y in zip(v, h)]
     return v
-
-
-def in_row_lattice(rows, vector):
-    """Is the vector an integer combination of the rows?"""
-    return not any(reduce(hermite_normal_form(rows), vector))
 
 
 def int_rank(rows):

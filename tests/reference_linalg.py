@@ -1,10 +1,15 @@
 """The rank over GF(p) that ``odd_symmetric_rank`` (then in ``oddsym``, now
 in ``paper_identities``) used before it took the exact integer rank from
-``zlinalg``, kept as a test oracle.
+``zlinalg``, kept as a test oracle, and lattice membership, which only
+tests ask.
 
-The body is the earlier ``oddsym._rank_mod_p``, unchanged.  Over any prime
-the rank can only drop, so it bounds the integer rank from below.
+The body of ``_rank_mod_p`` is the earlier ``oddsym._rank_mod_p``,
+unchanged.  Over any prime the rank can only drop, so it bounds the
+integer rank from below.  ``in_row_lattice`` is the earlier
+``zlinalg.in_row_lattice``, unchanged.
 """
+
+from oddnil.zlinalg import hermite_normal_form, reduce
 
 _RANK_PRIME = (1 << 61) - 1
 
@@ -34,3 +39,8 @@ def _rank_mod_p(rows, p=_RANK_PRIME):
         rank += 1
         col += 1
     return rank
+
+
+def in_row_lattice(rows, vector):
+    """Is the vector an integer combination of the rows?"""
+    return not any(reduce(hermite_normal_form(rows), vector))

@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 
+import reference_linalg as ref
 from oddnil import combinat as C
 from oddnil import cyclotomic as CY
 from oddnil import evenoracle as E
@@ -81,16 +82,16 @@ def test_hnf_preserves_row_lattice():
         mat = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
         hnf = Z.hermite_normal_form(mat)
         for row in mat:
-            assert Z.in_row_lattice(hnf, row)
+            assert ref.in_row_lattice(hnf, row)
         for row in hnf:
-            assert Z.in_row_lattice(mat, row)
+            assert ref.in_row_lattice(mat, row)
 
 
 def test_in_row_lattice_examples():
     rows = [[2, 0], [0, 3]]
-    assert Z.in_row_lattice(rows, [2, 3])
-    assert not Z.in_row_lattice(rows, [1, 0])
-    assert Z.in_row_lattice([], [0, 0])
+    assert ref.in_row_lattice(rows, [2, 3])
+    assert not ref.in_row_lattice(rows, [1, 0])
+    assert ref.in_row_lattice([], [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_degree_slice_structure():
     sl = CY.h_ideal_slices(2, 4, 6)[-1]
     assert sl.ambient_basis == C.partitions_of(3, maxpart=2)
     assert sl.rank + sl.quotient_rank == len(sl.ambient_basis)
-    assert sl.is_torsion_free()
+    assert sl.smith_diagonal == [1] * sl.rank
     with pytest.raises(ValueError):
         CY.h_ideal_slices(2, 4, 3)
 
@@ -193,7 +194,7 @@ def test_quotient_matches_balanced_binomial(a, n_param):
 @pytest.mark.parametrize("a,n_param", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5)])
 def test_slices_torsion_free(a, n_param):
     for sl in CY.h_ideal_slices(a, n_param, CY.default_dmax(a, n_param)):
-        assert sl.is_torsion_free(), sl.degree
+        assert sl.smith_diagonal == [1] * sl.rank, sl.degree
 
 
 def test_sum_of_quotient_ranks_cross_checked_against_qgrade():
@@ -217,9 +218,12 @@ def test_schur_box_images():
     # s_{(N-a+1)} = s_{(2)} maps to zero in OH_{2,3}
     rep = CY.schur_box_images(2, 3)
     assert ((2,), True) in rep["vanishing"]
+    assert ((2,), [0, 0]) in rep["remainders"]
     assert rep["vanishing_ok"] and rep["independent_ok"]
+    # one box Schur in each degree 0, 2, 4, each raising its slice's rank by one
+    assert rep["rank_jumps"] == {0: (1, 1), 2: (1, 1), 4: (1, 1)}
     # s_empty is never zero
-    assert CY.h_ideal_slices(2, 3, 0)[0].quotient_rank == 1
+    assert rep["empty_rank"] == CY.h_ideal_slices(2, 3, 0)[0].quotient_rank == 1
 
 
 def test_incomplete_certification_error():

@@ -242,7 +242,11 @@ def _outcome(f, word, p):
         return "ValueError", str(exc)
 
 
-@settings(max_examples=200, deadline=None)
+# the reference loop takes seconds on a few draws (7 strands, exponents near
+# 40 and four or five crossings give 10^4 to 10^5 terms), so fresh draws
+# swung this test from 1 to 45 s; derandomized, the draws and the time are
+# the same on every run
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(letters_and_polys())
 def test_apply_letters_matches_reference_letter_loop(case):
     """The same terms, or the same error at the same letter: the reference
@@ -300,7 +304,9 @@ def words_and_polys(draw):
     return onh.OnhElement(n, combo), draw(polys(n))
 
 
-@settings(max_examples=100, deadline=None)
+# derandomized for a steady time, as test_apply_letters_matches_reference_letter_loop:
+# fresh draws swung it from 2 to 12 s
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(words_and_polys())
 def test_apply_word_and_evaluate_match_reference(case):
     el, p = case

@@ -285,7 +285,8 @@ def test_graded_rank_certificate(a):
 def test_jacobi_trudi_failure_at_rank_six():
     # eps_4 is not an integer combination of degree-8 words in
     # h_1, h_2, h_3, eps_1, eps_2, eps_3 (certified by integer rank)
-    from oddnil.zlinalg import in_row_lattice, int_rank
+    from oddnil.zlinalg import int_rank
+    from reference_linalg import in_row_lattice
 
     a = 6
     gens = {("h", k): S.complete(k, a) for k in (1, 2, 3)}

@@ -43,10 +43,7 @@ ALLOWED = {
 # references the AST cannot resolve count for no owner; where one is the
 # only reference to its owner, it is listed here as (where, name) -> (the
 # owner it reaches, why)
-RESOLVED_BY_HAND = {
-    ("cyclotomic.schur_box_images", "reduce"): ("cyclotomic.DegreeLattice.reduce",
-                                                "slice_ runs over h_ideal_slices(...), a list of DegreeLattice"),
-}
+RESOLVED_BY_HAND = {}
 
 
 def _modules():

@@ -151,17 +151,59 @@ def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     assert [label for label, _, _ in r.details] == [str(("multiply mod 2", 3, left, right))]
 
 
-def test_a_failing_boolean_instance_reports_true_against_false(monkeypatch):
-    """A lattice or box property is the instance (label, True, condition);
-    when it fails, its triple is (str(label), "True", "False")."""
+def test_a_slice_with_torsion_reports_its_smith_factors(monkeypatch):
+    """A slice is torsion-free when its Smith factors are all 1; with its
+    last factor doubled, each nonzero slice fails as (str(label), its ones,
+    its factors)."""
     from oddnil import cyclotomic
 
-    monkeypatch.setattr(cyclotomic.DegreeLattice, "is_torsion_free", lambda self: False)
+    smith = cyclotomic.smith_invariant_factors
+
+    def doubled_last(rows):
+        factors = smith(rows)
+        return factors[:-1] + [2 * factors[-1]] if factors else factors
+
+    monkeypatch.setattr(cyclotomic, "smith_invariant_factors", doubled_last)
     r = V.run_check("oh_rank", {"pairs": [(2, 3)]})
     assert r.status == "fail"
-    slices = [d for d in r.details if d[0].startswith("('torsion-free slice'")]
-    assert slices and len(slices) == len(r.details)
-    assert all(d[1:] == ("True", "False") for d in slices)
+    slices = cyclotomic.h_ideal_slices(2, 3, cyclotomic.default_dmax(2, 3))
+    assert r.details == [(str(("torsion-free slice", 2, 3, sl.degree)), str([1] * sl.rank),
+                          str([1] * (sl.rank - 1) + [2])) for sl in slices if sl.rank]
+
+
+def test_an_outside_schur_that_does_not_vanish_reports_its_remainder(monkeypatch):
+    """s_(2) lies outside the 2 x 1 box of OH_{2,3}; moved by the box Schur
+    s_(1,1), it fails as (str(label), zeros, the remainder of s_(1,1)
+    modulo its slice)."""
+    from oddnil import cyclotomic, oddsym, zlinalg
+
+    schur = oddsym.schur
+
+    def moved(lam, a):
+        return schur(lam, a) + schur((1, 1), a) if lam == (2,) else schur(lam, a)
+
+    monkeypatch.setattr(oddsym, "schur", moved)
+    r = V.run_check("schur_box", {"pairs": [(2, 3)]})
+    assert r.status == "fail"
+    top = cyclotomic.h_ideal_slices(2, 3, 4)[-1]
+    index = {lam: i for i, lam in enumerate(top.ambient_basis)}
+    rem = zlinalg.reduce(top.hermite, zlinalg.row(oddsym.expand_in_elementary(schur((1, 1), 2)), index))
+    assert any(rem)
+    assert r.details == [(str(("outside Schur vanishes", 2, 3, (2,))), str([0] * len(rem)), str(rem))]
+
+
+@pytest.mark.parametrize("check_id,params,count,label,got", [
+    ("identity_decomposition", {"a_list": [2]}, "factorial", ("idempotents", 2), 2),
+    ("eaeb_decomposition", {"pairs": [(1, 2)]}, "comb", ("idempotents", 1, 2), 3),
+], ids=["identity_decomposition", "eaeb_decomposition"])
+def test_a_wrong_idempotent_count_fails(monkeypatch, check_id, params, count, label, got):
+    """The number of idempotents, a! or binom(a+b, a), is compared like any
+    other value: with a wrong expected count the decomposition fails there
+    alone."""
+    monkeypatch.setattr(V, count, lambda *args: 999)
+    r = V.run_check(check_id, params)
+    assert r.status == "fail"
+    assert r.details == [(str(label), "999", str(got))]
 
 
 def test_every_splitter_failure_names_a_schubert_polynomial(monkeypatch):
@@ -275,7 +317,7 @@ def test_a_check_of_empty_blocks_reports_skipped(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id,a,instances", [
-    ("identity_decomposition", 5, 1_728_120),  # (5!)^2 products and 5! sums, on 5! polynomials
+    ("identity_decomposition", 5, 1_728_121),  # (5!)^2 products and 5! sums on 5! polynomials, and the count
     ("nil_orth", 5, 1_728_000),  # (5!)^2 products on 5! polynomials
     ("matrix_iso", 4, 7_962_624),  # (4!)^4 products on 4! polynomials
 ])
@@ -289,13 +331,13 @@ def test_morita_contracts_pass_at_their_envelope_edge(check_id, a, instances):
 @pytest.mark.parametrize("check_id,instances", [
     # per pair, binom(5, a)^2 products on 5! polynomials, and binom(5, a) degrees
     ("oval", 2 * (10 ** 2 * 120 + 10) + 2 * (5 ** 2 * 120 + 5)),
-    # per pair, binom(5, a)^2 products and one sum on 5! polynomials, and the degree multiset
-    ("eaeb_decomposition", 2 * ((10 ** 2 + 1) * 120 + 1) + 2 * ((5 ** 2 + 1) * 120 + 1)),
+    # per pair, binom(5, a)^2 products and one sum on 5! polynomials, the count and the degree multiset
+    ("eaeb_decomposition", 2 * ((10 ** 2 + 1) * 120 + 2) + 2 * ((5 ** 2 + 1) * 120 + 2)),
 ])
 def test_box_contracts_pass_at_every_pair_of_their_envelope_edge(check_id, instances):
     r = V.run_check(check_id, {"pairs": [(3, 2), (2, 3), (4, 1), (1, 4)]})
     assert (r.status, r.instances) == ("pass", instances)
-    assert instances == {"oval": 30_030, "eaeb_decomposition": 30_484}[check_id]
+    assert instances == {"oval": 30_030, "eaeb_decomposition": 30_488}[check_id]
     for pair in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]:
         above = V.run_check(check_id, {"pairs": [pair]})
         assert above.status == "skipped" and "exceeds" in above.details[0][2]
