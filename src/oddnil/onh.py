@@ -36,15 +36,24 @@ carried: an image depends only on the word and the monomial, since the
 length of the exponent tuple fixes the strand count.  Images are
 immutable tuples of (monomial, coeff) pairs, a zero image the shared ();
 a call sums c * image per term into a fresh dict, so no result shares a
-dict with the memo.  A miss runs oddops.apply_letters, the one letter
-loop, on the one-term polynomial {monomial: 1}.  The memo is unbounded,
-like the library's lru_caches, and oddops.clear_caches empties it; most
-images are zero, and most (word, monomial) pairs recur within a sweep.
+dict with the memo.  A miss first compares the monomial's half-degree
+with the word's floor (word_floor): each crossing lowers the half-degree
+by one, each dot raises it by one, and d_i of a constant is 0, so a
+monomial whose half-degree some suffix of the word would take below zero
+has the zero image.  Any other miss runs oddops.apply_letters, the one letter
+loop, on the one-term polynomial {monomial: 1}.  The projectors end in
+the crossings of D_a, so the floor decides most zero images.  The memo is
+unbounded, like the library's lru_caches, and oddops.clear_caches empties
+it; most images are zero, and most (word, monomial) pairs recur within a
+sweep.
 
 Thick calculus conventions (all signs downstream depend on these):
 
-* e_a is the 0-Hecke product (x_r d_r) along the canonical reduced word
-  of w_0.
+* e_a is (-1)^{binom(a,3)} x^delta D_a: the word e_word(a), the dots of
+  the staircase over the fixed crossing word of D_a, with coefficient
+  e_sign(a).  It equals the 0-Hecke product (x_r d_r) along the
+  canonical reduced word of w_0 (zero_hecke_product), which the
+  ea_standard check states.
 * embed(element, offset, n) places a diagram on strands offset+1 ..
   offset+k of n; a thick diagram is a product of embedded projectors,
   boxes, dots and bundle crossings.
@@ -94,20 +103,38 @@ def shift_word(word, offset):
     return tuple((l + offset) if l > 0 else (l - offset) for l in word)
 
 
-# word -> {monomial: its image under the word, as (monomial, coeff) pairs}
+def word_floor(word):
+    """The least half-degree of a monomial that the word may not kill: the
+    largest excess of crossings over dots in any suffix of the word (the
+    letters that act first), or 0."""
+    floor = excess = 0
+    for l in reversed(word):
+        excess += 1 if l < 0 else -1
+        if excess > floor:
+            floor = excess
+    return floor
+
+
+# word -> (word_floor(word), {monomial: its image, as (monomial, coeff) pairs})
 _segment_images = {}
 
 
 def apply_word(word, p):
     """Apply a word to a polynomial; rightmost letter acts first.  Each
-    monomial's image is read from the word's memo, or computed once."""
-    images = _segment_images.get(word)
-    if images is None:
-        images = _segment_images[word] = {}
+    monomial's image is read from the word's memo, or computed once; a
+    monomial of half-degree below the word's floor has the zero image, and
+    no letter runs for it."""
+    memo = _segment_images.get(word)
+    if memo is None:
+        memo = _segment_images[word] = (word_floor(word), {})
+    floor, images = memo
     d = {}
     for mono, c in p.terms.items():
         image = images.get(mono)
         if image is None:
+            if sum(mono) < floor:
+                images[mono] = ()
+                continue
             one = _from_normal(len(mono), {mono: 1})
             image = images[mono] = tuple(oddops.apply_letters(word, one).terms.items())
         # add_scaled inlined over the pairs
@@ -417,17 +444,37 @@ def zero_hecke(strands, r):
     return OnhElement.from_word(strands, (r, -r))
 
 
-@lru_cache(maxsize=None)
-def e_word(a):
-    """Word of e_a: the 0-Hecke product along the canonical word of w_0."""
+def zero_hecke_product(a):
+    """e_a as the 0-Hecke product (x_r d_r) along the canonical reduced
+    word of w_0: the form that ea_standard states idempotent_e against."""
     word = []
     for j in combinat.canonical_reduced_word(combinat.longest_element(a)):
         word.extend((j, -j))
-    return tuple(word)
+    return OnhElement.from_word(a, word)
+
+
+@lru_cache(maxsize=None)
+def e_word(a):
+    """Word of e_a up to its sign e_sign(a): x^delta D_a, the dots of the
+    staircase over the crossings of D_a, which act first."""
+    return dots_word(tuple(range(a - 1, -1, -1))) + oddops.da_word(a)
+
+
+def e_sign(a):
+    return (-1) ** comb(a, 3)
 
 
 def idempotent_e(a):
-    return OnhElement.from_word(a, e_word(a))
+    """e_a = (-1)^{binom(a,3)} x^delta D_a: the word e_word(a) with the
+    coefficient e_sign(a); the even e_a of Lauda's categorification of
+    quantum sl(2) is x^delta D_a.  It equals zero_hecke_product(a)
+    (ea_standard states this for a <= 5, the tests for a = 6, 7).  Products
+    carry the sign as a coefficient: up_splitter, sigma_part and
+    lambda_part through this function, lambda_seq once per e_word it
+    concatenates, and box not at all, since e_a f e_a holds it squared.
+    The crossings of D_a act first, so apply_word's floor sends most
+    monomials to zero before any letter runs."""
+    return OnhElement.from_word(a, e_word(a), e_sign(a))
 
 
 def embed(element, offset, n):
@@ -466,7 +513,8 @@ def up_splitter(a, b):
 
 
 def box(f, a):
-    """e_a f e_a for odd symmetric f."""
+    """e_a f e_a for odd symmetric f: e_word(a) + x^m + e_word(a) with f's
+    coefficient c_m, since e_a's sign comes in squared."""
     if f.nvars != a:
         raise ValueError("box needs a polynomial in %d variables" % a)
     if not oddsym.is_odd_symmetric(f):
@@ -533,15 +581,19 @@ def lambda_seq(ell):
     The hat-l_nu dots sit on the thin strand directly below the merge at
     thickness nu+1; flattening all dots below the single top merge flips
     some diagonal signs and fails the orthogonality contract, so the
-    intermediate merges are kept.
+    intermediate merges are kept.  The product is one word: e_word(nu+1)
+    is e_{nu+1} without its sign, so the coefficient takes one
+    e_sign(nu+1) per projector next to the leading (-1)^{binom(a,3)}.
     """
     a = combinat.sq_strands(ell)
     hat = combinat.seq_hat(ell)
     word = []
+    sign = (-1) ** comb(a, 3)
     for nu in range(a - 1, 0, -1):
         word.extend(e_word(nu + 1))
         word.extend([nu + 1] * hat[nu - 1])
-    return OnhElement.from_word(a, tuple(word), (-1) ** comb(a, 3))
+        sign *= e_sign(nu + 1)
+    return OnhElement.from_word(a, tuple(word), sign)
 
 
 def sigma_part(alpha, a, b):
@@ -577,10 +629,6 @@ def mirror(element):
 def d_element(a):
     """D_a as an element (the fixed word of oddops.da_word)."""
     return OnhElement.from_word(a, oddops.da_word(a))
-
-
-def staircase_element(a):
-    return OnhElement.from_word(a, dots_word(tuple(range(a - 1, -1, -1))))
 
 
 # ---------------------------------------------------------------------------

@@ -391,11 +391,13 @@ def check_da_slide(params, rng):
 
 
 def check_ea_standard(params, rng):
+    """e_a as the library builds it, (-1)^C(a,3) x^delta D_a, against the
+    0-Hecke product; then e_a f = e_a f e_a on random boxes."""
     for a in range(1, params["a_max"] + 1):
         yield (
             ("e_a = (-1)^C(a,3) x^delta D_a", a),
-            (onh.staircase_element(a) * onh.d_element(a)).scale((-1) ** comb(a, 3)),
             onh.idempotent_e(a),
+            onh.zero_hecke_product(a),
         )
     for a in range(2, min(params["a_max"], 4) + 1):
         for t in range(params["random_boxes"]):

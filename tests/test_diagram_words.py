@@ -1,8 +1,13 @@
 """The thick diagrams that ``onh`` and ``verify`` build from embedded
 elements spell the same words, with the same coefficients in the same
 order, as the hand-written letter recipes they replaced
-(``reference_words``).  So evaluation, instance counts and reports are
-unchanged by construction, not only by the identities holding."""
+(``reference_words``), under one substitution: each projector e_k the
+recipes wrote as the 0-Hecke product is (-1)^{binom(k,3)} x^delta D_k
+(``R.standard_e``).  So evaluation, instance counts and reports follow
+from the recipes by construction.  The substitution itself is an
+identity, and the witness tests state it: each recipe with its 0-Hecke
+projectors (``R.hecke_e``) equals the diagram, at every size pinned
+here."""
 
 import itertools
 
@@ -27,8 +32,8 @@ def mirror(a, b):
 @pytest.mark.parametrize("a", range(1, 6))
 def test_sigma_and_lambda_sequences_spell_the_earlier_words(a):
     for ell in C.enumerate_sq(a):
-        same_words(H.sigma_seq(ell), R.sigma_seq(ell))
-        same_words(H.lambda_seq(ell), R.lambda_seq(ell))
+        same_words(H.sigma_seq(ell), R.sigma_seq(ell, R.standard_e))
+        same_words(H.lambda_seq(ell), R.lambda_seq(ell, R.standard_e))
 
 
 PAIRS = [(a, b) for a in range(1, 5) for b in range(1, 5) if a + b <= 5]
@@ -36,10 +41,10 @@ PAIRS = [(a, b) for a in range(1, 5) for b in range(1, 5) if a + b <= 5]
 
 @pytest.mark.parametrize("a,b", PAIRS)
 def test_splitters_and_parts_spell_the_earlier_words(a, b):
-    same_words(H.up_splitter(a, b), R.up_splitter(a, b))
+    same_words(H.up_splitter(a, b), R.up_splitter(a, b, R.standard_e))
     for alpha in C.partitions_in_box(a, b):
-        same_words(H.sigma_part(alpha, a, b), R.sigma_part(alpha, a, b))
-        same_words(H.lambda_part(alpha, a, b), R.lambda_part(alpha, a, b))
+        same_words(H.sigma_part(alpha, a, b), R.sigma_part(alpha, a, b, R.standard_e))
+        same_words(H.lambda_part(alpha, a, b), R.lambda_part(alpha, a, b, R.standard_e))
 
 
 def test_placed_crossings_projectors_and_boxes_spell_the_earlier_words():
@@ -50,8 +55,8 @@ def test_placed_crossings_projectors_and_boxes_spell_the_earlier_words():
         for a in range(1, n + 1):
             f = S.elementary(1, a)
             for offset in range(0, n - a + 1):
-                same_words(H.embed(H.idempotent_e(a), offset, n), R.e_embedded(a, offset, n))
-                same_words(H.embed(H.box(f, a), offset, n), R.box_embedded(f, a, offset, n))
+                same_words(H.embed(H.idempotent_e(a), offset, n), R.e_embedded(a, offset, n, R.standard_e))
+                same_words(H.embed(H.box(f, a), offset, n), R.box_embedded(f, a, offset, n, R.standard_e))
 
 
 def test_the_mirror_crossing_is_the_sigma_image_of_the_crossing():
@@ -80,12 +85,44 @@ def test_the_verify_diagrams_spell_the_earlier_words():
             * H.embed(H.idempotent_e(c), a, n)
             * H.embed(H.crossing_element(c, a), 0, n)
         )
-        same_words(tcross, R.triangle_crossing(a, c, n))
+        same_words(tcross, R.triangle_crossing(a, c, n, R.standard_e))
     for a in range(1, 5):
         n = a + 1
         for s in range(0, a + 1):
             dots = H.from_polynomial(SkewPolynomial.monomial(n, (0,) * a + (s,)))
             same_words(dots, R.top_dots(n, s))
+
+
+def same_element(recipe, diagram):
+    assert H.witness(recipe, diagram) is None
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_sigma_and_lambda_sequences_equal_their_zero_hecke_recipes(a):
+    for ell in C.enumerate_sq(a):
+        same_element(R.sigma_seq(ell, R.hecke_e), H.sigma_seq(ell))
+        same_element(R.lambda_seq(ell, R.hecke_e), H.lambda_seq(ell))
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_splitters_and_parts_equal_their_zero_hecke_recipes(a, b):
+    same_element(R.up_splitter(a, b, R.hecke_e), H.up_splitter(a, b))
+    for alpha in C.partitions_in_box(a, b):
+        same_element(R.sigma_part(alpha, a, b, R.hecke_e), H.sigma_part(alpha, a, b))
+        same_element(R.lambda_part(alpha, a, b, R.hecke_e), H.lambda_part(alpha, a, b))
+
+
+def test_projectors_boxes_and_triangles_equal_their_zero_hecke_recipes():
+    """Placement is a shift of words, and so an algebra map: a diagram and
+    its recipe that agree on their own strands agree wherever they are
+    placed, so each is compared on as many strands as it spans."""
+    for a in range(1, 7):
+        same_element(R.e_embedded(a, 0, a, R.hecke_e), H.idempotent_e(a))
+        same_element(R.box(S.elementary(1, a), a, R.hecke_e), H.box(S.elementary(1, a), a))
+    for a, c in itertools.product(range(1, 4), repeat=2):
+        n = a + c
+        tcross = H.embed(H.idempotent_e(a), 0, n) * H.embed(H.idempotent_e(c), a, n) * H.crossing_element(c, a)
+        same_element(R.triangle_crossing(a, c, n, R.hecke_e), tcross)
 
 
 def test_embed_rejects_a_diagram_that_does_not_fit():

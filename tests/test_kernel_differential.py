@@ -15,7 +15,9 @@ signed words of dots and crossings for 1 to 7 strands, out-of-range
 letters and the zero polynomial included (the same error text, raised at
 the same letter), and
 onh.apply_word, which memoizes each monomial's image under a word, both
-cold and on memo hits.
+cold and on memo hits, and which decides a miss below the word's degree
+floor with no letter: on every monomial from one below the floor to one
+above it, for each plan segment of the sigma/lambda families.
 Elements whose words share a head and a tail and differ in runs of
 leading dots, which evaluate factors out and merges, are compared with
 the per-word reference as well.
@@ -32,6 +34,7 @@ wrong-length key fails as surely as a wrong sign.
 """
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +43,7 @@ import reference_kernel as ref
 from oddnil import combinat, oddops, oddsym, onh
 from oddnil.lincomb import collect
 from oddnil.qgrade import QLaurent
-from oddnil.skewpoly import SkewPolynomial, _from_normal, _kernel, apply_simple_transposition, apply_w0
+from oddnil.skewpoly import SkewPolynomial, _from_normal, _kernel, apply_simple_transposition, apply_w0, staircase
 
 # small exponents make products collide and cancel; large ones reach the
 # high bits of both parity masks and long d_i power formulas
@@ -535,17 +538,19 @@ def test_head_and_merged_dot_runs_evaluate_like_the_per_word_reference(case):
 def test_plan_factors_out_the_head_and_merges_dot_runs():
     a = 3
     f = oddsym.elementary(1, a) + oddsym.elementary(2, a)
-    ea = onh.e_word(a)
+    ea, sign = onh.e_word(a), onh.e_sign(a)
     # e_a f: every word is e_a over the dots of one term of f, so the one
-    # middle is empty, with f as its coefficient, and e_a acts once, on f p
+    # middle is empty, with e_a's sign times f as its coefficient, and e_a
+    # acts once, on that times p
     head, tail, ((middle, g),) = onh._plan(a, (onh.idempotent_e(a) * onh.from_polynomial(f)).combo)
-    assert (head, tail, middle) == (ea, (), ()) and normal(g) == normal(f)
+    assert (head, tail, middle) == (ea, (), ()) and normal(g) == normal(f.scale(sign))
     # e_a f e_a: after the head e_a, each word is the dots of a term of f,
-    # then e_a, which starts with the dot x_1; the rest of e_a is the one
-    # middle and the dot runs merge into f x_1 before it
+    # then e_a, which starts with the dots of x^delta; D_a is the one
+    # middle, and the dot runs merge into f x^delta before it (the two
+    # signs of e_a cancel)
     head, tail, ((middle, g),) = onh._plan(a, onh.box(f, a).combo)
-    assert (head, tail, middle) == (ea, (), ea[1:])
-    assert normal(g) == normal(f * SkewPolynomial.variable(a, 1))
+    assert (head, tail, middle) == (ea, (), oddops.da_word(a))
+    assert normal(g) == normal(f * staircase(a))
     # one word is its own middle, and a run that stands alone stays in its word
     assert onh._plan(a, {ea: 2}) == ((), (), ((ea, 2),))
     assert onh._plan(a, {(1, -1): 2, (2, -2): 3}) == ((), (), (((1, -1), 2), ((2, -2), 3)))
@@ -563,23 +568,89 @@ def test_plan_factors_out_the_head_and_merges_dot_runs():
 
 
 def test_a_head_meets_a_large_sum_at_once_and_a_small_one_through_the_memo(monkeypatch):
-    a = 2
+    a = 3
     ea = onh.e_word(a)
     f = oddsym.elementary(1, a)
     el = onh.idempotent_e(a) * onh.from_polynomial(f)
-    small = SkewPolynomial.monomial(a, (1, 0))
-    large = SkewPolynomial(a, {(2, 0): 1, (1, 1): 2, (0, 2): 3})
-    assert len((f * small).terms) <= len(ea) < len((f * large).terms)
+    g = f.scale(onh.e_sign(a))  # the one middle's coefficient
+    small = SkewPolynomial.monomial(a, (2, 1, 0))
+    large = SkewPolynomial(a, {(3, 0, 0): 1, (2, 1, 0): 2, (0, 3, 0): 3, (0, 1, 2): -1})
+    assert len((g * small).terms) <= len(ea) < len((g * large).terms)
     seen = []
     letters, word = oddops.apply_letters, onh.apply_word
     monkeypatch.setattr(oddops, "apply_letters", lambda w, p: seen.append(("at once", w, p)) or letters(w, p))
     monkeypatch.setattr(onh, "apply_word", lambda w, p: seen.append(("memo", w, p)) or word(w, p))
     for p in (small, large):
-        assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+        got = el.evaluate(p)
+        assert got and normal(got) == normal(ref.evaluate(el, p))
     # apply_letters also builds each dot run's D(1) and fills the memo one
     # monomial at a time; the head meets each sum once
     sums = [(kind, normal(p)) for kind, w, p in seen if w == ea and (kind == "memo" or len(p.terms) > 1)]
-    assert sums == [("memo", normal(f * small)), ("at once", normal(f * large))]
+    assert sums == [("memo", normal(g * small)), ("at once", normal(g * large))]
+
+
+def test_word_floor_is_the_largest_excess_of_crossings_in_a_suffix():
+    assert onh.word_floor(()) == onh.word_floor((1, 2)) == 0
+    assert onh.word_floor((1, -1)) == 1
+    # x_1 acts first, so d_1 x_1 keeps a constant alive
+    assert onh.word_floor((-1, 1)) == 0
+    assert onh.word_floor((-1, 1, -2, -1)) == 2
+    assert onh.word_floor((-1, -2, 1, 1, 1, -1)) == 1
+    for a in range(1, 7):
+        # the crossings of D_a act first
+        assert onh.word_floor(onh.e_word(a)) == comb(a, 2)
+
+
+def _thick_elements(a):
+    for ell in combinat.enumerate_sq(a):
+        yield onh.sigma_seq(ell)
+        yield onh.lambda_seq(ell)
+    for k in range(1, a):
+        for alpha in combinat.partitions_in_box(k, a - k):
+            yield onh.sigma_part(alpha, k, a - k)
+            yield onh.lambda_part(alpha, k, a - k)
+
+
+def test_apply_word_matches_reference_on_every_monomial_around_the_floor():
+    """Every word evaluate hands to apply_word (plan head, tail and middles)
+    of the sigma/lambda families, on every monomial of half-degree floor - 1
+    to floor + 1, cold and then from the memo: below the floor the image is
+    zero with no letter run, at and above it the letters run."""
+    segments = set()
+    for a in range(1, 5):
+        for el in _thick_elements(a):
+            head, tail, middles = onh._plan(a, el.combo)
+            segments.update((a, w) for w in (head, tail) + tuple(m for m, _ in middles) if w)
+    assert len(segments) > 100
+    cases = []
+    for a, w in sorted(segments):
+        floor = onh.word_floor(w)
+        for h in range(max(floor - 1, 0), floor + 2):
+            for mono in oddsym.monomials_of_degree(a, h):
+                p = SkewPolynomial(a, {mono: 1})
+                cases.append((w, p, normal(ref.apply_word(w, p))))
+    oddops.clear_caches()
+    for _ in ("cold", "warm"):
+        for w, p, want in cases:
+            assert normal(onh.apply_word(w, p)) == want, (w, p)
+
+
+def test_a_miss_below_the_floor_runs_no_letter(monkeypatch):
+    a = 4
+    word = onh.e_word(a)
+    floor = onh.word_floor(word)
+    assert floor == 6
+    below = SkewPolynomial(a, {m: 1 for h in range(floor) for m in oddsym.monomials_of_degree(a, h)})
+    at = SkewPolynomial(a, {m: 1 for m in oddsym.monomials_of_degree(a, floor)})
+    oddops.clear_caches()
+    letters = oddops.apply_letters
+    seen = []
+    monkeypatch.setattr(oddops, "apply_letters", lambda w, p: seen.append(p) or letters(w, p))
+    assert not onh.apply_word(word, below)
+    assert seen == [] and set(onh._segment_images[word][1].values()) == {()}
+    # at the floor every miss runs the letters, one monomial at a time
+    assert normal(onh.apply_word(word, at)) == normal(ref.apply_word(word, at))
+    assert sorted(m for p in seen for m in p.terms) == sorted(at.terms)
 
 
 def _sigma_lambda_families():

@@ -9,7 +9,7 @@ from oddnil import combinat as C
 from oddnil import oddops as O
 from oddnil import oddsym as S
 from oddnil import onh as H
-from oddnil.skewpoly import SkewPolynomial
+from oddnil.skewpoly import SkewPolynomial, staircase
 
 
 def test_word_serialization_roundtrip():
@@ -96,12 +96,25 @@ def test_e_embedded():
         H.embed(H.idempotent_e(3), 2, 4)
 
 
+def standard_form(a):
+    """(-1)^{binom(a,3)} x^delta D_a, from the staircase and D_a."""
+    return (H.from_polynomial(staircase(a)) * H.d_element(a)).scale((-1) ** comb(a, 3))
+
+
 @pytest.mark.parametrize("a", range(1, 6))
 def test_projector_in_standard_basis(a):
-    lhs = H.idempotent_e(a)
-    rhs = (H.staircase_element(a) * H.d_element(a)).scale((-1) ** comb(a, 3))
-    assert lhs == rhs
+    # the library's e_a is the standard form word for word, and it equals
+    # the 0-Hecke product
+    assert H.idempotent_e(a).combo == standard_form(a).combo
+    assert H.zero_hecke_product(a) == standard_form(a)
     assert H.d_element(a) * H.idempotent_e(a) == H.d_element(a)
+
+
+@pytest.mark.parametrize("a", [6, 7])
+def test_projector_is_the_zero_hecke_product_beyond_the_registry(a):
+    """ea_standard states e_a = (-1)^C(a,3) x^delta D_a for a <= 5, but
+    ea_eone at its envelope edge, a_max = 5, builds e_6."""
+    assert H.idempotent_e(a) == H.zero_hecke_product(a)
 
 
 def test_e_absorbs_symmetric_boxes():
@@ -332,7 +345,7 @@ def test_automorphism_contracts(a):
     # psi reverses words; the sign on D_a is pinned by evaluation (a = 4
     # already needs one distant swap, so the exponent is binom(a,4))
     assert P.reverse_words(D) == D.scale((-1) ** comb(a, 4))
-    st = H.staircase_element(a)
+    st = H.from_polynomial(staircase(a))
     assert st == P.reverse_words(st).scale((-1) ** comb(a, 4))
     assert H.mirror(H.cross(2, 1)) == H.cross(2, 1)
 

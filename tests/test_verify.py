@@ -60,14 +60,29 @@ def test_a_failing_element_identity_reports_its_schubert_witness(monkeypatch):
     (str(label + (i,)), str(want(p_i)), str(got(p_i)))."""
     from oddnil import onh
 
-    monkeypatch.setattr(onh, "staircase_element", lambda a: onh.OnhElement.zero(a))
+    monkeypatch.setattr(onh, "zero_hecke_product", lambda a: onh.OnhElement.zero(a))
     r = V.run_check("ea_standard", {"a_max": 2})
     assert r.status == "fail"
     assert r.instances == 2 + 20  # the e_a statements and the random boxes at a = 2
     assert r.details == [
-        ("('e_a = (-1)^C(a,3) x^delta D_a', 1, 0)", "0", "1"),
-        ("('e_a = (-1)^C(a,3) x^delta D_a', 2, 1)", "0", "x1"),
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 1, 0)", "1", "0"),
+        ("('e_a = (-1)^C(a,3) x^delta D_a', 2, 1)", "x1", "0"),
     ]
+
+
+def test_ea_standard_fails_when_the_standard_forms_sign_flips_at_3(monkeypatch):
+    """idempotent_e is the standard form itself, so ea_standard states it
+    against the 0-Hecke product: a wrong sign at a = 3 fails there, and
+    in the random boxes e_a f = e_a f e_a, where the sign is not squared."""
+    from oddnil import onh
+
+    sign = onh.e_sign
+    monkeypatch.setattr(onh, "e_sign", lambda a: -sign(a) if a == 3 else sign(a))
+    r = V.run_check("ea_standard", {"a_max": 3, "random_boxes": 2})
+    assert r.status == "fail"
+    labels = [ast.literal_eval(label) for label, _, _ in r.details]
+    assert labels[0][:2] == ("e_a = (-1)^C(a,3) x^delta D_a", 3)
+    assert {label[:2] for label in labels[1:]} == {("e_a f e_a = e_a f", 3)}
 
 
 def test_a_failing_random_box_names_its_eps_word(monkeypatch):
