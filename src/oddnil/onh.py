@@ -85,10 +85,6 @@ def word_degree(word):
     return 2 * sum(1 if l > 0 else -1 for l in word)
 
 
-def word_super_degree(word):
-    return (word_degree(word) // 2) % 2
-
-
 def check_word(word, strands):
     for l in word:
         if l == 0:

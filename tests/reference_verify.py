@@ -1,5 +1,9 @@
 """The Schubert-basis sweeps that ``verify``'s shared orthogonality,
-matrix-unit and witness helpers replaced, kept as a test oracle.
+decomposition and witness helpers and its ``matrix_iso`` certificate
+replaced, kept as a test oracle.  ``check_matrix_iso`` compares every
+product of two matrix units on the basis, (a!)^5 instances, where the
+certificate proves the same statement from ``nil_orth``'s blocks by
+associativity; the two are compared by verdict.
 
 The five family checks (``oval``, ``nil_orth``, ``identity_decomposition``,
 ``eaeb_decomposition``, ``matrix_iso``) and the two sentinels are the

@@ -278,6 +278,18 @@ def test_verify_envelope_skip_still_exits_one(capsys):
     assert "skipped" in out and "UNEXPECTED" in out
 
 
+def test_verify_matrix_iso_runs_at_a_five_and_skips_above(capsys):
+    code, out, _ = run_cli(capsys, "verify", "matrix_iso", "--a", "5", "--json")
+    assert code == 0
+    assert [(e["check"], e["params"], e["status"]) for e in json.loads(out)] == [
+        ("matrix_iso", {"a_list": [5]}, "pass")]
+    code, out, _ = run_cli(capsys, "verify", "matrix_iso", "--a", "6", "--json")
+    assert code == 1
+    entry = json.loads(out)[0]
+    assert entry["status"] == "skipped"
+    assert entry["details"] == [["envelope", "within limits", "a_list=[6] exceeds a <= 5"]]
+
+
 def test_verify_max_rank_below_one_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "da_values", "--max-rank", "0")
     assert code == 2

@@ -23,8 +23,6 @@ def test_word_serialization_roundtrip():
 def test_word_degrees():
     assert H.word_degree((1, -1, 2)) == 2
     assert H.word_degree((-1, -2)) == -4
-    assert H.word_super_degree((1, 2)) == 0
-    assert H.word_super_degree((1,)) == 1
 
 
 def test_element_checks_ranges():

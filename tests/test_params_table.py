@@ -3,9 +3,8 @@ heuristics it replaced (tests/reference_params.py).
 
 The two agree everywhere except where the table fixes a named fault: a
 flag that was read as another or ignored, mod2's quotient pairs, which
-the envelope now bounds, matrix_iso's thickness, bounded at a <= 4
-because its sweep is O((a!)^5), and the --max-rank fallbacks that ran a
-sweep above the rank.
+the envelope now bounds, and the --max-rank fallbacks that ran a sweep
+above the rank.
 """
 
 import itertools
@@ -90,18 +89,14 @@ def test_flags_map_as_before_except_the_fixed_faults(cid):
         if new is ValueError:
             continue
         if want is None:
-            verdict = _old_verdict(cid, old)
-            if cid == "matrix_iso" and a is not None and a > 4:
-                fixes += 1
-                verdict = "a_list=%r exceeds a <= 4 (the sweep is O((a!)^5))" % ([a],)
-            assert _new_verdict(cid, new) == verdict, case
+            assert _new_verdict(cid, new) == _old_verdict(cid, old), case
         else:
             # mod2's quotient pair: old rules first, then a <= 5, N <= 6
             verdict = _old_verdict(cid, old)
             if verdict is None and (a > V.ENVELOPE["a"] or n > V.ENVELOPE["N"]):
                 verdict = "pair %r exceeds a <= 5, N <= 6" % ((a, n),)
             assert _new_verdict(cid, new) == verdict, case
-    fixable = cid in ref._AN_PAIR_CHECKS | ref._AB_PAIR_CHECKS | {"mod2", "matrix_iso"}
+    fixable = cid in ref._AN_PAIR_CHECKS | ref._AB_PAIR_CHECKS | {"mod2"}
     assert bool(fixes) == fixable
 
 
@@ -132,13 +127,14 @@ def test_quotient_pairs_are_bounded_like_other_a_n_pairs():
     assert r.details[0][2] == "pair (2, 7) exceeds a <= 5, N <= 6"
 
 
-def test_matrix_iso_is_bounded_at_thickness_four():
-    r = V.run_check("matrix_iso", {"a_list": [5]})
+def test_matrix_iso_is_bounded_at_thickness_five():
+    """matrix_iso takes the shared a <= 5 of the other Morita checks."""
+    r = V.run_check("matrix_iso", {"a_list": [6]})
     assert (r.status, r.instances) == ("skipped", 0)
-    assert r.details[0][2] == "a_list=[5] exceeds a <= 4 (the sweep is O((a!)^5))"
-    # the acceptance run at a = 4 stays inside the bound
-    assert V._envelope_violation("matrix_iso", {"a_list": [4]}) is None
-    assert V.params_from_flags("matrix_iso", a=4) == {"a_list": [4]}
+    assert r.details[0][2] == "a_list=[6] exceeds a <= 5"
+    assert V.check_axes("matrix_iso") == {"a_list": V.A_LIST}
+    assert V._envelope_violation("matrix_iso", {"a_list": [5]}) is None
+    assert V.params_from_flags("matrix_iso", a=5) == {"a_list": [5]}
 
 
 def test_run_many_takes_params_per_check():

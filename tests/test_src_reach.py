@@ -35,7 +35,6 @@ SRC = ROOT / "src" / "oddnil"
 # public definitions kept without a caller in src/, each with its reason
 ALLOWED = {
     "oddops.clear_caches": "empties every lru_cache and the segment-image memo so a test or a timing starts cold; no result needs it",
-    "onh.word_super_degree": "the parity of a word, for the parity shifts of ROADMAP items 6 and 8",
     "onh.OnhElement.normalize": "the standard-basis form of an element, for the standard-basis coordinates of ROADMAP item 6",
     "skewpoly.apply_simple_transposition": "s_i of the twisted Leibniz rule d_i(fg) = d_i(f) g + s_i(f) d_i(g), which the fresh_algebra benchmark checks and traces",
 }

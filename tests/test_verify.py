@@ -144,6 +144,37 @@ def test_owl_corollary_fails_at_a4_when_w0_has_the_wrong_sign_on_the_staircase(m
     assert [label for label, _, _ in r.details] == [str(("D(f)^w0 = (-1)^C(a,2) D(f^w0)", 4, bad))]
 
 
+def test_schubert_basis_fails_when_a_schubert_polynomial_is_doubled(monkeypatch):
+    """With the last Schubert polynomial doubled, the change of basis to
+    the monomials x^A, A_r <= a - r, is no longer unimodular: at a = 2 its
+    Smith factors are [1, 2] against [1, 1]."""
+    from oddnil import onh
+
+    basis_list = onh.schubert_basis_list
+
+    def doubled_last(a):
+        basis = basis_list(a)
+        return basis[:-1] + [basis[-1].scale(2)]
+
+    monkeypatch.setattr(onh, "schubert_basis_list", doubled_last)
+    r = V.run_check("schubert_basis", {"a_max": 2})
+    assert r.status == "fail"
+    assert r.details == [(str(("unimodular Schubert matrix", 2)), "[1, 1]", "[1, 2]")]
+
+
+def test_da_values_fails_when_psi_staircase_is_the_staircase(monkeypatch):
+    """D_a(staircase) = (-1)^C(a,3) and D_a(psi staircase) = (-1)^C(a+1,4)
+    differ first at a = 4; with psi_staircase replaced by staircase,
+    da_values fails on the psi staircase at a = 4 and 5 alone."""
+    from oddnil.skewpoly import SkewPolynomial, staircase
+
+    monkeypatch.setattr(V, "psi_staircase", staircase)
+    r = V.run_check("da_values")
+    assert r.status == "fail"
+    assert r.details == [(str(("D_a(psi staircase)", a)), str(SkewPolynomial.constant(a, -1)),
+                          str(SkewPolynomial.constant(a, 1))) for a in (4, 5)]
+
+
 def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     """A skew product x2 * x1 x3 with an even coefficient vanishes mod 2 while
     the product of the reductions does not.  Only a check that multiplies
@@ -334,7 +365,7 @@ def test_a_check_of_empty_blocks_reports_skipped(monkeypatch):
 @pytest.mark.parametrize("check_id,a,instances", [
     ("identity_decomposition", 5, 1_728_121),  # (5!)^2 products and 5! sums on 5! polynomials, and the count
     ("nil_orth", 5, 1_728_000),  # (5!)^2 products on 5! polynomials
-    ("matrix_iso", 4, 7_962_624),  # (4!)^4 products on 4! polynomials
+    ("matrix_iso", 5, 1_728_120),  # nil_orth's (5!)^2 products on 5! polynomials, and 5! absorptions
 ])
 def test_morita_contracts_pass_at_their_envelope_edge(check_id, a, instances):
     r = V.run_check(check_id, {"a_list": [a]})

@@ -8,9 +8,10 @@ no witness).
 ``eps_relations``, which now forms each product of its relations once, is
 compared with the body that formed them afresh: the same status, instance
 count and ordered failure list, at the defaults and with h_3 negated.
-``matrix_iso``, whose matrix-unit sweep now evaluates each e_jk once per
-distinct input, is compared with the earlier loops in the same way, at the
-defaults and with one lambda negated.
+``matrix_iso`` proves its matrix units by associativity from
+``nil_orth``'s blocks and one absorption per lambda, so it yields other
+instances than the earlier sweep of every product; on each variant, at
+a <= 3, the two are compared by their verdict alone.
 
 A ``verify`` check yields its instances, and the Morita contracts yield
 them a block at a time, so its side is read through ``verify._tally``, the
@@ -48,6 +49,9 @@ CASES = [
     ("sentinel_x1sq_central", {"a": 3}),
 ]
 SENTINELS = {"sentinel_mirror_ea_slide", "sentinel_x1sq_central"}
+# certificates that prove what their earlier body swept: the same verdict,
+# from other instances
+CERTIFICATES = {"matrix_iso"}
 
 
 def _negate_at_zero(fn):
@@ -141,8 +145,11 @@ def test_check_matches_its_earlier_body(monkeypatch, check_id, params, variant):
     fn = V.REGISTRY[check_id].fn
     new, new_order = _outcome(fn, check_id, params)
     old, old_order = _outcome(getattr(R, fn.__name__), check_id, params)
-    assert new == old
-    assert new_order == _in_verify_order(check_id, params, old_order)
+    if check_id in CERTIFICATES:
+        assert new[0] == old[0]
+    else:
+        assert new == old
+        assert new_order == _in_verify_order(check_id, params, old_order)
     passed, instances = new[:2]
     assert instances > 0
     if check_id in SENTINELS:
@@ -167,18 +174,6 @@ def test_eps_relations_with_shared_products_matches_its_earlier_body(monkeypatch
     passed, instances = new[:2]
     assert instances > 0
     assert passed == (not negate_h3)
-
-
-@pytest.mark.parametrize("negate", [False, True])
-def test_matrix_units_with_shared_evaluations_match_the_earlier_loops(monkeypatch, negate):
-    if negate:
-        _negate_one_lambda(monkeypatch)
-    params = V.default_params("matrix_iso")
-    new, old = (_run(fn, params) for fn in (V.check_matrix_iso, R.check_matrix_iso))
-    assert new == old
-    passed, instances = new[:2]
-    assert instances > 0
-    assert passed == (not negate)
 
 
 class _OneValueOff:
@@ -222,8 +217,10 @@ def test_one_wrong_sigma_value_is_reported_as_exactly_that_instance(monkeypatch)
     ("matrix_iso", {"a_list": [2, 3]}),
 ])
 def test_the_morita_contracts_evaluate_no_zero_polynomial(monkeypatch, check_id, params):
-    """An element sends zero to zero, so _orthogonality and _matrix_units
-    leave a zero input unevaluated; every evaluate call gets a nonzero one."""
+    """An element sends zero to zero, so _orthogonality and _decomposition
+    leave a zero input unevaluated, and matrix_iso's absorptions evaluate
+    their sides only on the Schubert basis; every evaluate call gets a
+    nonzero polynomial."""
     evaluate = onh.OnhElement.evaluate
     inputs = []
     monkeypatch.setattr(onh.OnhElement, "evaluate", lambda self, p: inputs.append(bool(p)) or evaluate(self, p))
