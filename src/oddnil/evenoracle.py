@@ -9,6 +9,7 @@ Grassmannian quotient slices, computed on e-words.
 The ``Gf2Poly`` constructor is the reduction mod 2: it keeps, with
 coefficient 1, each monomial whose integer coefficient is odd, so
 ``oddsym.mod2_reduction`` hands it a skew polynomial's terms unchanged.
+The keys must be exponent tuples: the constructor keeps them as given.
 Of ``oddnil`` this module imports only ``combinat``.
 """
 
@@ -27,7 +28,7 @@ class Gf2Poly:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {tuple(m): 1 for m, c in terms.items() if c % 2} if terms else {}
+        self.terms = {m: 1 for m, c in terms.items() if c & 1} if terms else {}
 
     def __eq__(self, other):
         return (

@@ -4,6 +4,15 @@ Skew polynomials (keys are exponent tuples), ONH_a elements (keys are
 words) and q-Laurent polynomials (keys are exponents) all store a finite
 integer combination this way.  Every function here keeps the one invariant
 the three classes rely on: no key is ever stored with coefficient 0.
+
+add_scaled, like the skew-product and d_i kernels of skewpoly, accumulates
+miss-first: it reads d.get(k), stores the product at once when the key is
+absent, and only otherwise adds, storing the sum or deleting the key when
+the sum is zero.  A missing key is inserted at the same place as by the
+add-then-test loop, get(k, 0) + c * v, and a cancelled key is deleted in
+the same step, so a later reinsertion goes to the end as before: the
+terms and their key order are the loop's.  The stored product is never 0,
+because c and every stored coefficient are nonzero.
 """
 
 from operator import index
@@ -39,11 +48,15 @@ def add_scaled(d, terms, c):
     """d += c * terms in place, for a nonzero int c; a key whose sum reaches
     zero is deleted.  Returns d."""
     for k, v in terms.items():
-        s = d.get(k, 0) + c * v
-        if s:
-            d[k] = s
+        s = d.get(k)
+        if s is None:
+            d[k] = c * v
         else:
-            del d[k]
+            s += c * v
+            if s:
+                d[k] = s
+            else:
+                del d[k]
     return d
 
 

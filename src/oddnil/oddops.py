@@ -14,12 +14,15 @@ s_i(L) = (-1)^{|A_<i|} L and d_i(R) = 0, so
 
     d_i(x^A) = (-1)^{A_1 + ... + A_{i-1}} L d_i(B) R
 
-in closed form.  d_i(B) is d_1(x_1^p x_2^q) shifted to x_i, x_{i+1}, a
-cached table keyed by (p, q); its terms sit between L and R in normal
-order, so no factor needs reordering.  divided_difference writes each
-monomial's image straight into the result, with no per-monomial memo,
-through a loop unrolled once per (number of variables, i)
-(skewpoly._kernel).
+in closed form.  d_i(B) is d_1(x_1^p x_2^q) shifted to x_i, x_{i+1}; its
+terms sit between L and R in normal order, so no factor needs reordering.
+The kernel reads d_1(x_1^p x_2^q) as _dd_rows[p][q], a list of lists of
+(e_1, e_2, c) triples built from the closed form _dd_block: the table
+starts empty and _dd_grow extends it when a monomial's (p, q) is past its
+end, so it holds a row of p only once some monomial has had that exponent
+at x_i.  divided_difference writes each monomial's image straight into
+the result, with no per-monomial memo, through a loop unrolled once per
+(number of variables, i) (skewpoly._kernel).
 
 A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
 (left multiplication), -r is the crossing d_r.  It composes right-to-left:
@@ -35,7 +38,6 @@ re-derived from the permutation.
 """
 
 import sys
-from functools import lru_cache
 from math import comb
 
 from .lincomb import collect
@@ -45,8 +47,10 @@ from . import combinat
 # always empty: benchmarks/tracer.py reports its length as oddops.dd.memo_entries
 _dd_cache = {}
 
+# _dd_rows[p][q] is _dd_block(p, q) as (e_1, e_2, c) triples; see _dd_grow
+_dd_rows = []
 
-@lru_cache(maxsize=None)
+
 def _dd_block(p, q):
     """d_1(x_1^p x_2^q) as ((e_1, e_2), c) pairs in normal order, c != 0.
 
@@ -57,6 +61,17 @@ def _dd_block(p, q):
     pairs = [((p - 1 - j, j + q), -1 if (j + j * (p - 1 - j)) & 1 else 1) for j in range(p)]
     pairs += [((k, p + q - 1 - k), -1 if (p + k + p * k) & 1 else 1) for k in range(q)]
     return tuple(collect(pairs).items())
+
+
+def _dd_grow(p, q):
+    """Extend _dd_rows so that it holds _dd_rows[p][q], and return that row.
+    Rows are added empty up to p, and row p is filled up to q; what is
+    already there stays."""
+    while len(_dd_rows) <= p:
+        _dd_rows.append([])
+    row = _dd_rows[p]
+    row.extend(tuple((e1, e2, c) for (e1, e2), c in _dd_block(p, j)) for j in range(len(row), q + 1))
+    return row[q]
 
 
 def divided_difference(i, p):
@@ -87,7 +102,7 @@ def apply_letters(word, p):
         else:
             if not 0 < -l < n:
                 raise ValueError("operator index %d out of range for %d variables" % (-l, n))
-            d = _kernel("dd", n, -l)(d, _dd_block)
+            d = _kernel("dd", n, -l)(d, _dd_rows, _dd_grow)
     return p if d is p.terms else _from_normal(n, d)
 
 
@@ -122,8 +137,8 @@ def odd_symmetrize(p):
 
 def clear_caches():
     """Empty every cache in the library, so the next computation starts
-    cold: the lru_cache of every loaded oddnil module (the d_i table
-    _dd_block among them) and onh's memo of word-segment images.  The
+    cold: the lru_cache of every loaded oddnil module, the d_i table
+    _dd_rows and onh's memo of word-segment images.  The
     compiled kernels (skewpoly._kernel) go too and are compiled again on
     their next call; they hold no results, so the terms come out the same."""
     # imported here: onh imports this module
@@ -134,4 +149,5 @@ def clear_caches():
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+    _dd_rows.clear()
     onh._segment_images.clear()

@@ -182,8 +182,9 @@ def _kernel_source(kind, nvars, index):
 
       "mul", index 0   kernel(left, right), the skew product;
       "dot", index r   kernel(terms), x_r times the terms;
-      "dd", index i    kernel(terms, block), d_i of the terms, where
-                       block(p, q) is oddops._dd_block.
+      "dd", index i    kernel(terms, rows, grow), d_i of the terms, where
+                       rows is the table oddops._dd_rows and grow is
+                       oddops._dd_grow.
 
     Each kernel is the plain loop over exponent tuples (kept as the oracle
     in tests/reference_kernel.py) with the tuple work written out for nvars
@@ -204,7 +205,7 @@ def _kernel_source(kind, nvars, index):
             "row": ", ".join(b + ["cb"]),
             "suffix": suffix,
             "key": _tuple(["%s + %s" % ab for ab in zip(a, b)]),
-            "coeff": "-ca * cb if (%s) & 1 else ca * cb" % sign if sign else "ca * cb",
+            "coeff": "nca * cb if (%s) & 1 else ca * cb" % sign if sign else "ca * cb",
         }
     k = index - 1
     odd_head = "(%s) & 1" % " ^ ".join(a[:k]) if k else ""
@@ -217,7 +218,8 @@ def _kernel_source(kind, nvars, index):
     return _DD % {
         "a": _tuple(a),
         "negate": "        if %s:\n            c = -c\n" % odd_head if odd_head else "",
-        "block": "%s, %s" % (a[k], a[index]),
+        "p": a[k],
+        "q": a[index],
         "key": _tuple(a[:k] + ["e0", "e1"] + a[index + 1 :]),
     }
 
@@ -226,36 +228,51 @@ def _tuple(exprs):
     return "(%s,)" % exprs[0] if len(exprs) == 1 else "(%s)" % ", ".join(exprs)
 
 
+# miss-first accumulation, as in lincomb.add_scaled: the same terms and key
+# order as get(m, 0) + c, and no 0 is stored since no entering c is 0
 _MUL = """\
 def kernel(left, right):
     rows = [(%(row)s) for %(b)s, cb in right.items()]
     d = {}
     get = d.get
     for %(a)s, ca in left.items():
+        nca = -ca
 %(suffix)s        for %(row)s in rows:
             m = %(key)s
             c = %(coeff)s
-            v = get(m, 0) + c
-            if v:
-                d[m] = v
+            v = get(m)
+            if v is None:
+                d[m] = c
             else:
-                del d[m]
+                v += c
+                if v:
+                    d[m] = v
+                else:
+                    del d[m]
     return d
 """
 
 # d_i(c x^A) = c (-1)^{|A_<i|} L d_i(B) R; see the oddops docstring
 _DD = """\
-def kernel(terms, block):
+def kernel(terms, rows, grow):
     d = {}
     get = d.get
     for %(a)s, c in terms.items():
-%(negate)s        for (e0, e1), b in block(%(block)s):
+%(negate)s        try:
+            row = rows[%(p)s][%(q)s]
+        except IndexError:
+            row = grow(%(p)s, %(q)s)
+        for e0, e1, b in row:
             m = %(key)s
-            v = get(m, 0) + c * b
-            if v:
-                d[m] = v
+            v = get(m)
+            if v is None:
+                d[m] = c * b
             else:
-                del d[m]
+                v += c * b
+                if v:
+                    d[m] = v
+                else:
+                    del d[m]
     return d
 """
 

@@ -15,7 +15,8 @@ block off the left and forms two skew products per step, with its own memo
 ``_dd_mono_closed`` and ``divided_difference_closed`` are the closed form
 as ``oddops`` first had it, with a memo of each (i, monomial) image
 (``_dd_closed_cache``) that ``divided_difference`` now writes straight
-into its result instead; they read the power table ``oddops._dd_block``.
+into its result instead; they read the closed form ``oddops._dd_block``,
+not the table of its values that the kernels read.
 ``_ddnj_mono`` and ``dd_nonadjacent`` are the non-adjacent d_{i,j}, which
 the library no longer has: the recursion peels one letter per level with no
 memo.  ``elementary``, ``complete`` and ``elementary_in_fewer_vars``

@@ -105,7 +105,7 @@ def kernel_divided_difference(i, p):
     one-letter word (-i,) of oddops.apply_letters."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
-    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, oddops._dd_block))
+    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, oddops._dd_rows, oddops._dd_grow))
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,6 +180,27 @@ def test_divided_difference_is_fresh_and_keeps_no_memo(pair, data):
 def ordered(p):
     normal(p)
     return p.nvars, list(p.terms.items())
+
+
+def test_divided_difference_grows_its_table_and_matches_the_loop():
+    """The d_i table starts empty and grows to the exponents it is asked
+    for, keeping the rows it has; on exponents past its size d_i has the
+    terms and key order of the generic loop, which reads the closed form
+    _dd_block directly."""
+    oddops.clear_caches()
+    assert oddops._dd_rows == []
+    small = SkewPolynomial(3, {(2, 1, 0): 1, (1, 3, 2): -2})
+    assert ordered(oddops.divided_difference(1, small)) == ordered(ref.divided_difference_loop(1, small))
+    assert [len(row) for row in oddops._dd_rows] == [0, 4, 2]
+    kept = [list(row) for row in oddops._dd_rows]
+    big = small + SkewPolynomial(3, {(17, 9, 4): 3, (5, 23, 1): -1, (9, 17, 4): 2, (0, 30, 7): 5})
+    for i in (1, 2):
+        assert ordered(oddops.divided_difference(i, big)) == ordered(ref.divided_difference_loop(i, big))
+    rows = oddops._dd_rows
+    assert len(rows) == 31 and [len(rows[p]) for p in (0, 17, 30)] == [31, 10, 8]
+    assert all(rows[p][:len(row)] == row for p, row in enumerate(kept))
+    assert all(rows[p][q] == tuple((e1, e2, c) for (e1, e2), c in oddops._dd_block(p, q))
+               for p in range(len(rows)) for q in range(len(rows[p])))
 
 
 @settings(max_examples=100, deadline=None)

@@ -56,6 +56,32 @@ def test_add_scaled(pair, c):
     assert add_scaled(dict(terms), terms, -1) == {}
 
 
+def add_scaled_loop(d, terms, c):
+    """add_scaled before it accumulated miss-first, kept as the oracle for
+    key order."""
+    for k, v in terms.items():
+        s = d.get(k, 0) + c * v
+        if s:
+            d[k] = s
+        else:
+            del d[k]
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(combos(tuple_keys), st.lists(st.tuples(combos(tuple_keys), nonzero), max_size=6))
+def test_add_scaled_keeps_the_key_order_of_the_earlier_loop(d, steps):
+    """A run of additions onto one dict, in which keys are inserted,
+    cancelled and inserted again, leaves the same items in the same order
+    as the loop add_scaled replaced."""
+    got, want = dict(d), dict(d)
+    for terms, c in steps:
+        add_scaled(got, terms, c)
+        add_scaled_loop(want, terms, c)
+        assert list(got.items()) == list(want.items())
+    assert_normal(got)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.tuples(combos(int_keys), combos(int_keys)), st.tuples(combos(tuple_keys), combos(tuple_keys))))
 def test_convolve(pair):

@@ -355,9 +355,12 @@ def test_clear_caches_empties_every_lru_cache():
     filled = {name for name, c in caches.items() if c.cache_info().currsize}
     assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.oddsym._left",
             "oddnil.evenoracle._h_ewords", "oddnil.onh.schubert_basis_list",
-            "oddnil.oddops._dd_block", "oddnil.skewpoly._kernel"} <= filled
+            "oddnil.skewpoly._kernel"} <= filled
+    # the d_i table is a list, not an lru_cache; it holds row 2 up to q = 1
+    assert O._dd_rows[2][1]
     O.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
+    assert O._dd_rows == []
     assert not O._dd_cache
 
 

@@ -175,6 +175,38 @@ def test_da_values_fails_when_psi_staircase_is_the_staircase(monkeypatch):
                           str(SkewPolynomial.constant(a, 1))) for a in (4, 5)]
 
 
+def test_defining_relations_fails_when_a_row_of_the_d_i_table_is_negated(monkeypatch):
+    """d_i reads d_1(x_1^p x_2^q) from oddops._dd_rows; with the row of
+    (p, q) = (2, 0) negated in a table of the test's own, d_i is wrong on
+    every monomial with x_i^2 x_{i+1}^0, and the first relation to see it is
+    d_i x_i + x_{i+1} d_i = 1 at x_1 in two variables."""
+    from oddnil import oddops
+
+    rows = []
+    monkeypatch.setattr(oddops, "_dd_rows", rows)
+    oddops._dd_grow(2, 0)
+    rows[2][0] = tuple((e1, e2, -c) for e1, e2, c in rows[2][0])
+    r = V.run_check("defining_relations")
+    assert r.status == "fail"
+    assert len(r.details) == 32
+    assert r.details[0][0] == str(("d_i x_i + x_{i+1} d_i", 2, 1, (1, 0)))
+
+
+def test_e_h_relation_fails_when_h2_is_negated(monkeypatch):
+    """A negated h_2 enters sum_k (-1)^C(k+1,2) eps_k h_{m-k} at k = m - 2,
+    where eps_k is nonzero for k <= a: the relation fails at every
+    m = 2, ..., a + 2 and holds at every other m."""
+    from oddnil import oddsym
+
+    complete = oddsym.complete
+    monkeypatch.setattr(oddsym, "complete", lambda k, a: complete(k, a).scale(-1) if k == 2 else complete(k, a))
+    r = V.run_check("e_h_relation")
+    assert r.status == "fail"
+    assert [label for label, _, _ in r.details] == [
+        str(("e-h relation", a, m)) for a in range(1, 6) for m in range(2, a + 3)
+    ]
+
+
 def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     """A skew product x2 * x1 x3 with an even coefficient vanishes mod 2 while
     the product of the reductions does not.  Only a check that multiplies
