@@ -26,18 +26,25 @@ the result, with no per-monomial memo, through a loop unrolled once per
 
 A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
 (left multiplication), -r is the crossing d_r.  It composes right-to-left:
-the leftmost letter acts last.  apply_letters is the one loop over a
-word's letters, and divided_difference is its one-letter word (-i,).
-It runs on terms dicts, calling each letter's kernel on the dict the
-previous letter gave, and wraps the last dict once; so a word of k
-letters builds one polynomial, not k, and checks each letter's range
-only when the letter is reached.  D_a is the fixed crossing word
+the leftmost letter acts last.  A word on n variables becomes its program
+once (program, cached per (word, n)): the letters' kernels in the order
+they act, each looked up and range-checked once; a letter out of range
+becomes a step that raises, so it raises only when it is reached.
+run_letters is the one loop over a program, on terms dicts: each step
+calls its kernel on the dict the step before gave, and the loop stops at
+an empty dict.  It reads _dd_rows and _dd_grow when it runs, not when the
+program is built, so a table swapped in later is the one used.
+apply_letters runs a word's program on a polynomial and wraps the last
+dict once, so a word of k letters builds one polynomial, not k;
+divided_difference is its one-letter word (-i,), and onh.apply_word's
+memo misses run the same programs.  D_a is the fixed crossing word
 [d_1, d_2 d_1, d_3 d_2 d_1, ..., d_{a-1} ... d_1]; every sign downstream
 depends on this exact word, so it is a stored constant and is never
 re-derived from the permutation.
 """
 
 import sys
+from functools import lru_cache
 from math import comb
 
 from .lincomb import collect
@@ -87,23 +94,51 @@ def apply_letters(word, p):
     """Apply a word of dots (+r) and crossings (-r) to p, the rightmost
     letter first; once p is zero the later letters are not applied.
 
-    The loop runs on terms dicts: each letter calls its kernel on the
-    previous letter's dict, and the result is wrapped once, at the end
-    (p itself when no letter acts).  A letter's range is checked when it is
-    reached."""
-    n, d = p.nvars, p.terms
-    for l in reversed(word):
+    The loop runs on terms dicts (run_letters), and the result is wrapped
+    once, at the end (p itself when no letter acts)."""
+    d = run_letters(program(word, p.nvars), p.terms)
+    return p if d is p.terms else _from_normal(p.nvars, d)
+
+
+def run_letters(steps, d):
+    """The one letter loop: each step of a program calls its kernel on the
+    previous step's terms dict, and the loop stops once a dict is empty.
+    The d_i table is read here, when the loop runs, so a table swapped in
+    after the program was built is the one used."""
+    rows, grow = _dd_rows, _dd_grow
+    for kernel, crossing in steps:
         if not d:
             break
-        if l > 0:
-            if l > n:
-                raise ValueError("variable index %d out of range" % l)
-            d = _kernel("dot", n, l)(d)
-        else:
-            if not 0 < -l < n:
-                raise ValueError("operator index %d out of range for %d variables" % (-l, n))
-            d = _kernel("dd", n, -l)(d, _dd_rows, _dd_grow)
-    return p if d is p.terms else _from_normal(n, d)
+        d = kernel(d, rows, grow) if crossing else kernel(d)
+    return d
+
+
+@lru_cache(maxsize=None)
+def program(word, n):
+    """The letters of word on n variables in the order they act, as
+    (kernel, is a crossing) steps for run_letters, each resolved once per
+    (word, n).  A letter out of range becomes a step that raises, so it
+    raises only when the loop reaches it."""
+    return tuple(_step(l, n) for l in reversed(word))
+
+
+@lru_cache(maxsize=None)
+def _step(l, n):
+    """The step of the letter l on n variables, shared by every program
+    that holds it."""
+    if 0 < l <= n:
+        return _kernel("dot", n, l), False
+    if 0 < -l < n:
+        return _kernel("dd", n, -l), True
+    if l > 0:
+        return _raiser("variable index %d out of range" % l), False
+    return _raiser("operator index %d out of range for %d variables" % (-l, n)), False
+
+
+def _raiser(message):
+    def kernel(d):
+        raise ValueError(message)
+    return kernel
 
 
 def d_word(w):
@@ -139,8 +174,9 @@ def clear_caches():
     """Empty every cache in the library, so the next computation starts
     cold: the lru_cache of every loaded oddnil module, the d_i table
     _dd_rows and onh's memo of word-segment images.  The
-    compiled kernels (skewpoly._kernel) go too and are compiled again on
-    their next call; they hold no results, so the terms come out the same."""
+    compiled kernels (skewpoly._kernel) and the word programs that hold them
+    go too and are built again on their next call; they hold no results, so
+    the terms come out the same."""
     # imported here: onh imports this module
     from . import onh
 

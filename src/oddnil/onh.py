@@ -31,6 +31,14 @@ first evaluation and kept, which relies on one rule: an element's
 ``combo`` is never mutated after construction (every operation returns
 a new element, which makes its own plan).
 
+Next to its plan an element keeps its floor, the least word_floor of its
+words.  A word kills every monomial below its own floor (see below), so
+by linearity the element kills every polynomial whose monomials all lie
+below the least of them: evaluate returns zero for such a polynomial at
+once, with no walk of the plan or the memo.  Most Schubert polynomials
+lie below the floor of a projector's family, since every projector ends
+in the crossings of D_a.
+
 apply_word remembers, per word, the image of every monomial it has
 carried: an image depends only on the word and the monomial, since the
 length of the exponent tuple fixes the strand count.  Images are
@@ -40,8 +48,9 @@ dict with the memo.  A miss first compares the monomial's half-degree
 with the word's floor (word_floor): each crossing lowers the half-degree
 by one, each dot raises it by one, and d_i of a constant is 0, so a
 monomial whose half-degree some suffix of the word would take below zero
-has the zero image.  Any other miss runs oddops.apply_letters, the one letter
-loop, on the one-term polynomial {monomial: 1}.  The projectors end in
+has the zero image.  Any other miss runs the word's program
+(oddops.program) through oddops.run_letters, the one letter loop, on the
+one-term dict {monomial: 1}.  The projectors end in
 the crossings of D_a, so the floor decides most zero images.  The memo is
 unbounded, like the library's lru_caches, and oddops.clear_caches empties
 it; most images are zero, and most (word, monomial) pairs recur within a
@@ -105,9 +114,12 @@ def word_floor(word):
     letters that act first), or 0."""
     floor = excess = 0
     for l in reversed(word):
-        excess += 1 if l < 0 else -1
-        if excess > floor:
-            floor = excess
+        if l < 0:
+            excess += 1
+            if excess > floor:
+                floor = excess
+        else:
+            excess -= 1
     return floor
 
 
@@ -124,22 +136,29 @@ def apply_word(word, p):
     if memo is None:
         memo = _segment_images[word] = (word_floor(word), {})
     floor, images = memo
+    steps = None
     d = {}
+    get = d.get
     for mono, c in p.terms.items():
         image = images.get(mono)
         if image is None:
             if sum(mono) < floor:
                 images[mono] = ()
                 continue
-            one = _from_normal(len(mono), {mono: 1})
-            image = images[mono] = tuple(oddops.apply_letters(word, one).terms.items())
-        # add_scaled inlined over the pairs
+            if steps is None:
+                steps = oddops.program(word, p.nvars)
+            image = images[mono] = tuple(oddops.run_letters(steps, {mono: 1}).items())
+        # add_scaled inlined over the pairs, miss-first
         for m, b in image:
-            s = d.get(m, 0) + c * b
-            if s:
-                d[m] = s
+            v = get(m)
+            if v is None:
+                d[m] = c * b
             else:
-                del d[m]
+                v += c * b
+                if v:
+                    d[m] = v
+                else:
+                    del d[m]
     return _from_normal(p.nvars, d)
 
 
@@ -216,16 +235,22 @@ class OnhElement:
 
     def evaluate(self, p):
         """Apply the element to p as head(sum of c middle(tail(p))) (see
-        _plan).  The action is linear, so a zero p, or a zero tail(p),
-        gives zero with no further work."""
+        _plan).  The action is linear, so a zero p, a p whose monomials all
+        lie below the element's floor, or a zero tail(p) gives zero with no
+        further work.  The floor is the least word_floor of the words: each
+        word sends a monomial below its own floor to zero, so each word, and
+        by linearity their sum, sends such a p to zero."""
         if p.nvars != self.strands:
             raise ValueError("polynomial in %d variables, element on %d strands" % (p.nvars, self.strands))
         if not p.terms:
             return _from_normal(self.strands, {})
         try:
-            head, tail, middles = self._plan
+            floor, head, tail, middles = self._plan
         except AttributeError:
-            head, tail, middles = self._plan = _plan(self.strands, self.combo)
+            self._plan = (min(map(word_floor, self.combo), default=0),) + _plan(self.strands, self.combo)
+            floor, head, tail, middles = self._plan
+        if floor and max(map(sum, p.terms)) < floor:
+            return _from_normal(self.strands, {})
         q = apply_word(tail, p) if tail else p
         if not q.terms:
             return q

@@ -8,9 +8,12 @@ one-letter word of apply_letters, is compared with the direct kernel call
 it was before, by terms, key order and error text.  OnhElement.evaluate,
 which applies the tail its words share once, then each middle, then the
 head they share, is compared with the per-word reference on words that
-share suffixes and on the sigma/lambda families;
-oddops.apply_letters, the library's one letter loop, which runs the
-kernels on terms dicts, is compared with the reference letter loop on
+share suffixes and on the sigma/lambda families, and on polynomials
+wholly below, straddling and above the element's floor, where it returns
+zero with no word applied;
+oddops.apply_letters, which runs a word's cached program through
+oddops.run_letters, the library's one letter loop, on terms dicts, is
+compared with the reference letter loop on
 signed words of dots and crossings for 1 to 7 strands, out-of-range
 letters and the zero polynomial included (the same error text, raised at
 the same letter), and
@@ -291,6 +294,29 @@ def test_apply_letters_checks_each_letter_when_it_is_reached():
     z = SkewPolynomial.zero(2)
     assert oddops.apply_letters((3, -2), z) is z
     assert oddops.apply_letters((), p) is p
+    # the words' programs are cached by now, and still raise at the same letter
+    with pytest.raises(ValueError, match=r"^operator index 2 out of range for 2 variables$"):
+        oddops.apply_letters((1, -2), p)
+    with pytest.raises(ValueError, match=r"^variable index 3 out of range$"):
+        oddops.apply_letters((3, -1), p)
+    assert normal(oddops.apply_letters((3, -2, -1, -1), p)) == (2, {})
+
+
+def test_a_word_program_is_built_once_and_reads_the_d_i_table_when_it_runs(monkeypatch):
+    word = (2, -1, -2, -1)
+    p = SkewPolynomial(3, {(3, 1, 0): 2})
+    want = normal(ref.apply_word(word, p))
+    oddops.clear_caches()
+    assert normal(oddops.apply_letters(word, p)) == want
+    steps = oddops.program(word, 3)
+    assert len(steps) == len(word) and oddops.program(word, 3) is steps
+    monkeypatch.setattr(oddops, "_kernel", lambda *key: pytest.fail("a kernel was looked up again"))
+    assert normal(oddops.apply_letters(word, p)) == want
+    # a table swapped in after the program was built is the one the loop
+    # reads: negated d_1 rows negate the image of a word of three crossings
+    monkeypatch.setattr(oddops, "_dd_rows", [])
+    monkeypatch.setattr(oddops, "_dd_grow", lambda a, b: [(e1, e2, -c) for (e1, e2), c in oddops._dd_block(a, b)])
+    assert normal(oddops.apply_letters(word, p)) == (3, {m: -c for m, c in want[1].items()})
 
 
 @pytest.mark.parametrize(
@@ -304,7 +330,7 @@ def test_apply_letters_checks_each_letter_when_it_is_reached():
 )
 def test_apply_letters_stops_where_the_polynomial_dies(monkeypatch, word, mono, applied):
     """Each applied letter runs one kernel of skewpoly._kernel, so the
-    kernel calls count the letters."""
+    kernel calls count the letters applied."""
     p = SkewPolynomial(len(mono), {mono: 3})
     want = normal(ref.apply_word(word, p))
     seen = []
@@ -314,8 +340,15 @@ def test_apply_letters_stops_where_the_polynomial_dies(monkeypatch, word, mono, 
         real = kernel(kind, nvars, index)
         return lambda *args: seen.append(index) or real(*args)
 
+    # a word's kernels are looked up once per (word, nvars), so the counting
+    # kernels go in only when no program of the word is cached, and leave
+    # with the caches
+    oddops.clear_caches()
     monkeypatch.setattr(oddops, "_kernel", counting)
-    assert normal(oddops.apply_letters(word, p)) == want == (len(mono), {})
+    try:
+        assert normal(oddops.apply_letters(word, p)) == want == (len(mono), {})
+    finally:
+        oddops.clear_caches()
     assert len(seen) == applied
 
 
@@ -664,14 +697,14 @@ def test_a_miss_below_the_floor_runs_no_letter(monkeypatch):
     below = SkewPolynomial(a, {m: 1 for h in range(floor) for m in oddsym.monomials_of_degree(a, h)})
     at = SkewPolynomial(a, {m: 1 for m in oddsym.monomials_of_degree(a, floor)})
     oddops.clear_caches()
-    letters = oddops.apply_letters
+    letters = oddops.run_letters
     seen = []
-    monkeypatch.setattr(oddops, "apply_letters", lambda w, p: seen.append(p) or letters(w, p))
+    monkeypatch.setattr(oddops, "run_letters", lambda steps, d: seen.append(d) or letters(steps, d))
     assert not onh.apply_word(word, below)
     assert seen == [] and set(onh._segment_images[word][1].values()) == {()}
     # at the floor every miss runs the letters, one monomial at a time
     assert normal(onh.apply_word(word, at)) == normal(ref.apply_word(word, at))
-    assert sorted(m for p in seen for m in p.terms) == sorted(at.terms)
+    assert [list(d) for d in seen] == [[m] for m in at.terms]
 
 
 def _sigma_lambda_families():
@@ -705,18 +738,30 @@ def test_the_tail_acts_once_and_no_middle_follows_a_zero_tail(monkeypatch):
     seen = []
     real = onh.apply_word
     monkeypatch.setattr(onh, "apply_word", lambda w, p: seen.append(w) or real(w, p))
-    dead = 0
-    for p in onh.schubert_basis_list(4):
+    floor = min(map(onh.word_floor, el.combo))
+    basis = onh.schubert_basis_list(4)
+    # every monomial of the floor's half-degree as well, so that some
+    # polynomials at the floor die under the tail
+    polys = basis + [SkewPolynomial.monomial(4, m) for m in oddsym.monomials_of_degree(4, floor)]
+    below = dead = 0
+    for p in polys:
         seen.clear()
         assert normal(el.evaluate(p)) == normal(ref.evaluate(el, p))
+        if max(map(sum, p.terms)) < floor:
+            # below the element's floor nothing runs, not even the tail
+            below += 1
+            assert seen == []
+            continue
         assert seen[0] == tail and tail not in seen[1:]
         if not real(tail, p).terms:
             dead += 1
             assert seen == [tail]
         else:
             assert [w for w, _ in middles] == seen[1:len(middles) + 1]
-    # most Schubert polynomials die under the tail, not all
-    assert 0 < dead < 24
+    # all Schubert polynomials but x^delta lie below the floor; at the floor
+    # some polynomials die under the tail, not all
+    assert below == 23
+    assert 0 < dead < len(polys) - below
 
 
 def test_zero_polynomial_evaluates_to_zero_with_no_walk(monkeypatch):
@@ -728,6 +773,51 @@ def test_zero_polynomial_evaluates_to_zero_with_no_walk(monkeypatch):
     # the strand count is checked before the zero case
     with pytest.raises(ValueError, match="strand"):
         el.evaluate(SkewPolynomial.zero(3))
+
+
+@st.composite
+def elements_and_polys_around_the_floor(draw):
+    """An element whose words each end in a crossing, so its floor is at
+    least 1, and a polynomial wholly below, straddling or wholly above that
+    floor (half-degrees up to floor + 2)."""
+    n = draw(st.integers(2, 4))
+    letters = list(range(1, n + 1)) + [-r for r in range(1, n)]
+    crossings = st.sampled_from([-r for r in range(1, n)])
+    words = st.tuples(st.lists(st.sampled_from(letters), max_size=5), crossings).map(lambda wc: tuple(wc[0]) + (wc[1],))
+    el = onh.OnhElement(n, draw(st.dictionaries(words, coefficient, min_size=1, max_size=4)))
+    floor = min(map(onh.word_floor, el.combo))
+    below = [m for h in range(floor) for m in oddsym.monomials_of_degree(n, h)]
+    above = [m for h in range(floor, floor + 3) for m in oddsym.monomials_of_degree(n, h)]
+    place = draw(st.sampled_from(("below", "straddling", "above")))
+    monos = st.sampled_from(below if place == "below" else above)
+    terms = draw(st.dictionaries(monos, coefficient, min_size=1, max_size=4))
+    if place == "straddling":
+        terms.update(draw(st.dictionaries(st.sampled_from(below), coefficient, min_size=1, max_size=4)))
+    p = SkewPolynomial(n, terms)
+    return el, p, place, floor
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(elements_and_polys_around_the_floor())
+def test_evaluate_around_the_element_floor_matches_reference(case):
+    el, p, place, floor = case
+    got = el.evaluate(p)
+    assert normal(got) == normal(ref.evaluate(el, p))
+    assert (max(map(sum, p.terms)) < floor) == (place == "below")
+    if place == "below":
+        assert not got
+
+
+def test_an_evaluation_below_the_element_floor_runs_no_word(monkeypatch):
+    el = onh.sigma_seq((0, 1, 2))
+    floor = min(map(onh.word_floor, el.combo))
+    below = [p for p in onh.schubert_basis_list(4) if max(map(sum, p.terms)) < floor]
+    assert len(below) == 23
+    oddops.clear_caches()
+    monkeypatch.setattr(onh, "apply_word", lambda w, p: pytest.fail("apply_word called below the floor"))
+    for p in below:
+        assert normal(el.evaluate(p)) == (4, {})
+    assert onh._segment_images == {}
 
 
 @pytest.mark.parametrize("cold", [False, True])

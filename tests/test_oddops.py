@@ -368,7 +368,11 @@ def test_clear_caches_empties_the_segment_image_memo():
     from oddnil import onh
 
     basis = onh.schubert_basis_list(4)
-    onh.sigma_seq((0, 1, 2)).evaluate(basis[0])
+    el = onh.sigma_seq((0, 1, 2))
+    # x^delta is the one basis polynomial at the element's floor; one below
+    # it would return zero without reaching the memo
+    assert min(map(sum, basis[-1].terms)) >= min(map(onh.word_floor, el.combo))
+    el.evaluate(basis[-1])
     assert onh._segment_images
     O.clear_caches()
     assert not onh._segment_images

@@ -192,6 +192,39 @@ def test_defining_relations_fails_when_a_row_of_the_d_i_table_is_negated(monkeyp
     assert r.details[0][0] == str(("d_i x_i + x_{i+1} d_i", 2, 1, (1, 0)))
 
 
+def test_da_slide_fails_when_the_last_two_letters_of_d_a_are_swapped(monkeypatch):
+    """D_a is the fixed word [d_1, d_2 d_1, ..., d_{a-1} ... d_1]; with its
+    last two letters swapped for a >= 3, the alternative definition
+    D_a = D_{a-1} (embedded one strand right) times the (a-1, 1) crossing
+    first differs at a = 3, on the sixth Schubert polynomial."""
+    from oddnil import oddops
+
+    da_word = oddops.da_word
+
+    def swapped(a):
+        word = da_word(a)
+        return word[:-2] + (word[-1], word[-2]) if a >= 3 else word
+
+    monkeypatch.setattr(oddops, "da_word", swapped)
+    r = V.run_check("da_slide")
+    assert r.status == "fail"
+    assert r.details == [(str(("alt def D_a", 3, 5)), "0", "-1")]
+
+
+def test_crossing_slide_fails_when_the_crossing_word_carries_an_extra_dot(monkeypatch):
+    """An extra dot x_1 appended to every bundle crossing acts first, before
+    its crossings; on the right side of the slide the short crossing is
+    embedded one strand over, so its dot lands on x_2, and the sides first
+    differ at a = 3, on the second Schubert polynomial."""
+    from oddnil import onh
+
+    letters = onh.crossing_word_letters
+    monkeypatch.setattr(onh, "crossing_word_letters", lambda a, b: letters(a, b) + (1,))
+    r = V.run_check("crossing_slide")
+    assert r.status == "fail"
+    assert r.details[0] == (str(("crossing slide", 3, 1)), "0", "-1")
+
+
 def test_e_h_relation_fails_when_h2_is_negated(monkeypatch):
     """A negated h_2 enters sum_k (-1)^C(k+1,2) eps_k h_{m-k} at k = m - 2,
     where eps_k is nonzero for k <= a: the relation fails at every
