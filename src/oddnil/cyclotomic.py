@@ -204,9 +204,10 @@ def default_dmax(a, n_param):
     for all degrees needs d_max = top + 2a, which callers pass explicitly.
     The default stays top + 4 because each extra slice needs its own
     Hermite form: with top + 2a the warm pass of the benchmark's
-    quotient_lattice workload takes 0.024 s instead of 0.015 s (+65%, best
-    of three fresh interpreters, 2 cores, Python 3.11.7), while
-    quotient_graded_rank(4, 8) cold takes 0.14 s instead of 0.10 s.
+    quotient_lattice workload takes 0.016 s instead of 0.0095 s (+67%,
+    best of ten fresh interpreters, seed 961, 2 cores, Python 3.11.7),
+    while quotient_graded_rank(4, 8) cold takes 0.105 s instead of
+    0.063 s.
     """
     return 2 * a * (n_param - a) + 4
 

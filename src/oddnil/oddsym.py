@@ -4,9 +4,11 @@ Schur polynomials, basis expansions, and the odd Pieri rule.
 Odd symmetric elements are ordinary SkewPolynomials that happen to lie in
 the joint kernel of all odd divided differences; membership is a predicate,
 not a type.  The sorted products eps_{l_1} ... eps_{l_r} (l_1 >= ... >= l_r,
-each <= a) are an integral basis, and expansion into that basis proceeds by
-greedy elimination of the lex-leading monomial: the leading monomial of
-eps_lambda is x^{conjugate(lambda)} with coefficient +-1.
+each <= a) are an integral basis, and expansion into that basis eliminates
+leading monomials: the leading monomial of eps_lambda is
+x^{conjugate(lambda)} with coefficient +-1, so one sweep down the weakly
+decreasing exponent vectors, lex-greatest first, strips each word once
+(see expand_in_elementary).
 
 Products of eps-words are computed on the words themselves, with no
 polynomial: an unsorted pair eps_p eps_q (p < q) is rewritten with eps_0 =
@@ -162,42 +164,95 @@ def dual_schur(alpha, a):
 
 @lru_cache(maxsize=None)
 def elementary_word_value(word, a):
-    """The product eps_{word_1} ... eps_{word_r} as a polynomial."""
-    out = SkewPolynomial.one(a)
-    for k in word:
-        out = out * elementary(k, a)
+    """The product eps_{word_1} ... eps_{word_r} as a polynomial.
+
+    Built from the value of its prefix word[:-1] times eps_{word_r}, with
+    1 for the empty word: the same left fold as multiplying the letters
+    out one at a time, so the terms and their key order are the fold's,
+    and each cached word costs one skew product.
+    """
+    if not word:
+        return SkewPolynomial.one(a)
+    return elementary_word_value(word[:-1], a) * elementary(word[-1], a)
+
+
+@lru_cache(maxsize=None)
+def _partition_vectors(halfdeg, a):
+    """The weakly decreasing exponent vectors of half-degree halfdeg in a
+    variables, lex-greatest first, each paired with the sorted eps-word
+    whose leading monomial it is (the conjugate of its nonzero part)."""
+    out = []
+    for lam in combinat.partitions_of(halfdeg, maxpart=a):
+        mu = combinat.conjugate(lam)
+        out.append((mu + (0,) * (a - len(mu)), lam))
+    out.sort(reverse=True)
     return out
+
+
+@lru_cache(maxsize=None)
+def _lead_coefficient(exps, lam):
+    """The coefficient of x^exps in eps_lam (len(exps) variables), or 0
+    when x^exps is not its leading monomial."""
+    lead_exps, lead_c = elementary_word_value(lam, len(exps)).lead()
+    return lead_c if lead_exps == exps else 0
+
+
+def _check_partition_shaped(exps):
+    if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
+        raise NotOddSymmetricError(
+            "leading monomial %r is not partition-shaped; input not odd symmetric" % (exps,)
+        )
+
+
+def _reject(residual, message):
+    """Raise the error the greedy loop would have raised first: its
+    leading monomial max(residual), if not partition-shaped, comes before
+    the failing strip."""
+    _check_partition_shaped(max(residual))
+    raise NotOddSymmetricError(message)
 
 
 def expand_in_elementary(f):
     """Expand an odd symmetric f as an integer combination of sorted
     eps-words; returns {partition: coefficient}.
 
-    Greedy leading-term elimination: the lex-leading exponent vector must
-    always be weakly decreasing, and conjugating it names the word to strip.
+    Leading-term elimination in one sweep.  The weakly decreasing
+    exponent vectors of each half-degree present in f are visited
+    lex-greatest first, and each one whose residual coefficient is nonzero
+    is stripped with q eps_lam, lam the conjugate of its nonzero part,
+    whose leading monomial it is with coefficient +-1.
+
+    This is the greedy loop that takes the residual's lex-leading
+    monomial, which must be weakly decreasing, and strips its word.  A
+    strip cancels its vector and adds only lex-smaller terms of the same
+    half-degree (eps-words are homogeneous), so each vector the greedy
+    loop strips leads the residual when the sweep reaches it: the sweep
+    strips the same words in the same order and returns the same dict in
+    the same key order.  What is left at the end is not partition-shaped,
+    and its lex-greatest monomial is the one the greedy loop stopped at,
+    since nothing is added above a vector once it is passed.  A strip
+    that fails raises the greedy loop's error: the non-partition one when
+    the residual's leading monomial is not partition-shaped, else its own.
     """
     a = f.nvars
     out = {}
     residual = dict(f.terms)
-    while residual:
-        exps = max(residual)
-        if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-            raise NotOddSymmetricError(
-                "leading monomial %r is not partition-shaped; input not odd symmetric" % (exps,)
-            )
-        mu = tuple(e for e in exps if e)
-        lam = combinat.conjugate(mu)
-        word_poly = elementary_word_value(lam, a)
-        lead_exps, lead_c = word_poly.lead()
-        if lead_exps != exps:
-            raise NotOddSymmetricError("leading-term mismatch while expanding")
-        q, r = divmod(residual[exps], lead_c)
+    halfdegs = {sum(exps) for exps in residual}
+    shapes = itertools.chain.from_iterable(_partition_vectors(n, a) for n in halfdegs)
+    for exps, lam in sorted(shapes, reverse=True):
+        c = residual.get(exps)
+        if not c:
+            continue
+        lead_c = _lead_coefficient(exps, lam)
+        if not lead_c:
+            _reject(residual, "leading-term mismatch while expanding")
+        q, r = divmod(c, lead_c)
         if r:
-            raise NotOddSymmetricError("non-integral elementary expansion")
-        # stripping q * word_poly cancels the leading monomial and leaves only
-        # lex-smaller ones, so each word is stripped once and q != 0
+            _reject(residual, "non-integral elementary expansion")
         out[lam] = q
-        add_scaled(residual, word_poly.terms, -q)
+        add_scaled(residual, elementary_word_value(lam, a).terms, -q)
+    if residual:
+        _check_partition_shaped(max(residual))
     return out
 
 

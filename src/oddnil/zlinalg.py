@@ -60,7 +60,7 @@ def reduce(hnf, vector):
     zero exactly when the vector lies in the lattice."""
     v = list(vector)
     for h in hnf:
-        col = next(j for j, x in enumerate(h) if x)
+        col = h.index(next(filter(None, h)))
         q = v[col] // h[col]
         if q:
             v = [x - q * y for x, y in zip(v, h)]

@@ -8,9 +8,13 @@ fresh polynomial through ``SkewPolynomial.__add__`` and ``scale``.  The
 per-class add and multiply loops of ``SkewPolynomial``, ``QLaurent`` and
 ``OnhElement``, the collision-handling ``apply_simple_transposition`` and
 the rebuild-per-step ``expand_in_elementary`` that ``lincomb`` replaced
-are kept the same way.  ``_dd_mono`` is the recursive d_i on a monomial
-that the closed form in ``oddops`` replaced: it peels the first variable
-block off the left and forms two skew products per step, with its own memo
+are kept the same way; it is the greedy loop, which takes the residual's
+lex-leading monomial at every step, that the one sweep over partition
+shapes replaced, and the ``elementary_word_value`` it calls is the left
+fold that multiplies each word's letters out afresh.  ``_dd_mono`` is the
+recursive d_i on a monomial that the closed form in ``oddops`` replaced:
+it peels the first variable block off the left and forms two skew
+products per step, with its own memo
 ``_dd_cache``, so a wrong closed form cannot hide behind a library image.
 ``_dd_mono_closed`` and ``divided_difference_closed`` are the closed form
 as ``oddops`` first had it, with a memo of each (i, monomial) image
@@ -38,7 +42,7 @@ from operator import add
 
 from oddnil import combinat, oddops, skewpoly
 from oddnil.lincomb import add_scaled
-from oddnil.oddsym import NotOddSymmetricError, elementary_word_value, x_tilde
+from oddnil.oddsym import NotOddSymmetricError, x_tilde
 from oddnil.onh import OnhElement
 from oddnil.qgrade import QLaurent
 from oddnil.skewpoly import SkewPolynomial, _from_normal
@@ -365,6 +369,15 @@ def apply_permutation(w, p):
 def apply_w0(p):
     """skewpoly.apply_w0."""
     return apply_permutation(combinat.longest_element(p.nvars), p)
+
+
+def elementary_word_value(word, a):
+    """oddsym.elementary_word_value: the letters multiplied out one at a
+    time, with no value shared between words."""
+    out = SkewPolynomial.one(a)
+    for k in word:
+        out = mul(out, elementary(k, a))
+    return out
 
 
 def expand_in_elementary(f):

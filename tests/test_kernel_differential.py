@@ -434,26 +434,123 @@ def odd_symmetric(draw):
 
 
 def expansion(expand, f):
+    """The expansion as a list of items, or the error's type and text."""
     try:
-        return expand(f)
-    except oddsym.NotOddSymmetricError:
-        return "not odd symmetric"
+        return list(expand(f).items())
+    except oddsym.NotOddSymmetricError as exc:
+        return type(exc), str(exc)
+
+
+def is_partition_shaped(exps):
+    return all(exps[i] >= exps[i + 1] for i in range(len(exps) - 1))
+
+
+def non_partition_monomials(a, halfdeg):
+    return [m for m in oddsym.monomials_of_degree(a, halfdeg) if not is_partition_shaped(m)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(odd_symmetric(), st.data())
 def test_expand_in_elementary_matches_reference(f, data):
     out = oddsym.expand_in_elementary(f)
-    assert out == ref.expand_in_elementary(f)
+    assert list(out.items()) == list(ref.expand_in_elementary(f).items())
     assert all(c for c in out.values())
     g = SkewPolynomial.zero(f.nvars)
     for lam, c in out.items():
         g = g + oddsym.elementary_word_value(lam, f.nvars).scale(c)
     assert g == f
-    # a stray monomial breaks symmetry; both must say so, or agree
+    # a stray monomial breaks symmetry; both must raise the same error with
+    # the same text, or agree
     mono = data.draw(st.tuples(*[st.integers(0, 3)] * f.nvars))
-    h = f + SkewPolynomial(f.nvars, {mono: data.draw(coefficient)})
-    assert expansion(oddsym.expand_in_elementary, h) == expansion(ref.expand_in_elementary, h)
+    strays = [SkewPolynomial(f.nvars, {mono: data.draw(coefficient)})]
+    # a monomial that is not partition-shaped, in a half-degree f may lack
+    # (so f plus it is inhomogeneous) or lying between two partition shapes
+    a = f.nvars
+    for halfdeg in (data.draw(st.integers(1, 6)), 4):
+        if non_partition_monomials(a, halfdeg):
+            mono = data.draw(st.sampled_from(non_partition_monomials(a, halfdeg)))
+            strays.append(SkewPolynomial(a, {mono: data.draw(coefficient)}))
+    for stray in strays:
+        h = f + stray
+        assert expansion(oddsym.expand_in_elementary, h) == expansion(ref.expand_in_elementary, h)
+
+
+@pytest.mark.parametrize(
+    "f, leading",
+    [
+        # inhomogeneous: eps_2 above, x_2 (not partition-shaped) below
+        (oddsym.elementary(2, 3) + SkewPolynomial.monomial(3, (0, 1, 0)), (0, 1, 0)),
+        # x1^2 x3 lies between the partition shapes (2, 1, 0) and (1, 1, 1)
+        (oddsym.elementary_word_value((2, 1), 3) + SkewPolynomial.monomial(3, (2, 0, 1)), (2, 0, 1)),
+        (oddsym.complete(3, 3) - SkewPolynomial.monomial(3, (2, 0, 1)), (2, 0, 1)),
+    ],
+)
+def test_expand_in_elementary_names_the_leading_non_partition_monomial(f, leading):
+    want = (
+        oddsym.NotOddSymmetricError,
+        "leading monomial %r is not partition-shaped; input not odd symmetric" % (leading,),
+    )
+    assert expansion(oddsym.expand_in_elementary, f) == expansion(ref.expand_in_elementary, f) == want
+
+
+def _doubled(value):
+    return lambda lam, a: value(lam, a).scale(2)
+
+
+def _raised(value):
+    return lambda lam, a: value(lam, a) + SkewPolynomial.monomial(a, (sum(lam) + 1,) + (0,) * (a - 1))
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [(_doubled, "non-integral elementary expansion"), (_raised, "leading-term mismatch while expanding")],
+)
+def test_a_failing_strip_raises_the_error_the_greedy_loop_reaches_first(monkeypatch, patch, message):
+    # word values whose leading coefficient is even, or whose leading
+    # monomial is not x^{lam'}, make the strip at x_1 fail; with x1 x3 above
+    # it, the greedy loop stops at x1 x3 first, and so must the sweep
+    eps1 = oddsym.elementary(1, 3)
+    x1x3 = SkewPolynomial.monomial(3, (1, 0, 1))
+    oddops.clear_caches()
+    try:
+        fake = patch(oddsym.elementary_word_value)
+        monkeypatch.setattr(oddsym, "elementary_word_value", fake)
+        monkeypatch.setattr(ref, "elementary_word_value", fake)
+        for f, want in [
+            (eps1, message),
+            (eps1 + x1x3, "leading monomial (1, 0, 1) is not partition-shaped; input not odd symmetric"),
+        ]:
+            got = expansion(oddsym.expand_in_elementary, f)
+            assert got == expansion(ref.expand_in_elementary, f) == (oddsym.NotOddSymmetricError, want)
+    finally:
+        monkeypatch.undo()
+        oddops.clear_caches()
+
+
+def test_an_eps_word_value_is_built_from_its_prefix(monkeypatch):
+    oddops.clear_caches()
+    products = []
+    product = SkewPolynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(SkewPolynomial, "__mul__", counted)
+    try:
+        oddsym.elementary_word_value((3, 2, 1, 1), 4)
+        before = len(products)
+        oddsym.elementary_word_value((3, 2, 1, 1, 1), 4)
+        assert len(products) == before + 1
+    finally:
+        monkeypatch.undo()
+        oddops.clear_caches()
+    for a in range(1, 5):
+        for n in range(7):
+            for lam in combinat.partitions_of(n, maxpart=a):
+                for word in sorted(set(itertools.permutations(lam))):
+                    got = oddsym.elementary_word_value(word, a)
+                    assert list(got.terms.items()) == list(ref.elementary_word_value(word, a).terms.items())
 
 
 def test_expand_in_elementary_rejects_non_symmetric_input():
