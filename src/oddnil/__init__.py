@@ -9,6 +9,7 @@ registry of mechanically checkable identities and a CLI.
 __version__ = "0.1.0"
 
 __all__ = [
+    "lincomb",
     "qgrade",
     "combinat",
     "skewpoly",

@@ -29,10 +29,10 @@ A word of operator letters is a tuple of nonzero ints: +r is the dot x_r
 the leftmost letter acts last.  A word on n variables becomes its program
 once (program, cached per (word, n)): the letters' kernels in the order
 they act, each looked up and range-checked once; a letter out of range
-becomes a step that raises, so it raises only when it is reached.
-run_letters is the one loop over a program, on terms dicts: each step
-calls its kernel on the dict the step before gave, and the loop stops at
-an empty dict.  It reads _dd_rows and _dd_grow when it runs, not when the
+becomes a kernel that raises, so it raises only when it is reached.
+run_letters is the one loop over a program, on terms dicts: each kernel
+takes the dict the one before gave, and the loop stops at an empty dict.
+A d_i kernel reads _dd_rows and _dd_grow when it runs, not when the
 program is built, so a table swapped in later is the one used.
 apply_letters runs a word's program on a polynomial and wraps the last
 dict once, so a word of k letters builds one polynomial, not k;
@@ -101,38 +101,32 @@ def apply_letters(word, p):
 
 
 def run_letters(steps, d):
-    """The one letter loop: each step of a program calls its kernel on the
-    previous step's terms dict, and the loop stops once a dict is empty.
-    The d_i table is read here, when the loop runs, so a table swapped in
-    after the program was built is the one used."""
-    rows, grow = _dd_rows, _dd_grow
-    for kernel, crossing in steps:
+    """The one letter loop: each kernel of a program takes the previous
+    kernel's terms dict, and the loop stops once a dict is empty."""
+    for kernel in steps:
         if not d:
             break
-        d = kernel(d, rows, grow) if crossing else kernel(d)
+        d = kernel(d)
     return d
 
 
 @lru_cache(maxsize=None)
 def program(word, n):
-    """The letters of word on n variables in the order they act, as
-    (kernel, is a crossing) steps for run_letters, each resolved once per
-    (word, n).  A letter out of range becomes a step that raises, so it
-    raises only when the loop reaches it."""
+    """The kernels of word's letters on n variables, in the order they act,
+    each resolved once per (word, n).  A letter out of range becomes a
+    kernel that raises when run_letters reaches it."""
     return tuple(_step(l, n) for l in reversed(word))
 
 
-@lru_cache(maxsize=None)
 def _step(l, n):
-    """The step of the letter l on n variables, shared by every program
-    that holds it."""
+    """The kernel of the letter l on n variables; see program."""
     if 0 < l <= n:
-        return _kernel("dot", n, l), False
+        return _kernel("dot", n, l)
     if 0 < -l < n:
-        return _kernel("dd", n, -l), True
+        return _kernel("dd", n, -l)
     if l > 0:
-        return _raiser("variable index %d out of range" % l), False
-    return _raiser("operator index %d out of range for %d variables" % (-l, n)), False
+        return _raiser("variable index %d out of range" % l)
+    return _raiser("operator index %d out of range for %d variables" % (-l, n))
 
 
 def _raiser(message):

@@ -77,6 +77,7 @@ Thick calculus conventions (all signs downstream depend on these):
   the parity ledgers Omega and X live here (chi is oddsym.chi).
 """
 
+import os
 from functools import lru_cache
 from math import comb
 
@@ -305,13 +306,7 @@ def _element(strands, combo):
 def _common_prefix(words):
     """The longest word that all of words start with, if there are two or
     more of them, and () otherwise."""
-    prefix = words[0] if len(words) > 1 else ()
-    for word in words[1:]:
-        k = 0
-        while k < len(prefix) and k < len(word) and prefix[k] == word[k]:
-            k += 1
-        prefix = prefix[:k]
-    return prefix
+    return os.path.commonprefix(words) if len(words) > 1 else ()
 
 
 def _plan(strands, combo):

@@ -171,7 +171,8 @@ def _kernel(kind, nvars, index):
     """The kernel of _kernel_source(kind, nvars, index), compiled on the
     first call for the key.  Every caller passes the three arguments
     positionally, so one key is one cache entry."""
-    namespace = {}
+    from . import oddops  # here, not at the top: oddops imports this module
+    namespace = {"oddops": oddops}
     exec(_kernel_source(kind, nvars, index), namespace)
     return namespace["kernel"]
 
@@ -182,9 +183,9 @@ def _kernel_source(kind, nvars, index):
 
       "mul", index 0   kernel(left, right), the skew product;
       "dot", index r   kernel(terms), x_r times the terms;
-      "dd", index i    kernel(terms, rows, grow), d_i of the terms, where
-                       rows is the table oddops._dd_rows and grow is
-                       oddops._dd_grow.
+      "dd", index i    kernel(terms), d_i of the terms, read from the
+                       table oddops._dd_rows (grown by oddops._dd_grow)
+                       as it stands when the kernel runs.
 
     Each kernel is the plain loop over exponent tuples (kept as the oracle
     in tests/reference_kernel.py) with the tuple work written out for nvars
@@ -254,7 +255,8 @@ def kernel(left, right):
 
 # d_i(c x^A) = c (-1)^{|A_<i|} L d_i(B) R; see the oddops docstring
 _DD = """\
-def kernel(terms, rows, grow):
+def kernel(terms):
+    rows, grow = oddops._dd_rows, oddops._dd_grow
     d = {}
     get = d.get
     for %(a)s, c in terms.items():

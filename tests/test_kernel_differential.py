@@ -108,7 +108,7 @@ def kernel_divided_difference(i, p):
     one-letter word (-i,) of oddops.apply_letters."""
     if not 1 <= i <= p.nvars - 1:
         raise ValueError("operator index %d out of range for %d variables" % (i, p.nvars))
-    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms, oddops._dd_rows, oddops._dd_grow))
+    return _from_normal(p.nvars, _kernel("dd", p.nvars, i)(p.terms))
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,6 +300,25 @@ def test_apply_letters_checks_each_letter_when_it_is_reached():
     with pytest.raises(ValueError, match=r"^variable index 3 out of range$"):
         oddops.apply_letters((3, -1), p)
     assert normal(oddops.apply_letters((3, -2, -1, -1), p)) == (2, {})
+
+
+def test_each_step_of_a_program_is_a_kernel_of_the_terms_dict():
+    """A program's steps are plain kernels, called as step(d): run by hand,
+    they give apply_letters' terms after each letter, in the same key
+    order, and the step of the out-of-range letter x_4 raises the error
+    apply_letters raises when it reaches that letter."""
+    word = (4, 2, -1, -2, 1, 3)
+    p = SkewPolynomial(3, {(2, 1, 0): 2, (1, 0, 3): -1})
+    steps = oddops.program(word, 3)
+    d = p.terms
+    for k in range(1, len(word)):
+        d = steps[k - 1](d)
+        want = oddops.apply_letters(word[-k:], p)
+        assert d and list(d.items()) == list(want.terms.items())
+    with pytest.raises(ValueError, match=r"^variable index 4 out of range$"):
+        steps[-1](d)
+    with pytest.raises(ValueError, match=r"^variable index 4 out of range$"):
+        oddops.apply_letters(word, p)
 
 
 def test_a_word_program_is_built_once_and_reads_the_d_i_table_when_it_runs(monkeypatch):

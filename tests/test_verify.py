@@ -225,6 +225,78 @@ def test_crossing_slide_fails_when_the_crossing_word_carries_an_extra_dot(monkey
     assert r.details[0] == (str(("crossing slide", 3, 1)), "0", "-1")
 
 
+@pytest.fixture
+def cold_caches():
+    """Empty the library's caches before and after a test that patches a
+    function whose images they hold (the d_i table, the word-segment memo
+    and the lru_caches)."""
+    from oddnil import oddops
+
+    oddops.clear_caches()
+    yield
+    oddops.clear_caches()
+
+
+def _dd_block_without_p(p, q):
+    """oddops._dd_block with p dropped from the sign of its second sum's
+    term k: (-1)^(k + p k) in place of (-1)^(p + k + p k)."""
+    from oddnil.lincomb import collect
+
+    pairs = [((p - 1 - j, j + q), (-1) ** (j + j * (p - 1 - j))) for j in range(p)]
+    pairs += [((k, p + q - 1 - k), (-1) ** (k + p * k)) for k in range(q)]
+    return tuple(collect(pairs).items())
+
+
+@pytest.mark.parametrize("check_id,first", [
+    ("shuffle", ("shuffle", 2, 1, 0, 3)),
+    ("staircase_vanish", ("partial staircase", 2, 2, 1)),
+    ("add_step", ("add step", 5)),
+    ("reorder_revstair", ("reverse staircase", 4)),
+    ("center", ("central e_k(x^2)", 2, 1, 2, 1)),
+])
+def test_a_d_i_block_without_p_in_its_second_sign_fails(monkeypatch, cold_caches, check_id, first):
+    """The second sum of d_1(x_1^p x_2^q) carries (-1)^p for moving x_2^p
+    past x_1^k; without it d_i is wrong on every monomial with p odd and
+    q >= 1, and each of these checks fails at its defaults, first at the
+    instance named."""
+    from oddnil import oddops
+
+    monkeypatch.setattr(oddops, "_dd_block", _dd_block_without_p)
+    r = V.run_check(check_id)
+    assert r.status == "fail"
+    assert r.details[0][0] == str(first)
+
+
+def test_add_step_fails_when_the_blocks_of_d_a_are_reversed(monkeypatch, cold_caches):
+    """D_a is [d_1] + [d_2 d_1] + ... + [d_{a-1} ... d_1]; with its blocks
+    in the other order ([d_{a-1} ... d_1] first, [d_1] last) D_a sends the
+    add-step monomial to 0 in place of +-1 at every a >= 3."""
+    from oddnil import oddops
+
+    reversed_blocks = lambda a: tuple(l for k in range(a - 1, 0, -1) for l in range(-k, 0))
+    monkeypatch.setattr(oddops, "da_word", reversed_blocks)
+    r = V.run_check("add_step")
+    assert r.status == "fail"
+    assert r.details == [(str(("add step", a)), str(want), "0") for a, want in ((3, -1), (4, -1), (5, 1))]
+
+
+@pytest.mark.parametrize("patch", [
+    lambda letters: lambda a, b: letters(a, b)[::-1],
+    lambda letters: lambda a, b: letters(a, b)[1:],
+    lambda letters: lambda a, b: letters(a, b)[:-1],
+    lambda letters: lambda a, b: letters(b, a),
+], ids=["reversed", "first letter dropped", "last letter dropped", "built as (b, a)"])
+def test_da_slide_fails_on_a_wrong_bundle_crossing_word(monkeypatch, cold_caches, patch):
+    """D_a slides through the (1, a) bundle crossing, and D_a is D_{a-1}
+    times the (a-1, 1) crossing; each of these crossing words breaks one
+    of them at the defaults.  crossing_slide, which slides a crossing
+    through a crossing, still passes all four."""
+    from oddnil import onh
+
+    monkeypatch.setattr(onh, "crossing_word_letters", patch(onh.crossing_word_letters))
+    assert V.run_check("da_slide").status == "fail"
+
+
 def test_e_h_relation_fails_when_h2_is_negated(monkeypatch):
     """A negated h_2 enters sum_k (-1)^C(k+1,2) eps_k h_{m-k} at k = m - 2,
     where eps_k is nonzero for k <= a: the relation fails at every
