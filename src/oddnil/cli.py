@@ -11,7 +11,6 @@ reason; the text report shows real timings).
 
 import argparse
 import json
-import os
 import sys
 
 from . import combinat, cyclotomic, oddsym, verify
@@ -175,7 +174,7 @@ def build_parser():
     pv.add_argument("--max-rank", type=_integer, help="clamp default sweeps to this thickness")
     pv.add_argument("--seed", type=_integer, default=verify.DEFAULT_SEED)
     pv.add_argument("--json", action="store_true")
-    pv.add_argument("--parallel", type=_integer, default=os.cpu_count() or 1)
+    pv.add_argument("--parallel", type=_integer, default=1, help="worker processes; 1 runs the checks in this process")
     pv.set_defaults(func=cmd_verify)
     return parser
 

@@ -40,6 +40,14 @@ class Gf2Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms)))
 
+    def __repr__(self):
+        """The terms as skewpoly.format_skew writes them, every coefficient
+        1: "x1^2*x3 + x2 + 1", monomials in decreasing exponent order, and 0
+        for no terms."""
+        names = ("*".join("x%d" % j if e == 1 else "x%d^%d" % (j, e) for j, e in enumerate(m, 1) if e) or "1"
+                 for m in sorted(self.terms, reverse=True))
+        return " + ".join(names) or "0"
+
     def __add__(self, other):
         d = dict(self.terms)
         for m in other.terms:

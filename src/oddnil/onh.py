@@ -27,9 +27,15 @@ letters meets the head one letter at a time over the whole polynomial,
 so terms that cancel drop out early (e_a f - e_a f e_a for an odd
 symmetric f is a few dozen terms whose image is zero); a smaller sum
 goes through apply_word and its memo.  The plan is made on an element's
-first evaluation and kept, which relies on one rule: an element's
-``combo`` is never mutated after construction (every operation returns
-a new element, which makes its own plan).
+first evaluation and kept.
+
+An element is a value: no code mutates its ``combo`` after construction,
+and every operation returns a new element, which makes its own plan.  So
+the named diagrams are lru_caches: idempotent_e, d_element,
+crossing_element, up_splitter, sigma_seq, lambda_seq, sigma_part and
+lambda_part each build their element once per process, and every check
+that names a diagram shares that one element and its plan.
+oddops.clear_caches empties them with the library's other lru_caches.
 
 Next to its plan an element keeps its floor, the least word_floor of its
 words.  A word kills every monomial below its own floor (see below), so
@@ -480,14 +486,16 @@ def e_sign(a):
     return (-1) ** comb(a, 3)
 
 
+@lru_cache(maxsize=None)
 def idempotent_e(a):
     """e_a = (-1)^{binom(a,3)} x^delta D_a: the word e_word(a) with the
     coefficient e_sign(a); the even e_a of Lauda's categorification of
     quantum sl(2) is x^delta D_a.  It equals zero_hecke_product(a)
     (ea_standard states this for a <= 5, the tests for a = 6, 7).  Products
     carry the sign as a coefficient: up_splitter, sigma_part and
-    lambda_part through this function, lambda_seq once per e_word it
-    concatenates, and box not at all, since e_a f e_a holds it squared.
+    lambda_part through the one element this cache holds per a, lambda_seq
+    once per e_word it concatenates, and box not at all, since e_a f e_a
+    holds it squared.
     The crossings of D_a act first, so apply_word's floor sends most
     monomials to zero before any letter runs."""
     return OnhElement.from_word(a, e_word(a), e_sign(a))
@@ -501,7 +509,6 @@ def embed(element, offset, n):
     return _element(n, {shift_word(w, offset): c for w, c in element.combo.items()})
 
 
-@lru_cache(maxsize=None)
 def crossing_word_letters(a, b):
     """Crossing word for bundles (a, b): each right strand crosses leftward
     over all a left strands; degree -2ab."""
@@ -512,11 +519,13 @@ def crossing_word_letters(a, b):
     return tuple(word)
 
 
+@lru_cache(maxsize=None)
 def crossing_element(a, b):
     """The bundle crossing of (a, b) on a+b strands."""
     return OnhElement.from_word(a + b, crossing_word_letters(a, b))
 
 
+@lru_cache(maxsize=None)
 def up_splitter(a, b):
     """Split a thick a+b strand into legs (a, b); the bottom projector is
     absorbed.  The crossing inside is the mirror orientation, the sigma
@@ -577,6 +586,7 @@ def bigX(alpha, a, b):
 # sigma/lambda families
 
 
+@lru_cache(maxsize=None)
 def sigma_seq(ell):
     """sigma_l: nested splitters (nu+1) -> (nu, 1) from thickness a down,
     with an eps_{l_nu} box right above the thickness-nu leg."""
@@ -590,6 +600,7 @@ def sigma_seq(ell):
     return out
 
 
+@lru_cache(maxsize=None)
 def lambda_seq(ell):
     """lambda_l = (-1)^{binom(a,3)} e_a x_a^{hat l_{a-1}} e_{a-1}
     x_{a-1}^{hat l_{a-2}} ... e_2 x_2^{hat l_1}, with hat l_nu = nu - l_nu.
@@ -612,6 +623,7 @@ def lambda_seq(ell):
     return OnhElement.from_word(a, tuple(word), sign)
 
 
+@lru_cache(maxsize=None)
 def sigma_part(alpha, a, b):
     """sigma_alpha = (box(s_alpha, a) (x) e_b) . up_splitter(a, b)."""
     alpha = combinat.check_box(alpha, a, b)
@@ -620,6 +632,7 @@ def sigma_part(alpha, a, b):
     return top * up_splitter(a, b)
 
 
+@lru_cache(maxsize=None)
 def lambda_part(alpha, a, b):
     """lambda_alpha = (-1)^{X_alpha^{a,b}} e_{a+b} (e_a (x) box(dual s_{hat alpha}, b))."""
     alpha = combinat.check_box(alpha, a, b)
@@ -642,6 +655,7 @@ def mirror(element):
     return OnhElement(a, combo)
 
 
+@lru_cache(maxsize=None)
 def d_element(a):
     """D_a as an element (the fixed word of oddops.da_word)."""
     return OnhElement.from_word(a, oddops.da_word(a))

@@ -472,6 +472,20 @@ def test_verify_all_json_and_instance_counts_match_the_golden_files(capsys, monk
     assert counts == json.loads((DATA / "verify_instances.json").read_text())
 
 
+def test_verify_runs_its_checks_in_this_process_by_default(capsys, monkeypatch):
+    # a pool worker starts cold and builds every cached diagram again, so
+    # without --parallel no pool starts, and the output is that of --parallel 1
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, "verify", "all", "--json")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "verify_all.json").read_text()
+
+
 def test_python_m_oddnil_runs_the_cli_from_a_source_checkout():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

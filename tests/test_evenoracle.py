@@ -10,7 +10,7 @@ from oddnil import combinat as C
 from oddnil import cyclotomic as CY
 from oddnil import evenoracle as E
 from oddnil import oddsym as S
-from oddnil.skewpoly import SkewPolynomial
+from oddnil.skewpoly import SkewPolynomial, format_skew
 
 
 def poly(nvars, *terms):
@@ -125,6 +125,8 @@ def test_mod2_path_matches_the_two_pass_reference(case):
     nvars, p, q = case
     # the constructor is the reduction, on raw dicts with zero coefficients too
     assert list(E.Gf2Poly(nvars, p).terms.items()) == list(R.gf2_terms(p).items())
+    # printed as format_skew prints the same monomials with coefficient 1
+    assert repr(E.Gf2Poly(nvars, p)) == format_skew(SkewPolynomial(nvars, R.gf2_terms(p)))
     f, g = SkewPolynomial(nvars, p), SkewPolynomial(nvars, q)
     for h in (f, g, f * g):
         red = S.mod2_reduction(h)

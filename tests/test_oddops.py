@@ -342,6 +342,7 @@ def test_clear_caches_empties_every_lru_cache():
 
     cyclotomic.schur_box_images(2, 3)
     onh.schubert_basis_list(3)
+    onh.sigma_seq((0, 1))
     # degree 3 is above N - a = 1, so the e-words of h_2 and h_3 are built
     evenoracle.even_quotient_rank_gf2(2, 3, 3)
     O.divided_difference(1, SkewPolynomial.monomial(3, (2, 1, 1)))
@@ -355,7 +356,7 @@ def test_clear_caches_empties_every_lru_cache():
     filled = {name for name, c in caches.items() if c.cache_info().currsize}
     assert {"oddnil.combinat.partitions_of", "oddnil.oddsym.schur", "oddnil.oddsym._left",
             "oddnil.evenoracle._h_ewords", "oddnil.onh.schubert_basis_list",
-            "oddnil.skewpoly._kernel"} <= filled
+            "oddnil.onh.sigma_seq", "oddnil.skewpoly._kernel"} <= filled
     # the d_i table is a list, not an lru_cache; it holds row 2 up to q = 1
     assert O._dd_rows[2][1]
     O.clear_caches()

@@ -225,18 +225,6 @@ def test_crossing_slide_fails_when_the_crossing_word_carries_an_extra_dot(monkey
     assert r.details[0] == (str(("crossing slide", 3, 1)), "0", "-1")
 
 
-@pytest.fixture
-def cold_caches():
-    """Empty the library's caches before and after a test that patches a
-    function whose images they hold (the d_i table, the word-segment memo
-    and the lru_caches)."""
-    from oddnil import oddops
-
-    oddops.clear_caches()
-    yield
-    oddops.clear_caches()
-
-
 def _dd_block_without_p(p, q):
     """oddops._dd_block with p dropped from the sign of its second sum's
     term k: (-1)^(k + p k) in place of (-1)^(p + k + p k)."""
@@ -254,7 +242,7 @@ def _dd_block_without_p(p, q):
     ("reorder_revstair", ("reverse staircase", 4)),
     ("center", ("central e_k(x^2)", 2, 1, 2, 1)),
 ])
-def test_a_d_i_block_without_p_in_its_second_sign_fails(monkeypatch, cold_caches, check_id, first):
+def test_a_d_i_block_without_p_in_its_second_sign_fails(monkeypatch, check_id, first):
     """The second sum of d_1(x_1^p x_2^q) carries (-1)^p for moving x_2^p
     past x_1^k; without it d_i is wrong on every monomial with p odd and
     q >= 1, and each of these checks fails at its defaults, first at the
@@ -267,7 +255,7 @@ def test_a_d_i_block_without_p_in_its_second_sign_fails(monkeypatch, cold_caches
     assert r.details[0][0] == str(first)
 
 
-def test_add_step_fails_when_the_blocks_of_d_a_are_reversed(monkeypatch, cold_caches):
+def test_add_step_fails_when_the_blocks_of_d_a_are_reversed(monkeypatch):
     """D_a is [d_1] + [d_2 d_1] + ... + [d_{a-1} ... d_1]; with its blocks
     in the other order ([d_{a-1} ... d_1] first, [d_1] last) D_a sends the
     add-step monomial to 0 in place of +-1 at every a >= 3."""
@@ -286,7 +274,7 @@ def test_add_step_fails_when_the_blocks_of_d_a_are_reversed(monkeypatch, cold_ca
     lambda letters: lambda a, b: letters(a, b)[:-1],
     lambda letters: lambda a, b: letters(b, a),
 ], ids=["reversed", "first letter dropped", "last letter dropped", "built as (b, a)"])
-def test_da_slide_fails_on_a_wrong_bundle_crossing_word(monkeypatch, cold_caches, patch):
+def test_da_slide_fails_on_a_wrong_bundle_crossing_word(monkeypatch, patch):
     """D_a slides through the (1, a) bundle crossing, and D_a is D_{a-1}
     times the (a-1, 1) crossing; each of these crossing words breaks one
     of them at the defaults.  crossing_slide, which slides a crossing
@@ -316,7 +304,8 @@ def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     """A skew product x2 * x1 x3 with an even coefficient vanishes mod 2 while
     the product of the reductions does not.  Only a check that multiplies
     those two monomials by themselves can see the fault, and the sweep over
-    pairs of monomials names that pair."""
+    pairs of monomials names that pair, and the details name both sides as
+    polynomials: x1 x2 x3 from the reductions, 0 from the product."""
     from oddnil.skewpoly import SkewPolynomial
 
     left, right = (0, 1, 0), (1, 0, 1)
@@ -331,7 +320,7 @@ def test_mod2_fails_at_a_pair_whose_skew_product_is_wrong_mod_2(monkeypatch):
     monkeypatch.setattr(SkewPolynomial, "__mul__", faulty_mul)
     r = V.run_check("mod2")
     assert r.status == "fail"
-    assert [label for label, _, _ in r.details] == [str(("multiply mod 2", 3, left, right))]
+    assert r.details == [(str(("multiply mod 2", 3, left, right)), "x1*x2*x3", "0")]
 
 
 def test_a_slice_with_torsion_reports_its_smith_factors(monkeypatch):
