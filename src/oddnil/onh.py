@@ -41,9 +41,11 @@ Next to its plan an element keeps its floor, the least word_floor of its
 words.  A word kills every monomial below its own floor (see below), so
 by linearity the element kills every polynomial whose monomials all lie
 below the least of them: evaluate returns zero for such a polynomial at
-once, with no walk of the plan or the memo.  Most Schubert polynomials
-lie below the floor of a projector's family, since every projector ends
-in the crossings of D_a.
+once, with no walk of the plan or the memo.  The test reads p's cached
+top half-degree (SkewPolynomial.top_halfdegree), so it does not walk p's
+monomials either: a polynomial evaluated before costs one slot read.
+Most Schubert polynomials lie below the floor of a projector's family,
+since every projector ends in the crossings of D_a.
 
 apply_word remembers, per word, the image of every monomial it has
 carried: an image depends only on the word and the monomial, since the
@@ -256,7 +258,7 @@ class OnhElement:
         except AttributeError:
             self._plan = (min(map(word_floor, self.combo), default=0),) + _plan(self.strands, self.combo)
             floor, head, tail, middles = self._plan
-        if floor and max(map(sum, p.terms)) < floor:
+        if floor and p.top_halfdegree() < floor:
             return _from_normal(self.strands, {})
         q = apply_word(tail, p) if tail else p
         if not q.terms:

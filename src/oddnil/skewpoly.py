@@ -30,6 +30,14 @@ product sign with A = e_r: only the x_r letter moves, past the x_j^{A_j}
 with j < r, so its test is (a0 ^ ... ^ a{r-2}) & 1.
 
 x_i has Z-degree 2; the super-degree of a monomial is |A| mod 2.
+
+A polynomial is a value: no code changes its ``terms`` after __init__ or
+_from_normal has built it, and every operation builds its result over a
+fresh dict (or returns its operand itself, when nothing acts on it).  So
+a polynomial keeps what it learns about itself: top_halfdegree, the
+largest |A| of its monomials (-1 for zero), is computed on its first
+call and read after that, which makes the floor test of onh's evaluation
+one slot read.
 """
 
 import re
@@ -41,7 +49,7 @@ from .lincomb import add_scaled, coefficient, collect, exponents, format_terms, 
 
 
 class SkewPolynomial:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_top")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -102,6 +110,15 @@ class SkewPolynomial:
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
+
+    def top_halfdegree(self):
+        """The largest half-degree |A| of a monomial, -1 for zero; computed
+        once, since the terms never change (see the module docstring)."""
+        try:
+            return self._top
+        except AttributeError:
+            self._top = top = max(map(sum, self.terms), default=-1)
+            return top
 
     def lead(self):
         """(exponents, coefficient) of the lex-greatest monomial."""
