@@ -167,8 +167,8 @@ def odd_symmetrize(p):
 def clear_caches():
     """Empty every cache in the library, so the next computation starts
     cold: the lru_cache of every loaded oddnil module, the d_i table
-    _dd_rows and onh's memo of word-segment images.  The
-    compiled kernels (skewpoly._kernel) and the word programs that hold them
+    _dd_rows, onh's memo of word-segment images and its store of Schubert
+    polynomials.  The compiled kernels (skewpoly._kernel) and the word programs that hold them
     go too and are built again on their next call; they hold no results, so
     the terms come out the same."""
     # imported here: onh imports this module
@@ -181,3 +181,4 @@ def clear_caches():
                     obj.cache_clear()
     _dd_rows.clear()
     onh._segment_images.clear()
+    onh._schubert_store.clear()

@@ -13,7 +13,14 @@ faithful and the action is right-linear over the odd symmetric subring,
 which is why the a! Schubert polynomials suffice).  The one procedure is
 witness(x, y): it evaluates x - y on the basis, stops at the first
 nonzero value and reports x and y there; x == y is witness(x, y) is None.
-No rewriting system is used anywhere.
+No rewriting system is used anywhere.  The Schubert polynomial of w is
+homogeneous of half-degree l(w), and x - y kills every polynomial below
+its floor (see below), so the walk reads each index's degree
+(schubert_degrees, from the index alone) and skips, unbuilt, every index
+below the floor.  The polynomials are built on demand and kept
+(schubert_polynomial), each as one d_j on one of higher degree, so an
+identity whose floor leaves only the staircase builds the staircase
+alone; schubert_basis_list reads every index through the same store.
 
 Evaluation splits the words once (_plan) into a head that two or more
 words all start with, a tail that two or more of the rest all end with,
@@ -87,7 +94,7 @@ Thick calculus conventions (all signs downstream depend on these):
 
 import os
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from . import combinat, oddops, oddsym
 from .lincomb import add_scaled, coefficient, collect, convolve, format_terms, scaled
@@ -256,8 +263,7 @@ class OnhElement:
         try:
             floor, head, tail, middles = self._plan
         except AttributeError:
-            self._plan = (min(map(word_floor, self.combo), default=0),) + _plan(self.strands, self.combo)
-            floor, head, tail, middles = self._plan
+            floor, head, tail, middles = self.plan()
         if floor and p.top_halfdegree() < floor:
             return _from_normal(self.strands, {})
         q = apply_word(tail, p) if tail else p
@@ -277,6 +283,16 @@ class OnhElement:
         # a large sum meets the head at once, a small one the memo
         return oddops.apply_letters(head, q) if len(d) > len(head) else apply_word(head, q)
 
+    def plan(self):
+        """(floor, head, tail, middles): the element's floor, the least
+        word_floor of its words, and its _plan; made on the first call and
+        kept in the slot _plan, which evaluate reads first."""
+        try:
+            return self._plan
+        except AttributeError:
+            plan = self._plan = (min(map(word_floor, self.combo), default=0),) + _plan(self.strands, self.combo)
+            return plan
+
     def degrees(self):
         return sorted({word_degree(w) for w in self.combo})
 
@@ -295,11 +311,22 @@ def witness(x, y):
     """(i, x(p_i), y(p_i)) for the first Schubert polynomial p_i on which
     the elements x and y differ, or None if they are equal.  By linearity
     that is the first p_i on which x - y is nonzero, so one walk evaluates
-    x - y, and x and y are evaluated only at p_i."""
+    x - y, and x and y are evaluated only at p_i.
+
+    The walk goes by degree: p_i is homogeneous of half-degree
+    schubert_degrees(a)[i] (and nonzero), and x - y sends every
+    polynomial below its floor to zero (evaluate), so an index whose
+    degree is below that floor is no witness.  The walk skips it without
+    building its polynomial; every other index is visited in order, as
+    before, so the first witness and its two values are the same."""
     diff = x - y
-    for i, p in enumerate(schubert_basis_list(x.strands)):
-        if diff.evaluate(p):
-            return i, x.evaluate(p), y.evaluate(p)
+    floor = diff.plan()[0]
+    a = x.strands
+    for i, degree in enumerate(schubert_degrees(a)):
+        if degree >= floor:
+            p = schubert_polynomial(a, i)
+            if diff.evaluate(p):
+                return i, x.evaluate(p), y.evaluate(p)
     return None
 
 
@@ -375,32 +402,82 @@ def dots_word(exps):
 
 
 @lru_cache(maxsize=None)
-def schubert_basis_list(a):
-    """oddsym.schubert(w, a) for every w in combinat.all_permutations(a),
-    each one d_i on an earlier image.
+def schubert_degrees(a):
+    """l(w) for the i-th w of combinat.all_permutations(a): the half-degree
+    of its Schubert polynomial, which is homogeneous.  The order is lex, so
+    the digits of i in the factorial base are w's Lehmer code (at each
+    place, the number of later entries that are smaller), whose sum is
+    l(w); the tuple for a is each first digit c < a plus each entry of the
+    tuple for a - 1, and no permutation is built."""
+    out = (0,)
+    for k in range(2, a + 1):
+        out = tuple(c + l for c in range(k) for l in out)
+    return out
+
+
+def _permutation_at(a, i):
+    """The i-th w of combinat.all_permutations(a): the digits of i in the
+    factorial base pick each entry among those left (see schubert_degrees)."""
+    rest = list(range(1, a + 1))
+    w = []
+    for k in range(a - 1, -1, -1):
+        c, i = divmod(i, factorial(k))
+        w.append(rest.pop(c))
+    return tuple(w)
+
+
+# a -> a list of a! slots, the Schubert polynomial at each index of
+# combinat.all_permutations(a) once schubert_polynomial has built it, else
+# None; oddops.clear_caches empties it
+_schubert_store = {}
+
+
+def schubert_polynomial(a, i):
+    """oddsym.schubert(w, a) for the i-th w of combinat.all_permutations(a),
+    built on its first call and kept.
 
     oddsym.schubert applies the crossing word of u = w^{-1} w_0 to the
-    staircase; the first letter -i of that word acts last, on the image of
-    the rest of the word.  So the images of word suffixes are kept, and each
-    word costs one d_i on its suffix's image: the same letters on the same
-    dicts, so the terms and their order are those of oddsym.schubert.  The
-    canonical words are suffix-closed: the word of u without its first
-    letter i is the word of s_i u (by combinat.canonical_reduced_word's
-    recursion: if u(n) = i < n, s_i u ends in i + 1 and has the same
-    renumbered prefix, and if u(n) = n both words are their prefixes',
-    by induction).  So every suffix is itself a basis word, and the a!
-    polynomials cost a! - 1 letters."""
-    w0 = combinat.longest_element(a)
-    images = {(): staircase(a)}
+    staircase; the first letter -j of that word acts last, on the image of
+    the rest of the word.  The canonical words are suffix-closed: the word
+    of u without its first letter j is the word of s_j u (by
+    combinat.canonical_reduced_word's recursion: if u(n) = j < n, s_j u
+    ends in j + 1 and has the same renumbered prefix, and if u(n) = n both
+    words are their prefixes', by induction).  And s_j u = (w s_j)^{-1} w_0,
+    so that image is the polynomial of w s_j, which is w with the entries
+    at the places j and j + 1 swapped, one higher in length.  So the
+    polynomial at index i is one d_j on the polynomial of w s_j, and
+    w_0's is the staircase: the same letters on the same dicts as the
+    whole word, in whichever order the indices are asked for, so the terms
+    and their order are those of oddsym.schubert.  Building one polynomial
+    builds the chain above it and nothing of lower degree."""
+    store = _schubert_store.get(a)
+    if store is None:
+        store = _schubert_store[a] = [None] * factorial(a)
+    p = store[i]
+    if p is None:
+        w = _permutation_at(a, i)
+        u = combinat.perm_compose(combinat.perm_inverse(w), combinat.longest_element(a))
+        word = combinat.canonical_reduced_word(u)
+        if word:
+            # w(j) < w(j + 1), so the digits of i at the places j - 1 and j
+            # (0-based), c and d, become d + 1 and c at the index of w s_j
+            j = word[0]
+            c, d = i // factorial(a - j) % (a - j + 1), i // factorial(a - j - 1) % (a - j)
+            above = schubert_polynomial(a, i + (d + 1 - c) * factorial(a - j) + (c - d) * factorial(a - j - 1))
+            p = oddops.apply_letters((-j,), above)
+        else:
+            p = staircase(a)
+        store[i] = p
+    return p
 
-    def image(word):
-        p = images.get(word)
-        if p is None:
-            p = images[word] = oddops.apply_letters(word[:1], image(word[1:]))
-        return p
 
-    return [image(oddops.d_word(combinat.perm_compose(combinat.perm_inverse(w), w0)))
-            for w in combinat.all_permutations(a)]
+@lru_cache(maxsize=None)
+def schubert_basis_list(a):
+    """oddsym.schubert(w, a) for every w in combinat.all_permutations(a):
+    schubert_polynomial at every index, so each polynomial is built once,
+    as one d_j on an earlier one, and kept once; the a! polynomials cost
+    a! - 1 letters."""
+    return [schubert_polynomial(a, i) for i in range(factorial(a))]
 
 
 @lru_cache(maxsize=None)

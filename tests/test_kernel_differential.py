@@ -28,7 +28,8 @@ The closed-form eps_k, h_k and eps_k in fewer variables are compared with
 the x~ products multiplied out one factor at a time.
 onh.schubert_basis_list, which applies one d_i per permutation to the image
 of its word's suffix, is compared with oddsym.schubert on every permutation
-of 1 to 6 letters, and skewpoly.apply_w0, the one-pass closed form, with
+of 1 to 6 letters, in index order and built one index at a time in reversed
+and shuffled order, and skewpoly.apply_w0, the one-pass closed form, with
 one s_i pass per letter of w_0's word, for 0 to 7 variables, both by terms
 and key order.
 
@@ -37,6 +38,7 @@ wrong-length key fails as surely as a wrong sign.
 """
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -968,11 +970,19 @@ def test_sums_products_and_scales_of_an_evaluated_element_build_their_own_plan()
 
 @pytest.mark.parametrize("a", range(1, 7))
 def test_schubert_basis_by_suffix_sharing_matches_oddsym_schubert(a):
-    onh.schubert_basis_list.cache_clear()
+    oddops.clear_caches()
     got = onh.schubert_basis_list(a)
     want = [oddsym.schubert(w, a) for w in combinat.all_permutations(a)]
     assert [normal(p) for p in got] == [normal(p) for p in want]
     assert [ordered(p) for p in got] == [ordered(p) for p in want]
+    # built one index at a time, each on demand, in reversed and shuffled order
+    shuffled = list(range(len(want)))
+    random.Random(a).shuffle(shuffled)
+    for order in (reversed(range(len(want))), shuffled):
+        oddops.clear_caches()
+        got = {i: onh.schubert_polynomial(a, i) for i in order}
+        assert [ordered(got[i]) for i in range(len(want))] == [ordered(p) for p in want]
+    oddops.clear_caches()
 
 
 @pytest.mark.parametrize("a", range(1, 6))

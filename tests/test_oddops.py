@@ -359,10 +359,12 @@ def test_clear_caches_empties_every_lru_cache():
             "oddnil.onh.sigma_seq", "oddnil.skewpoly._kernel"} <= filled
     # the d_i table is a list, not an lru_cache; it holds row 2 up to q = 1
     assert O._dd_rows[2][1]
+    assert all(onh._schubert_store[3])
     O.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     assert O._dd_rows == []
     assert not O._dd_cache
+    assert not onh._schubert_store
 
 
 def test_clear_caches_empties_the_segment_image_memo():

@@ -325,8 +325,37 @@ def test_witness_evaluates_each_side_once_at_the_first_differing_index(monkeypat
     monkeypatch.setattr(H.OnhElement, "evaluate", counting)
     assert H.witness(x, y)[0] == first
     assert [p for el, p in calls if el is x] == [p for el, p in calls if el is y] == [basis[first]]
-    # the rest is x - y, once per index up to the first difference
-    assert len(calls) == first + 3
+    # the rest is x - y, once per index up to the first difference whose
+    # degree reaches its floor; no index below the floor is evaluated
+    floor = (x - y).plan()[0]
+    degrees = H.schubert_degrees(a)
+    walked = [basis[i] for i in range(first + 1) if degrees[i] >= floor]
+    assert [p for el, p in calls if el is not x and el is not y] == walked
+    assert floor == 2 and len(walked) == 1 < first + 1
+
+
+def test_schubert_degrees_are_the_lengths_in_lex_order():
+    for a in range(8):
+        assert list(H.schubert_degrees(a)) == [C.perm_length(w) for w in C.all_permutations(a)]
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+def test_each_schubert_polynomial_is_homogeneous_of_its_degree(a):
+    for p, degree in zip(H.schubert_basis_list(a), H.schubert_degrees(a), strict=True):
+        assert p.top_halfdegree() == degree
+        assert {sum(m) for m in p.terms} == {degree}
+
+
+def test_da_slide_builds_only_the_staircase_among_six_strand_polynomials():
+    from oddnil import verify as V
+
+    O.clear_caches()
+    assert V.run_check("da_slide").status == "pass"
+    # its one 6-strand identity, the D_5 slide, has floor C(6, 2) = 15
+    built = [i for i, p in enumerate(H._schubert_store[6]) if p is not None]
+    assert built == [719] and H._schubert_store[6][719] == staircase(6)
+    O.clear_caches()
+    assert not H._schubert_store
 
 
 def test_evaluate_matches_operator_composition():

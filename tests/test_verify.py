@@ -515,10 +515,46 @@ def test_box_contracts_pass_at_every_pair_of_their_envelope_edge(check_id, insta
         assert above.status == "skipped" and "exceeds" in above.details[0][2]
 
 
+@pytest.mark.parametrize("check_id,instances", [("da_slide", 20), ("ea_idem", 35)])
+def test_slide_and_idempotent_checks_pass_at_a_max_seven(monkeypatch, check_id, instances):
+    """At a_max 7 the D_a slide acts on 8 strands; its witness walk builds
+    only the polynomials at or above each identity's floor, so both checks
+    stay cheap two steps past the shared a <= 5."""
+    monkeypatch.setitem(V.AXES, "a_max", V.AXES["a_max"]._replace(exceeds=lambda a: a > 7))
+    r = V.run_check(check_id, {"a_max": 7})
+    assert (r.status, r.instances) == ("pass", instances)
+
+
 def test_jacobi_trudi_failure_needs_degree_four():
     with pytest.raises(ValueError, match="a >= 4"):
         V.run_check("jacobi_trudi_failure", {"a": 3})
     assert V.run_check("jacobi_trudi_failure", {"a": 4}).status == "pass"
+
+
+def test_jacobi_trudi_failure_reports_error_when_h_is_unsigned(monkeypatch):
+    """With h_k as the plain sum of monomials, no x~ signs, the products
+    of the h_k are not odd symmetric, so the first expansion raises and the
+    check reports error.
+    No defect is known that makes this check fail: odd symmetric
+    generators of degree at most 3 lie in the span of the eps-words with
+    parts at most 3, and so do their degree-4 products, so eps_4 stays
+    outside the span whatever the generators are; only a defect in the
+    product, the expansion or the rank could make it fail, and none of the
+    sign, fold, Hermite-form and rank defects tried does."""
+    from oddnil import oddsym
+    from oddnil.skewpoly import SkewPolynomial
+
+    complete = oddsym.complete
+
+    def unsigned_complete(k, a):
+        return SkewPolynomial(a, {m: abs(c) for m, c in complete(k, a).terms.items()})
+
+    monkeypatch.setattr(oddsym, "complete", unsigned_complete)
+    r = V.run_check("jacobi_trudi_failure")
+    assert r.status == "error"
+    [(label, want, got)] = r.details
+    assert (label, want) == ("internal error", "no exception")
+    assert got.startswith("NotOddSymmetricError: leading monomial (3, 0, 1, 0, 0, 0) is not partition-shaped")
 
 
 def test_splitter_triangle_carries_its_sign_at_total_five():
